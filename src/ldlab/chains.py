@@ -450,7 +450,10 @@ def parse_witness(text: str) -> ShatterWitness:
     uparts = lines[1].split()
     if not uparts or uparts[0] != "U":
         raise ParameterError(f"bad U line {lines[1]!r}")
-    U = frozenset(int(x) for x in uparts[1:])
+    try:
+        U = frozenset(int(x) for x in uparts[1:])
+    except ValueError:
+        raise ParameterError(f"bad U line {lines[1]!r}") from None
     if len(U) != c:
         raise ParameterError(f"|U|={len(U)} does not match c={c}")
     field = field_new(q)
@@ -463,7 +466,10 @@ def parse_witness(text: str) -> ShatterWitness:
             raise ParameterError(f"bad covering line {ln!r}")
         if len(parts[0]) != c:
             raise ParameterError(f"pattern {parts[0]!r} has length != c={c}")
-        pattern = tuple(int(ch, 16) for ch in parts[0])
+        try:
+            pattern = tuple(int(ch, 16) for ch in parts[0])
+        except ValueError:
+            raise ParameterError(f"pattern {parts[0]!r} is not hex digits") from None
         if any(not 0 <= d < q for d in pattern):
             raise ParameterError(f"pattern {parts[0]!r} has digits outside F_{q}")
         member = VecQ.from_string(field, parts[1])

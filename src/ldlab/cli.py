@@ -85,6 +85,12 @@ class RunManifest:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"manifest is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ParameterError("manifest is not a JSON object")
+        argv = payload.get("argv", [])
+        if not (isinstance(argv, list)
+                and all(isinstance(arg, str) for arg in argv)):
+            raise ParameterError("manifest argv is not a list of strings")
         try:
             return cls(
                 subcommand=payload["subcommand"],
@@ -487,8 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--code", required=True, metavar="FILE")
     pe.add_argument("--p", required=True)
     pe.add_argument("--L", type=int, required=True)
-    pe.add_argument("--mode", choices=("auto", "full", "candidates"),
-                    default="auto")
+    pe.add_argument("--mode", choices=("auto", "full", "syndrome"),
+                    default="auto",
+                    help="syndrome: one walk over B(0, r) tallying cosets "
+                         "(budget: ball volume <= 2^24); full: scan all "
+                         "q^n centers (budget q^n <= 2^24); auto = syndrome")
     _add_output_flags(pe)
     pe.set_defaults(handler=_cmd_check_ld)
     pm = ld_sub.add_parser("mc", help="Monte Carlo list-size sampling")
@@ -586,8 +595,15 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         if args.manifest:
-            manifest = RunManifest.from_json(_read_text(args.manifest))
-            return dispatch(list(manifest.argv))
+            path = args.manifest
+            argv = list(RunManifest.from_json(_read_text(path)).argv)
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0)
+            if args.manifest:
+                raise ParameterError(
+                    f"manifest {path} replays an argv that names --manifest")
         if not getattr(args, "handler", None):
             parser.print_usage(sys.stderr)
             return 2

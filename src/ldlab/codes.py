@@ -2,10 +2,14 @@
 
 A code is given by a k x n generator matrix over F_q; the codeword set
 is the row span (q^k messages, q^rank distinct codewords).  The exact
-checker reports L_max = max over centers x of |B(x, radius) ∩ C| either
-by full enumeration of F_q^n or by the candidate-restricted strategy
-that only visits ∪_{c ∈ C} B(c, radius); the two agree for L >= 1
-because any center that sees a codeword at all lies in that union.
+checker reports L_max = max over centers x of |B(x, radius) ∩ C|.  Its
+default strategy is a coset tally: |B(x, radius) ∩ C| depends only on
+the coset x + C, and equals the number of ball points e ∈ B(0, radius)
+in that coset, so a single walk over B(0, radius) that labels each
+point by its coset tallies every center at once (|B(0, radius)| steps).
+The "full" mode scans every center of F_q^n and is kept as the
+exhaustive oracle.  Every checker counts distinct codewords, also for
+rank-deficient generators.
 
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
@@ -13,15 +17,20 @@ truncations.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, field_new, payload_add,
                   payload_distance, rank_of)
-from .hamming import (BallSpec, RadiusParam, as_fraction, ball_points,
-                      ball_volume, radius_of, sample_ball_uniform)
+# ball_points is no longer walked here; the name stays importable from
+# this module for callers that patch or read ldlab.codes.ball_points.
+from .hamming import (BallSpec, RadiusParam, as_fraction,  # noqa: F401
+                      ball_points, ball_volume, radius_of,
+                      sample_ball_uniform)
 
 ENUMERATION_BUDGET = 2 ** 24
 
@@ -140,10 +149,11 @@ def span_set(vectors: Sequence[VecQ], field: FieldTable | None = None,
 class LdVerdict:
     """Outcome of an exact list-decodability check.
 
-    L_max is the max over inspected centers of |B(center, radius) ∩ C|;
-    exhaustive is True when every x in F_q^n was inspected (the
-    candidate-restricted mode is equally exact for L >= 1, see module
-    docstring).  decodable = (L_max <= L) for the L that was asked.
+    L_max is the max over all centers of |B(center, radius) ∩ C|, counting
+    distinct codewords.  exhaustive is True when every x in F_q^n was
+    scanned (mode "full"); the "syndrome" mode is equally exact, and its
+    centers_inspected is the number of ball points it walked.
+    decodable = (L_max <= L) for the L that was asked.
     """
 
     q: int
@@ -172,47 +182,114 @@ class LdVerdict:
         }
 
 
+def _eliminate(field: FieldTable, n: int, y: int, row: int, col: int) -> int:
+    """y minus the multiple of `row` that clears coordinate col of y.
+
+    `row` must have digit 1 at col.
+    """
+    b = field.bits_per_digit
+    d = (y >> (col * b)) & ((1 << b) - 1)
+    if not d:
+        return y
+    return payload_add(field, y,
+                       (field.neg_table[d] * VecQ(field, n, row)).payload)
+
+
+def _coset_basis(code: Code) -> list[tuple[int, int]]:
+    """Fully reduced echelon basis of the row space as (pivot, payload).
+
+    Pivots are taken from coordinate n-1 down and scaled to 1; every row
+    is zero at the other rows' pivots, and its highest nonzero coordinate
+    is its own pivot.  Dependent generator rows reduce to zero and drop.
+    """
+    f, n = code.field, code.n
+    b = f.bits_per_digit
+    mask = (1 << b) - 1
+    rows = [row.payload for row in code.generator]
+    basis: list[tuple[int, int]] = []
+    for col in range(n - 1, -1, -1):
+        shift = col * b
+        i = next((i for i, y in enumerate(rows) if (y >> shift) & mask), None)
+        if i is None:
+            continue
+        lead = rows.pop(i)
+        lead = (f.inv_table[(lead >> shift) & mask] * VecQ(f, n, lead)).payload
+        rows = [_eliminate(f, n, y, lead, col) for y in rows]
+        basis = [(c, _eliminate(f, n, y, lead, col)) for c, y in basis]
+        basis.append((col, lead))
+    return basis
+
+
+def _coset_tally(code: Code, radius: int) -> dict[int, int]:
+    """Coset label -> number of points of B(0, radius) in that coset.
+
+    The label of y is y reduced against _coset_basis: the member of
+    y + C that is zero at every pivot.  Any other member differs from it
+    by a nonzero codeword, whose highest nonzero coordinate is a pivot,
+    so the label is the lowest-payload member of its coset.  Reduction
+    is linear, so the walk adds precomputed labels of a * e_i.
+    """
+    f = code.field
+    q, n, b = f.q, code.n, f.bits_per_digit
+    basis = _coset_basis(code)
+
+    def label_of(y: int) -> int:
+        for col, row in basis:
+            y = _eliminate(f, n, y, row, col)
+        return y
+
+    steps = [[label_of(a << (i * b)) for a in range(1, q)] for i in range(n)]
+    add = operator.xor if f.characteristic == 2 else partial(payload_add, f)
+    tally: dict[int, int] = {}
+
+    def walk(start: int, depth: int, label: int) -> None:
+        tally[label] = tally.get(label, 0) + 1
+        if depth == radius:
+            return
+        for i in range(start, n):
+            for step in steps[i]:
+                walk(i + 1, depth + 1, add(label, step))
+
+    walk(0, 0, 0)
+    return tally
+
+
 def check_ld_exact(code: Code, p: RadiusParam, L: int,
                    mode: str = "auto") -> LdVerdict:
     """Exact (p, L)-list-decodability check with radius floor(p*n).
 
+    mode "syndrome" (what "auto" resolves to) walks B(0, radius) once
+    and tallies the ball points per coset of C; the largest tally is
+    L_max (guard: ball volume <= 2^24, which also bounds the tally).
     mode "full" visits every x in F_q^n (guard q^n <= 2^24) and counts
-    codewords within the radius per center.  mode "candidates" spreads
-    a ball around each codeword and tallies centers (guard
-    q^k * ball_volume <= 2^24).  "auto" picks candidates when its
-    budget allows, else full.  Both report the same L_max and the same
-    lowest-payload witness.
+    codewords within the radius per center.  Both count distinct
+    codewords and report the same L_max and the same lowest-payload
+    witness center.
     """
     if L < 1:
         raise ParameterError(f"list size L={L} must be >= 1")
-    if mode not in ("auto", "full", "candidates"):
+    if mode not in ("auto", "full", "syndrome"):
         raise ParameterError(f"unknown mode {mode!r}")
     field = code.field
     q, n = field.q, code.n
     radius = radius_of(p, n)
-    candidate_cost = (q ** code.k) * ball_volume(n, radius, q)
-    full_cost = q ** n
-    if mode == "auto":
-        mode = "candidates" if candidate_cost <= ENUMERATION_BUDGET else "full"
-    if mode == "candidates":
-        if candidate_cost > ENUMERATION_BUDGET:
+    if mode != "full":
+        volume = ball_volume(n, radius, q)
+        if volume > ENUMERATION_BUDGET:
             raise ResourceBudgetError(
-                f"candidate enumeration q^k * V = {candidate_cost} exceeds "
-                f"budget {ENUMERATION_BUDGET}; try check_ld_montecarlo")
-        counts: dict[int, int] = {}
-        for cw in code.codewords():
-            for pt in ball_points(field, cw, radius):
-                counts[pt.payload] = counts.get(pt.payload, 0) + 1
-        l_max = max(counts.values())
-        witness = min(c for c, cnt in counts.items() if cnt == l_max)
+                f"ball walk |B(0, {radius})| = {volume} exceeds budget "
+                f"{ENUMERATION_BUDGET}; try check_ld_montecarlo")
+        tally = _coset_tally(code, radius)
+        l_max = max(tally.values())
+        witness = min(lab for lab, cnt in tally.items() if cnt == l_max)
         return LdVerdict(q, n, code.k, radius, L, l_max,
-                         VecQ(field, n, witness), len(counts), False,
-                         "candidates")
+                         VecQ(field, n, witness), volume, False, "syndrome")
+    full_cost = q ** n
     if full_cost > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
             f"full enumeration q^n = {full_cost} exceeds budget "
             f"{ENUMERATION_BUDGET}; try check_ld_montecarlo")
-    cws = code.codeword_payloads()
+    cws = list(dict.fromkeys(code.codeword_payloads()))
     l_max = -1
     witness = 0
     for x in all_payloads(field, n):
@@ -262,7 +339,8 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
     Importance sampling: uniform centers essentially never see two
     codewords, so centers are seeded at a codeword and perturbed within
     the ball, which covers exactly the centers whose count can exceed 0.
-    Counts enumerate all q^k codewords (guard q^k <= 2^24).
+    Counts run over the distinct codewords, found by enumerating all q^k
+    messages (guard q^k <= 2^24).
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be >= 1")
@@ -274,7 +352,7 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
             f"{ENUMERATION_BUDGET}")
     radius = radius_of(p, n)
     spec = BallSpec.from_p(q, n, as_fraction(p))
-    cws = code.codeword_payloads()
+    cws = list(dict.fromkeys(code.codeword_payloads()))
     histogram: dict[int, int] = {}
     max_count = -1
     witness = 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,14 @@ from .seeding import derive_stream
 SCHEMA_VERSION = 1
 
 
+def _clamp_workers(workers: int) -> int:
+    """Worker count limited to [1, os.cpu_count()]; results do not depend on it."""
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most `workers` contiguous chunks."""
-    workers = max(1, min(workers, total))
+    """Split range(total) into at most min(workers, cpus) contiguous chunks."""
+    workers = max(1, min(_clamp_workers(workers), total))
     base, extra = divmod(total, workers)
     chunks = []
     start = 0
@@ -54,7 +60,7 @@ def _map_chunks(worker, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(tasks))) as pool:
+    with ctx.Pool(min(_clamp_workers(workers), len(tasks))) as pool:
         return pool.map(worker, tasks)
 
 

@@ -281,9 +281,9 @@ def test_criterion_08_list_decoding_anchors(capsys):
             code = random_code(n, k, 2, full_rank=False, rng=rng)
             p = Fraction(rng.randrange(1, 5), 10)
             full = check_ld_exact(code, p, 1, mode="full")
-            cand = check_ld_exact(code, p, 1, mode="candidates")
-            assert full.L_max == cand.L_max
-            assert full.witness_center == cand.witness_center
+            syndrome = check_ld_exact(code, p, 1, mode="syndrome")
+            assert full.L_max == syndrome.L_max
+            assert full.witness_center == syndrome.witness_center
 
 
 def test_criterion_09_rate_sweep(capsys):

@@ -330,6 +330,17 @@ def test_parse_witness_rejects_malformed_input():
             parse_witness(text)
 
 
+def test_parse_witness_rejects_non_numeric_fields():
+    """Non-integer U entries and non-hex patterns are parameter errors."""
+    bad_inputs = [
+        "2 4 2\nU 1 x\n00 1010\n01 1000\n10 0010\n11 0000\n",
+        "2 4 2\nU 1 3\n00 1010\n0g 1000\n10 0010\n11 0000\n",
+    ]
+    for text in bad_inputs:
+        with pytest.raises(ParameterError):
+            parse_witness(text)
+
+
 def test_vector_set_serialization_round_trip():
     rng = random.Random(123)
     for q, ell in [(2, 5), (3, 3), (16, 2)]:

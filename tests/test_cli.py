@@ -190,7 +190,29 @@ def test_manifest_rejects_malformed_files(tmp_path, capsys):
     assert run_cli(capsys, "--manifest", str(bad))[0] == 2
     bad.write_text(json.dumps({"seed": 1}))
     assert run_cli(capsys, "--manifest", str(bad))[0] == 2
+    bad.write_text(json.dumps([1, 2]))
+    assert run_cli(capsys, "--manifest", str(bad))[0] == 2
+    fields = json.loads(RunManifest(
+        subcommand="entropy", argv=(), seed=None, params={}, outputs=(),
+        version="0.1.0", created_at="").to_json())
+    for argv in (5, [1, 2]):
+        bad.write_text(json.dumps({**fields, "argv": argv}))
+        assert run_cli(capsys, "--manifest", str(bad))[0] == 2
     assert run_cli(capsys, "--manifest", str(tmp_path / "missing.json"))[0] == 2
+
+
+def test_manifest_naming_a_manifest_exits_2(tmp_path, capsys):
+    """A replayed argv that itself names --manifest is refused, not followed."""
+    manifest_file = tmp_path / "loop.manifest.json"
+    manifest = RunManifest(
+        subcommand="entropy", argv=("--manifest", str(manifest_file)),
+        seed=None, params={}, outputs=(), version="0.1.0", created_at="",
+    )
+    manifest_file.write_text(manifest.to_json())
+    code, out, err = run_cli(capsys, "--manifest", str(manifest_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ldlab: error:") and len(err.splitlines()) == 1
 
 
 def test_chain_find_verify_oracle_round_trip(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldlab import (
     Code,
@@ -165,7 +166,7 @@ def test_full_space_ball_volume_anchor():
     assert small.decodable
 
 
-@pytest.mark.parametrize("mode", ["full", "candidates"])
+@pytest.mark.parametrize("mode", ["full", "syndrome"])
 def test_exact_checker_matches_independent_center_scan(mode):
     """L_max agrees with a digit-tuple oracle scanning every center."""
     rng = random.Random(77)
@@ -175,7 +176,7 @@ def test_exact_checker_matches_independent_center_scan(mode):
             code = random_code(n, k, q, full_rank=False, rng=rng)
             p = Fraction(rng.randrange(1, n // 2 + 1), n)
             verdict = check_ld_exact(code, p, 1, mode=mode)
-            codewords = [w.digits() for w in code.codewords()]
+            codewords = {w.digits() for w in code.codewords()}
             expected = oracles.brute_list_decode_l_max(
                 codewords, radius_of(p, n), q, n
             )
@@ -195,13 +196,13 @@ def test_witness_center_achieves_l_max():
         verdict = check_ld_exact(code, p, 1)
         recount = sum(
             1
-            for w in code.codewords()
+            for w in set(code.codewords())
             if distance(verdict.witness_center, w) <= verdict.radius
         )
         assert recount == verdict.L_max
 
 
-def test_candidate_and_full_modes_agree():
+def test_syndrome_and_full_modes_agree():
     rng = random.Random(2468)
     for _ in range(20):
         n = rng.randrange(6, 13)
@@ -209,10 +210,41 @@ def test_candidate_and_full_modes_agree():
         code = random_code(n, k, 2, full_rank=False, rng=rng)
         p = Fraction(rng.randrange(1, 4), 10)
         full = check_ld_exact(code, p, 2, mode="full")
-        cand = check_ld_exact(code, p, 2, mode="candidates")
-        assert full.L_max == cand.L_max
-        assert full.witness_center == cand.witness_center
-        assert full.exhaustive and not cand.exhaustive
+        syndrome = check_ld_exact(code, p, 2, mode="syndrome")
+        assert full.L_max == syndrome.L_max
+        assert full.witness_center == syndrome.witness_center
+        assert full.exhaustive and not syndrome.exhaustive
+        assert syndrome.centers_inspected == ball_volume(n, syndrome.radius, 2)
+
+
+@st.composite
+def small_codes(draw):
+    """I.i.d. generators, rank-deficient ones included, with q^(n+k) <= 9^4."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 9]))
+    n_max, k_max = {2: (7, 3), 3: (5, 3), 4: (4, 2), 5: (3, 2), 9: (3, 1)}[q]
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(0, min(n, k_max)))
+    f = field_new(q)
+    rows = tuple(
+        VecQ.from_digits(f, draw(st.lists(st.integers(0, q - 1),
+                                          min_size=n, max_size=n)))
+        for _ in range(k))
+    code = Code(field=f, n=n, k=k, generator=rows, full_rank=rank_of(rows) == k)
+    return code, Fraction(draw(st.integers(0, n)), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+def test_exact_modes_match_brute_oracle_on_distinct_codewords(case):
+    code, p = case
+    syndrome = check_ld_exact(code, p, 1, mode="syndrome")
+    full = check_ld_exact(code, p, 1, mode="full")
+    codewords = {w.digits() for w in code.codewords()}
+    assert len(codewords) == code.size()
+    expected = oracles.brute_list_decode_l_max(
+        codewords, radius_of(p, code.n), code.q, code.n)
+    assert syndrome.L_max == full.L_max == expected
+    assert syndrome.witness_center == full.witness_center
 
 
 def test_l_max_is_monotone_in_radius():
@@ -232,11 +264,34 @@ def test_exact_checker_rejects_bad_list_size_and_mode():
         check_ld_exact(code, "1/5", 1, mode="bogus")
 
 
+@pytest.mark.parametrize("mode", ["auto", "full", "syndrome"])
+def test_rank_deficient_code_counts_distinct_codewords(mode):
+    """Two equal generator rows give |C| = 2, so no ball holds more than 2."""
+    code = parse_code("2 6 2\n110000\n110000\n")
+    assert code.size() == 2
+    assert check_ld_exact(code, Fraction(1, 3), 1, mode=mode).L_max == 2
+
+
+def test_rank_deficient_montecarlo_counts_distinct_codewords():
+    code = parse_code("2 6 2\n110000\n110000\n")
+    mc = check_ld_montecarlo(code, Fraction(1, 3), 200, random.Random(4))
+    assert mc.max_count == 2
+    assert set(mc.histogram) <= {1, 2}
+
+
 def test_exact_checker_budget_refusals():
     big = identity_code(2, 30, 26)
-    for mode in ("full", "candidates", "auto"):
+    with pytest.raises(ResourceBudgetError):
+        check_ld_exact(big, "1/10", 1, mode="full")
+    # The coset tally walks B(0, 3) in F_2^30: 4526 points, well in budget.
+    verdict = check_ld_exact(big, "1/10", 1)
+    assert verdict.mode == "syndrome"
+    assert verdict.L_max == ball_volume(26, 3, 2) == 2952
+    wide = identity_code(2, 64, 8)
+    assert ball_volume(64, 16, 2) > 2**24
+    for mode in ("syndrome", "auto"):
         with pytest.raises(ResourceBudgetError):
-            check_ld_exact(big, "1/10", 1, mode=mode)
+            check_ld_exact(wide, "1/4", 1, mode=mode)
 
 
 def test_montecarlo_never_exceeds_exact_and_usually_matches():

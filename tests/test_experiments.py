@@ -25,7 +25,9 @@ from ldlab import (
     run_rate_sweep,
     run_span_experiment,
 )
-from ldlab.experiments import sweep_candidate_list_size, sweep_dimension
+from ldlab import experiments
+from ldlab.experiments import (_chunk_ranges, _clamp_workers,
+                               sweep_candidate_list_size, sweep_dimension)
 
 import oracles
 
@@ -258,3 +260,14 @@ def test_ball_sample_batch_consistency():
     assert recount == summary.weight_histogram
     parallel = run_ball_samples(config, workers=4)
     assert parallel.as_record() == summary.as_record()
+
+
+def test_workers_are_clamped_to_cpu_count(monkeypatch):
+    """A huge --workers never asks for more chunks (or processes) than cpus."""
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    assert _clamp_workers(10**9) == 2
+    assert _clamp_workers(2) == 2
+    assert _clamp_workers(0) == _clamp_workers(-5) == 1
+    assert _chunk_ranges(1000, 10**9) == [(0, 500), (500, 1000)]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert _clamp_workers(8) == 1
