@@ -7,9 +7,12 @@ oracle), shatter (find | verify).
 Output defaults to human-readable text on stdout; --json switches to
 line-delimited JSON records and --csv to a CSV table.  --out FILE
 writes the output to FILE plus a FILE.manifest.json sidecar recording
-the argv, resolved parameters and seed; `ldlab --manifest FILE` replays
-that run.  Exit status: 0 success, 2 invalid parameters or usage, 3
-resource-budget refusal.
+the argv, the subcommand with its action (e.g. "check-ld exact"), the
+resolved seed, and params: every option of the subcommand except --seed
+and the output flags, as parsed (fractions as "a/b", lists as JSON
+arrays, options left out at their defaults).  `ldlab --manifest FILE`
+replays that run.  Exit status: 0 success, 2 invalid parameters
+or usage, 3 resource-budget refusal.
 
 The master seed comes from --seed, else the LDLAB_SEED environment
 variable, else 0.
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -41,11 +45,16 @@ from .experiments import (BallSampleConfig, PairSumConfig, SpanTrialConfig,
                           SweepConfig, run_ball_samples,
                           run_pair_sum_experiment, run_rate_sweep,
                           run_span_experiment)
-from .gfq import VecQ, field_new
-from .hamming import BallSpec, as_fraction, ball_volume, entropy_q, radius_of
+from .gfq import VecQ
+from .hamming import as_fraction, ball_volume, entropy_q, radius_of
 from .seeding import derive_stream
 
 MANIFEST_SCHEMA_VERSION = 1
+
+# Namespace entries that are not run parameters: the subcommand path, the
+# dispatch plumbing, the seed (a manifest field of its own) and output flags.
+_NOT_PARAMS = frozenset({"subcommand", "action", "handler", "manifest", "seed",
+                         "json", "csv", "out"})
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,7 @@ class RunManifest:
             "outputs": list(self.outputs),
             "created_at": self.created_at,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -105,9 +114,9 @@ class RunManifest:
             raise ParameterError(f"manifest is missing field {exc}") from None
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _resolve_seed(flag: int | None) -> int:
+    if flag is not None:
+        return flag
     env = os.environ.get("LDLAB_SEED")
     if env is not None:
         try:
@@ -116,10 +125,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
             raise ParameterError(
                 f"LDLAB_SEED={env!r} is not an integer") from None
     return 0
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return as_fraction(text)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -153,10 +158,11 @@ def _human_lines(records: list[dict]) -> str:
     return "\n".join(out[:-1]) + "\n" if out else ""
 
 
-def _emit(args: argparse.Namespace, argv: list[str], name: str,
-          records: list[dict], params: dict, seed: int | None,
+def _emit(args: argparse.Namespace, argv: list[str], records: list[dict],
           table: tuple[list[str], list[list]] | None = None,
           artifact: str | None = None, human: str | None = None) -> int:
+    name = " ".join(filter(None, (args.subcommand,
+                                  getattr(args, "action", None))))
     if getattr(args, "json", False):
         content = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     elif getattr(args, "csv", False):
@@ -178,8 +184,11 @@ def _emit(args: argparse.Namespace, argv: list[str], name: str,
     out_path = getattr(args, "out", None)
     if out_path:
         Path(out_path).write_text(content)
+        params = {key: value for key, value in vars(args).items()
+                  if key not in _NOT_PARAMS}
         manifest = RunManifest(
-            subcommand=name, argv=tuple(argv), seed=seed, params=params,
+            subcommand=name, argv=tuple(argv),
+            seed=getattr(args, "seed", None), params=params,
             outputs=(out_path,), version=__version__,
             created_at=datetime.now(timezone.utc).isoformat())
         Path(out_path + ".manifest.json").write_text(manifest.to_json())
@@ -192,12 +201,10 @@ def _emit(args: argparse.Namespace, argv: list[str], name: str,
 
 def _cmd_entropy(args, argv):
     value = entropy_q(args.x, args.q)
-    record = {"kind": "entropy", "x": str(as_fraction(args.x)),
-              "q": args.q, "entropy": value}
-    table = (["x", "q", "entropy"], [[str(as_fraction(args.x)), args.q, value]])
-    return _emit(args, argv, "entropy", [record],
-                 {"x": str(as_fraction(args.x)), "q": args.q}, None,
-                 table=table, human=f"{value!r}\n")
+    record = {"kind": "entropy", "x": str(args.x), "q": args.q,
+              "entropy": value}
+    table = (["x", "q", "entropy"], [[str(args.x), args.q, value]])
+    return _emit(args, argv, [record], table=table, human=f"{value!r}\n")
 
 
 def _radius_from_args(args) -> tuple[int, Fraction]:
@@ -207,8 +214,7 @@ def _radius_from_args(args) -> tuple[int, Fraction]:
         if args.r < 0 or args.r > args.n:
             raise ParameterError(f"radius r={args.r} outside [0, {args.n}]")
         return args.r, Fraction(args.r, args.n)
-    frac = as_fraction(args.p)
-    return radius_of(frac, args.n), frac
+    return radius_of(args.p, args.n), args.p
 
 
 def _cmd_ball_volume(args, argv):
@@ -217,16 +223,13 @@ def _cmd_ball_volume(args, argv):
     record = {"kind": "ball-volume", "n": args.n, "r": r, "q": args.q,
               "p": str(p), "volume": volume}
     table = (["n", "r", "q", "volume"], [[args.n, r, args.q, volume]])
-    return _emit(args, argv, "ball-volume", [record],
-                 {"n": args.n, "r": r, "q": args.q, "p": str(p)}, None,
-                 table=table, human=f"{volume}\n")
+    return _emit(args, argv, [record], table=table, human=f"{volume}\n")
 
 
 def _cmd_sample_ball(args, argv):
-    r, p = _radius_from_args(args)
-    seed = _resolve_seed(args)
+    _, p = _radius_from_args(args)
     config = BallSampleConfig(q=args.q, n=args.n, p=p, count=args.count,
-                              seed=seed)
+                              seed=args.seed)
     summary = run_ball_samples(config, workers=args.workers)
     records = [{"kind": "ball-sample", "index": i, "vector": s,
                 "weight": sum(1 for ch in s if ch != "0")}
@@ -235,84 +238,59 @@ def _cmd_sample_ball(args, argv):
     rows = [[rec["index"], rec["vector"], rec["weight"]]
             for rec in records[:-1]]
     human = "".join(s + "\n" for s in summary.samples)
-    return _emit(args, argv, "sample-ball", records,
-                 {"q": args.q, "n": args.n, "p": str(p), "radius": r,
-                  "count": args.count}, seed,
+    return _emit(args, argv, records,
                  table=(["index", "vector", "weight"], rows), human=human)
 
 
 def _cmd_gen_code(args, argv):
-    seed = _resolve_seed(args)
-    rng = derive_stream(seed, "gen-code")
+    rng = derive_stream(args.seed, "gen-code")
     code = random_code(args.n, args.k, args.q, not args.iid, rng)
     text = format_code(code)
     record = {"kind": "code", "q": args.q, "n": args.n, "k": args.k,
               "full_rank": code.full_rank, "code": text}
-    return _emit(args, argv, "gen-code", [record],
-                 {"q": args.q, "n": args.n, "k": args.k,
-                  "full_rank": code.full_rank}, seed, artifact=text)
+    return _emit(args, argv, [record], artifact=text)
 
 
 def _cmd_check_ld(args, argv):
     code = parse_code(_read_text(args.code))
-    p = as_fraction(args.p)
-    if args.ld_mode == "exact":
-        verdict = check_ld_exact(code, p, args.L, mode=args.mode)
-        record = {"kind": "ld-verdict", "p": str(p), **verdict.as_record()}
+    if args.action == "exact":
+        verdict = check_ld_exact(code, args.p, args.L, mode=args.mode)
+        record = {"kind": "ld-verdict", "p": str(args.p),
+                  **verdict.as_record()}
         table = (list(record.keys())[1:], [list(record.values())[1:]])
-        return _emit(args, argv, "check-ld", [record],
-                     {"code": args.code, "p": str(p),
-                      "radius": verdict.radius, "L": args.L,
-                      "mode": args.mode}, None, table=table)
-    seed = _resolve_seed(args)
-    rng = derive_stream(seed, "ldmc")
-    dist = check_ld_montecarlo(code, p, args.trials, rng)
-    record = {"kind": "ld-samples", "p": str(p), **dist.as_record()}
+        return _emit(args, argv, [record], table=table)
+    rng = derive_stream(args.seed, "ldmc")
+    dist = check_ld_montecarlo(code, args.p, args.trials, rng)
+    record = {"kind": "ld-samples", "p": str(args.p), **dist.as_record()}
     rows = [[c, f] for c, f in sorted(dist.histogram.items())]
-    return _emit(args, argv, "check-ld", [record],
-                 {"code": args.code, "p": str(p), "radius": dist.radius,
-                  "trials": args.trials}, seed,
-                 table=(["count", "occurrences"], rows))
+    return _emit(args, argv, [record], table=(["count", "occurrences"], rows))
 
 
 def _cmd_span_exp(args, argv):
-    seed = _resolve_seed(args)
-    p = as_fraction(args.p)
-    config = SpanTrialConfig(n=args.n, p=p, q=args.q, ell=args.ell,
-                             trials=args.trials, seed=seed,
+    config = SpanTrialConfig(n=args.n, p=args.p, q=args.q, ell=args.ell,
+                             trials=args.trials, seed=args.seed,
                              c_threshold=args.c_threshold)
     summary = run_span_experiment(config, workers=args.workers)
     record = summary.as_record()
     rows = [[c, summary.histogram[c]] for c in sorted(summary.histogram)]
-    return _emit(args, argv, "span-exp", [record],
-                 {"n": args.n, "p": str(p), "q": args.q, "ell": args.ell,
-                  "c_threshold": args.c_threshold, "trials": args.trials,
-                  "radius": summary.radius}, seed,
-                 table=(["count", "occurrences"], rows))
+    return _emit(args, argv, [record], table=(["count", "occurrences"], rows))
 
 
 def _cmd_pair_sum(args, argv):
-    seed = _resolve_seed(args)
-    p = as_fraction(args.p)
-    config = PairSumConfig(p=p, q=args.q, n_values=args.n_list,
-                           trials=args.trials, seed=seed)
+    config = PairSumConfig(p=args.p, q=args.q, n_values=args.n_list,
+                           trials=args.trials, seed=args.seed)
     summary = run_pair_sum_experiment(config, workers=args.workers)
     record = summary.as_record()
     header = ["n", "center", "trials", "hit_count", "estimate",
               "log2_estimate_per_n"]
     rows = [[r.n, r.center, r.trials, r.hit_count, r.estimate,
              r.log2_estimate_per_n] for r in summary.records]
-    return _emit(args, argv, "pair-sum", [record],
-                 {"p": str(p), "q": args.q,
-                  "n_values": list(args.n_list), "trials": args.trials},
-                 seed, table=(header, rows))
+    return _emit(args, argv, [record], table=(header, rows))
 
 
 def _cmd_rate_sweep(args, argv):
-    seed = _resolve_seed(args)
-    p = as_fraction(args.p)
-    config = SweepConfig(n=args.n, q=args.q, p=p, eps_grid=args.eps,
-                         codes_per_point=args.codes, seed=seed,
+    config = SweepConfig(n=args.n, q=args.q, p=args.p, eps_grid=args.eps,
+                         codes_per_point=args.codes, seed=args.seed,
                          c_constant=args.c_constant)
     summary = run_rate_sweep(config, workers=args.workers)
     record = summary.as_record()
@@ -323,22 +301,15 @@ def _cmd_rate_sweep(args, argv):
         if pt.degenerate:
             rows.append([str(pt.eps), pt.rate, pt.k, True, None, None, None])
             continue
-        hist: dict[int, int] = {}
-        for v in pt.l_max_values:
-            hist[v] = hist.get(v, 0) + 1
+        hist = Counter(pt.l_max_values)
         for v in sorted(hist):
             rows.append([str(pt.eps), pt.rate, pt.k, False, pt.L_candidate,
                          v, hist[v]])
-    return _emit(args, argv, "rate-sweep", [record],
-                 {"n": args.n, "q": args.q, "p": str(p),
-                  "eps_grid": [str(e) for e in args.eps],
-                  "codes_per_point": args.codes,
-                  "c_constant": args.c_constant}, seed,
-                 table=(header, rows))
+    return _emit(args, argv, [record], table=(header, rows))
 
 
 def _cmd_chain(args, argv):
-    if args.chain_mode == "find":
+    if args.action == "find":
         vectors = parse_vector_set(_read_text(args.set))
         q = vectors[0].field.q
         chain = chain_find(set(vectors), args.c, q)
@@ -351,18 +322,15 @@ def _cmd_chain(args, argv):
             "translate": str(chain.translate_w),
             "members": [str(v) for v in chain.members],
         }
-        return _emit(args, argv, "chain find", [record],
-                     {"set": args.set, "c": args.c, "q": q}, None,
-                     artifact=format_chain(chain))
-    if args.chain_mode == "verify":
+        return _emit(args, argv, [record], artifact=format_chain(chain))
+    if args.action == "verify":
         chain = parse_chain(_read_text(args.chain))
         valid = chain_verify(chain.translate_w, chain.members, chain.c)
         record = {"kind": "chain-verify", "q": chain.q, "ell": chain.ell,
                   "c": chain.c, "d": chain.d, "valid": valid}
         table = (["q", "ell", "c", "d", "valid"],
                  [[chain.q, chain.ell, chain.c, chain.d, valid]])
-        return _emit(args, argv, "chain verify", [record],
-                     {"chain": args.chain}, None, table=table)
+        return _emit(args, argv, [record], table=table)
     vectors = parse_vector_set(_read_text(args.set))
     field = vectors[0].field
     if args.best_translate:
@@ -380,39 +348,33 @@ def _cmd_chain(args, argv):
         record = {"kind": "chain-oracle", "q": field.q, "ell": vectors[0].n,
                   "c": args.c, "longest": d, "translate": applied}
     table = (list(record.keys())[1:], [list(record.values())[1:]])
-    return _emit(args, argv, "chain oracle", [record],
-                 {"set": args.set, "c": args.c}, None, table=table)
+    return _emit(args, argv, [record], table=table)
 
 
 def _cmd_shatter(args, argv):
     vectors = parse_vector_set(_read_text(args.set))
     q = vectors[0].field.q
     ell = vectors[0].n
-    if args.shatter_mode == "find":
+    if args.action == "find":
         witness = shatter_find(set(vectors), args.c)
         threshold = shatter_threshold(ell, args.c, q)
         if witness is None:
             record = {"kind": "shatter-find", "q": q, "ell": ell,
                       "c": args.c, "set_size": len(set(vectors)),
                       "threshold": threshold, "found": False}
-            return _emit(args, argv, "shatter find", [record],
-                         {"set": args.set, "c": args.c}, None,
-                         artifact="no witness found\n")
+            return _emit(args, argv, [record], artifact="no witness found\n")
         record = {"kind": "shatter-find", "q": q, "ell": ell, "c": args.c,
                   "set_size": len(set(vectors)), "threshold": threshold,
                   "found": True, "U": sorted(witness.U),
                   "valid": shatter_verify(set(vectors), witness.U, q)}
-        return _emit(args, argv, "shatter find", [record],
-                     {"set": args.set, "c": args.c}, None,
-                     artifact=format_witness(witness))
+        return _emit(args, argv, [record], artifact=format_witness(witness))
     U = _parse_int_list(args.u)
     valid = shatter_verify(set(vectors), U, q)
     record = {"kind": "shatter-verify", "q": q, "ell": ell,
               "U": sorted(set(U)), "valid": valid}
     table = (["q", "ell", "U", "valid"],
              [[q, ell, " ".join(str(j) for j in sorted(set(U))), valid]])
-    return _emit(args, argv, "shatter verify", [record],
-                 {"set": args.set, "U": sorted(set(U))}, None, table=table)
+    return _emit(args, argv, [record], table=table)
 
 
 # -------------------------------------------------------------- parser
@@ -450,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("entropy", help="q-ary entropy H_q(x)")
-    p.add_argument("--x", required=True, help="argument in [0,1]; accepts a/b")
+    p.add_argument("--x", type=as_fraction, required=True,
+                   help="argument in [0,1]; accepts a/b")
     p.add_argument("--q", type=int, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_entropy)
@@ -459,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, default=None, help="integer radius")
-    p.add_argument("--p", default=None,
+    p.add_argument("--p", type=as_fraction, default=None,
                    help="error fraction; radius = floor(p*n)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_ball_volume)
@@ -469,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--p", default=None)
+    p.add_argument("--p", type=as_fraction, default=None)
     p.add_argument("--count", type=int, required=True)
     _add_seed_flag(p)
     _add_workers_flag(p)
@@ -488,21 +451,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen_code)
 
     p = sub.add_parser("check-ld", help="list-decodability checkers")
-    ld_sub = p.add_subparsers(dest="ld_mode", required=True)
+    ld_sub = p.add_subparsers(dest="action", required=True)
     pe = ld_sub.add_parser("exact", help="exact L_max over all centers")
     pe.add_argument("--code", required=True, metavar="FILE")
-    pe.add_argument("--p", required=True)
+    pe.add_argument("--p", type=as_fraction, required=True)
     pe.add_argument("--L", type=int, required=True)
     pe.add_argument("--mode", choices=("auto", "full", "syndrome"),
                     default="auto",
                     help="syndrome: one walk over B(0, r) tallying cosets "
                          "(budget: ball volume <= 2^24); full: scan all "
-                         "q^n centers (budget q^n <= 2^24); auto = syndrome")
+                         "q^n centers (budget q^n * |C| <= 2^24); "
+                         "auto = syndrome")
     _add_output_flags(pe)
     pe.set_defaults(handler=_cmd_check_ld)
     pm = ld_sub.add_parser("mc", help="Monte Carlo list-size sampling")
     pm.add_argument("--code", required=True, metavar="FILE")
-    pm.add_argument("--p", required=True)
+    pm.add_argument("--p", type=as_fraction, required=True)
     pm.add_argument("--trials", type=int, required=True)
     _add_seed_flag(pm)
     _add_output_flags(pm)
@@ -511,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("span-exp", help="span-of-ball-points experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", required=True)
+    p.add_argument("--p", type=as_fraction, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--c-threshold", type=int, default=64,
                    help="tail threshold constant C (default 64)")
@@ -523,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pair-sum", help="pair-sum decay experiment")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", required=True)
+    p.add_argument("--p", type=as_fraction, required=True)
     p.add_argument("--n-list", type=_parse_int_list, required=True,
                    metavar="N1,N2,...")
     p.add_argument("--trials", type=int, required=True)
@@ -535,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate-sweep", help="L_max sweep over rate grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", required=True)
+    p.add_argument("--p", type=as_fraction, required=True)
     p.add_argument("--eps", type=_parse_fraction_list, required=True,
                    metavar="E1,E2,...")
     p.add_argument("--codes", type=int, required=True,
@@ -548,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rate_sweep)
 
     p = sub.add_parser("chain", help="c-increasing chain tools")
-    ch_sub = p.add_subparsers(dest="chain_mode", required=True)
+    ch_sub = p.add_subparsers(dest="action", required=True)
     pf = ch_sub.add_parser("find", help="construct translate + chain")
     pf.add_argument("--set", required=True, metavar="FILE",
                     help="vector-set file (header 'q ell')")
@@ -570,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(handler=_cmd_chain)
 
     p = sub.add_parser("shatter", help="everywhere-differing shattering")
-    sh_sub = p.add_subparsers(dest="shatter_mode", required=True)
+    sh_sub = p.add_subparsers(dest="action", required=True)
     pf = sh_sub.add_parser("find", help="find a shattered coordinate set")
     pf.add_argument("--set", required=True, metavar="FILE")
     pf.add_argument("--c", type=int, required=True)
@@ -607,6 +571,8 @@ def dispatch(argv: list[str]) -> int:
         if not getattr(args, "handler", None):
             parser.print_usage(sys.stderr)
             return 2
+        if "seed" in vars(args):
+            args.seed = _resolve_seed(args.seed)
         return args.handler(args, list(argv))
     except ParameterError as exc:
         print(f"ldlab: error: {exc}", file=sys.stderr)

@@ -21,16 +21,16 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, field_new, payload_add,
                   payload_distance, rank_of)
-# ball_points is no longer walked here; the name stays importable from
-# this module for callers that patch or read ldlab.codes.ball_points.
-from .hamming import (BallSpec, RadiusParam, as_fraction,  # noqa: F401
-                      ball_points, ball_volume, radius_of,
-                      sample_ball_uniform)
+from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
+                      radius_of, sample_ball_uniform)
+# ball_points is not walked here; the name stays importable from this
+# module for callers that patch or read ldlab.codes.ball_points.
+from .hamming import ball_points  # noqa: F401
 
 ENUMERATION_BUDGET = 2 ** 24
 
@@ -261,8 +261,8 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
     mode "syndrome" (what "auto" resolves to) walks B(0, radius) once
     and tallies the ball points per coset of C; the largest tally is
     L_max (guard: ball volume <= 2^24, which also bounds the tally).
-    mode "full" visits every x in F_q^n (guard q^n <= 2^24) and counts
-    codewords within the radius per center.  Both count distinct
+    mode "full" visits every x in F_q^n and counts codewords within the
+    radius per center (guard q^n * |C| <= 2^24).  Both count distinct
     codewords and report the same L_max and the same lowest-payload
     witness center.
     """
@@ -284,10 +284,10 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
         witness = min(lab for lab, cnt in tally.items() if cnt == l_max)
         return LdVerdict(q, n, code.k, radius, L, l_max,
                          VecQ(field, n, witness), volume, False, "syndrome")
-    full_cost = q ** n
-    if full_cost > ENUMERATION_BUDGET:
+    centers, size = q ** n, code.size()
+    if centers * size > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
-            f"full enumeration q^n = {full_cost} exceeds budget "
+            f"full scan q^n * |C| = {centers} * {size} exceeds budget "
             f"{ENUMERATION_BUDGET}; try check_ld_montecarlo")
     cws = list(dict.fromkeys(code.codeword_payloads()))
     l_max = -1
@@ -301,7 +301,7 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
             l_max = cnt
             witness = x
     return LdVerdict(q, n, code.k, radius, L, l_max,
-                     VecQ(field, n, witness), full_cost, True, "full")
+                     VecQ(field, n, witness), centers, True, "full")
 
 
 @dataclass(frozen=True)
@@ -340,15 +340,15 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
     codewords, so centers are seeded at a codeword and perturbed within
     the ball, which covers exactly the centers whose count can exceed 0.
     Counts run over the distinct codewords, found by enumerating all q^k
-    messages (guard q^k <= 2^24).
+    messages; each trial checks every codeword (guard trials * q^k <= 2^24).
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be >= 1")
     field = code.field
     q, n = field.q, code.n
-    if q ** code.k > ENUMERATION_BUDGET:
+    if trials * q ** code.k > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
-            f"codeword enumeration q^k = {q ** code.k} exceeds budget "
+            f"trials * q^k = {trials} * {q ** code.k} exceeds budget "
             f"{ENUMERATION_BUDGET}")
     radius = radius_of(p, n)
     spec = BallSpec.from_p(q, n, as_fraction(p))

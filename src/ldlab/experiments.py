@@ -24,6 +24,7 @@ import math
 import multiprocessing
 import os
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,13 +56,26 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _map_chunks(worker, tasks: list, workers: int) -> list:
-    """Run tasks via `worker`, in-process or on a fork pool; order kept."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(_clamp_workers(workers), len(tasks))) as pool:
-        return pool.map(worker, tasks)
+def _run_trials(chunk_fn, config, total: int, workers: int) -> list:
+    """One result per trial of range(total), in trial order.
+
+    chunk_fn(config, start, stop) returns the results of trials start to
+    stop - 1.  The chunks of _chunk_ranges run in-process when there is
+    one, else on a fork pool; chunk_fn must be a module-level function so
+    the pool can send it to its workers.
+    """
+    tasks = [(config, a, b) for a, b in _chunk_ranges(total, workers)]
+    if len(tasks) == 1:
+        return chunk_fn(*tasks[0])
+    with multiprocessing.get_context("fork").Pool(len(tasks)) as pool:
+        parts = pool.starmap(chunk_fn, tasks)
+    return [result for part in parts for result in part]
+
+
+def _coerce(config, **values) -> None:
+    """Store coerced field values on a frozen config (from __post_init__)."""
+    for name, value in values.items():
+        object.__setattr__(config, name, value)
 
 
 # ---------------------------------------------------------------- span
@@ -79,8 +93,7 @@ class SpanTrialConfig:
     c_threshold: int = 64
 
     def __post_init__(self):
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", as_fraction(self.p))
+        _coerce(self, p=as_fraction(self.p))
 
 
 @dataclass(frozen=True)
@@ -112,27 +125,21 @@ class SpanSummary:
         }
 
 
-def _span_chunk(task) -> tuple[dict[int, int], int, int]:
-    config, start, stop = task
+def _span_chunk(config: SpanTrialConfig, start: int,
+                stop: int) -> list[tuple[int, bool]]:
+    """(|span ∩ ball|, rank check failed) per trial."""
     field = field_new(config.q)
     spec = BallSpec.from_p(config.q, config.n, config.p)
     radius = spec.radius
-    threshold = config.c_threshold * config.ell
-    hist: dict[int, int] = {}
-    tail = 0
-    rank_failures = 0
+    out = []
     for t in range(start, stop):
         rng = derive_stream(config.seed, "span", t)
         vecs = [sample_ball_uniform(spec, rng) for _ in range(config.ell)]
         span = span_payloads(vecs)
-        if len(span) != field.q ** rank_of(vecs):
-            rank_failures += 1
         count = sum(1 for s in span
                     if payload_weight(field, config.n, s) <= radius)
-        hist[count] = hist.get(count, 0) + 1
-        if count > threshold:
-            tail += 1
-    return hist, tail, rank_failures
+        out.append((count, len(span) != field.q ** rank_of(vecs)))
+    return out
 
 
 def run_span_experiment(config: SpanTrialConfig, workers: int = 1) -> SpanSummary:
@@ -146,17 +153,13 @@ def run_span_experiment(config: SpanTrialConfig, workers: int = 1) -> SpanSummar
             f"span budget q^l = {config.q}^{config.ell} exceeds "
             f"{ENUMERATION_BUDGET}")
     spec = BallSpec.from_p(config.q, config.n, config.p)
-    tasks = [(config, a, b) for a, b in _chunk_ranges(config.trials, workers)]
-    hist: dict[int, int] = {}
-    tail = 0
-    rank_failures = 0
-    for part_hist, part_tail, part_rank in _map_chunks(_span_chunk, tasks, workers):
-        for k, v in part_hist.items():
-            hist[k] = hist.get(k, 0) + v
-        tail += part_tail
-        rank_failures += part_rank
+    results = _run_trials(_span_chunk, config, config.trials, workers)
+    hist = Counter(count for count, _ in results)
+    threshold = config.c_threshold * config.ell
+    tail = sum(v for count, v in hist.items() if count > threshold)
     return SpanSummary(config, spec.radius, dict(sorted(hist.items())),
-                       tail, tail / config.trials, rank_failures,
+                       tail, tail / config.trials,
+                       sum(failed for _, failed in results),
                        config.ell ** 2 >= config.n)
 
 
@@ -173,10 +176,7 @@ class PairSumConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", as_fraction(self.p))
-        if not isinstance(self.n_values, tuple):
-            object.__setattr__(self, "n_values", tuple(self.n_values))
+        _coerce(self, p=as_fraction(self.p), n_values=tuple(self.n_values))
 
 
 @dataclass(frozen=True)
@@ -234,29 +234,32 @@ class PairSumSummary:
 _PAIR_CENTERS = ("zero", "random")
 
 
-def _pair_chunk(task) -> int:
-    config, ni, mode_index, start, stop = task
-    n = config.n_values[ni]
+def _pair_chunk(config: PairSumConfig, start: int, stop: int) -> list[bool]:
+    """Hit or miss per trial of the flat index over (trial, n, center).
+
+    The trial is the slowest-varying part, so every chunk mixes all grid
+    points evenly and the workers get equal work when the n differ.
+    """
     q = config.q
     field = field_new(q)
-    spec = BallSpec.from_p(q, n, config.p)
-    radius = spec.radius
+    specs = [BallSpec.from_p(q, n, config.p) for n in config.n_values]
     b = field.bits_per_digit
-    random_center = _PAIR_CENTERS[mode_index] == "random"
-    hits = 0
-    for t in range(start, stop):
-        rng = derive_stream(config.seed, "pair", ni, mode_index, t)
+    out = []
+    for index in range(start, stop):
+        t, cell = divmod(index, len(_PAIR_CENTERS) * len(config.n_values))
+        ni, mi = divmod(cell, len(_PAIR_CENTERS))
+        n, spec = config.n_values[ni], specs[ni]
+        rng = derive_stream(config.seed, "pair", ni, mi, t)
         w1 = sample_ball_uniform(spec, rng)
         w2 = sample_ball_uniform(spec, rng)
         s = payload_add(field, w1.payload, w2.payload)
-        if random_center:
+        if _PAIR_CENTERS[mi] == "random":
             x = 0
             for i in range(n):
                 x |= rng.randrange(q) << (i * b)
             s = payload_add(field, s, (-VecQ(field, n, x)).payload)
-        if payload_weight(field, n, s) <= radius:
-            hits += 1
-    return hits
+        out.append(payload_weight(field, n, s) <= spec.radius)
+    return out
 
 
 def run_pair_sum_experiment(config: PairSumConfig,
@@ -266,20 +269,19 @@ def run_pair_sum_experiment(config: PairSumConfig,
         raise ParameterError(f"trials={config.trials} must be >= 1")
     if not config.n_values:
         raise ParameterError("n_values must be nonempty")
+    cells = [(n, center) for n in config.n_values for center in _PAIR_CENTERS]
+    hit = _run_trials(_pair_chunk, config, len(cells) * config.trials, workers)
     records = []
     notes = []
-    for ni, n in enumerate(config.n_values):
-        for mi, center in enumerate(_PAIR_CENTERS):
-            tasks = [(config, ni, mi, a, b)
-                     for a, b in _chunk_ranges(config.trials, workers)]
-            hits = sum(_map_chunks(_pair_chunk, tasks, workers))
-            estimate = hits / config.trials
-            log2_per_n = math.log2(estimate) / n if hits else None
-            if not hits:
-                notes.append(f"zero hits at n={n}, center={center}; "
-                             "excluded from slope fit")
-            records.append(PairSumRecord(n, center, config.trials, hits,
-                                         estimate, log2_per_n))
+    for cell, (n, center) in enumerate(cells):
+        hits = sum(hit[cell::len(cells)])
+        estimate = hits / config.trials
+        log2_per_n = math.log2(estimate) / n if hits else None
+        if not hits:
+            notes.append(f"zero hits at n={n}, center={center}; "
+                         "excluded from slope fit")
+        records.append(PairSumRecord(n, center, config.trials, hits,
+                                     estimate, log2_per_n))
     slopes: dict[str, float | None] = {}
     for center in _PAIR_CENTERS:
         pts = [(r.n, math.log2(r.estimate)) for r in records
@@ -355,11 +357,8 @@ class SweepConfig:
     c_constant: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(
-            self, "eps_grid",
-            tuple(as_fraction(e) for e in self.eps_grid))
+        _coerce(self, p=as_fraction(self.p),
+                eps_grid=tuple(as_fraction(e) for e in self.eps_grid))
 
 
 @dataclass(frozen=True)
@@ -443,15 +442,23 @@ def regenerate_sweep_code(config: SweepConfig, grid_index: int,
     return random_code(config.n, k, config.q, True, rng)
 
 
-def _sweep_chunk(task) -> list[tuple[int, int, int]]:
-    config, jobs = task
+def _sweep_chunk(config: SweepConfig, start: int, stop: int) -> list[int]:
+    """L_max per job of the flat index over (code, non-degenerate point).
+
+    The code is the slowest-varying part, so every chunk mixes all grid
+    points evenly; per-code cost differs severalfold across the grid.
+    """
+    live = [gi for gi, eps in enumerate(config.eps_grid)
+            if sweep_dimension(config, eps) >= 1]
     out = []
-    for gi, ci in jobs:
+    for index in range(start, stop):
+        ci, j = divmod(index, len(live))
+        gi = live[j]
         code = regenerate_sweep_code(config, gi, ci)
         eps = config.eps_grid[gi]
         verdict = check_ld_exact(code, config.p,
                                  sweep_candidate_list_size(config, eps))
-        out.append((gi, ci, verdict.L_max))
+        out.append(verdict.L_max)
     return out
 
 
@@ -462,23 +469,13 @@ def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepSummary:
             f"codes_per_point={config.codes_per_point} must be >= 1")
     if not config.eps_grid:
         raise ParameterError("eps_grid must be nonempty")
-    dims = {}
-    jobs: list[tuple[int, int]] = []
-    for gi, eps in enumerate(config.eps_grid):
-        k = sweep_dimension(config, eps)
-        dims[gi] = k
-        if k >= 1:
-            jobs.extend((gi, ci) for ci in range(config.codes_per_point))
-    results: dict[int, list[int]] = {gi: [] for gi in dims}
-    if jobs:
-        tasks = [(config, jobs[a:b])
-                 for a, b in _chunk_ranges(len(jobs), workers)]
-        for part in _map_chunks(_sweep_chunk, tasks, workers):
-            for gi, ci, l_max in part:
-                results[gi].append(l_max)
+    dims = [sweep_dimension(config, eps) for eps in config.eps_grid]
+    live = sum(1 for k in dims if k >= 1)
+    results = _run_trials(_sweep_chunk, config,
+                          live * config.codes_per_point, workers)
+    columns = iter([tuple(results[j::live]) for j in range(live)])
     points = []
-    for gi, eps in enumerate(config.eps_grid):
-        k = dims[gi]
+    for eps, k in zip(config.eps_grid, dims):
         rate = 1.0 - entropy_q(config.p, config.q) - float(eps)
         if k < 1:
             points.append(SweepPoint(
@@ -487,7 +484,7 @@ def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepSummary:
                 None, (), None, None, None))
             continue
         l_cand = sweep_candidate_list_size(config, eps)
-        l_max_values = tuple(results[gi])
+        l_max_values = next(columns)
         failures = sum(1 for v in l_max_values if v > l_cand)
         code_size = config.q ** k
         points.append(SweepPoint(
@@ -510,8 +507,7 @@ class BallSampleConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", as_fraction(self.p))
+        _coerce(self, p=as_fraction(self.p))
 
 
 @dataclass(frozen=True)
@@ -533,8 +529,8 @@ class BallSampleSummary:
         }
 
 
-def _ball_chunk(task) -> list[str]:
-    config, start, stop = task
+def _ball_chunk(config: BallSampleConfig, start: int,
+                stop: int) -> list[str]:
     spec = BallSpec.from_p(config.q, config.n, config.p)
     out = []
     for i in range(start, stop):
@@ -549,13 +545,7 @@ def run_ball_samples(config: BallSampleConfig,
     if config.count < 1:
         raise ParameterError(f"count={config.count} must be >= 1")
     spec = BallSpec.from_p(config.q, config.n, config.p)
-    tasks = [(config, a, b) for a, b in _chunk_ranges(config.count, workers)]
-    samples: list[str] = []
-    for part in _map_chunks(_ball_chunk, tasks, workers):
-        samples.extend(part)
-    hist: dict[int, int] = {}
-    for s in samples:
-        w = sum(1 for ch in s if ch != "0")
-        hist[w] = hist.get(w, 0) + 1
+    samples = _run_trials(_ball_chunk, config, config.count, workers)
+    hist = Counter(sum(1 for ch in s if ch != "0") for s in samples)
     return BallSampleSummary(config, spec.radius, dict(sorted(hist.items())),
                              tuple(samples))

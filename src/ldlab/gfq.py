@@ -227,14 +227,7 @@ class VecQ:
 
     def weight(self) -> int:
         """Number of nonzero coordinates."""
-        b = self.field.bits_per_digit
-        x = self.payload
-        if b == 1:
-            return x.bit_count()
-        acc = x
-        for s in range(1, b):
-            acc |= x >> s
-        return (acc & _ones_mask(b, self.n)).bit_count()
+        return payload_weight(self.field, self.n, self.payload)
 
     def support(self) -> frozenset[int]:
         """1-based indices of the nonzero coordinates."""
@@ -262,16 +255,7 @@ class VecQ:
     def distance(self, other: "VecQ") -> int:
         """Hamming distance; requires matching field and length."""
         self._check_mate(other)
-        if self.field.characteristic == 2:
-            b = self.field.bits_per_digit
-            x = self.payload ^ other.payload
-            if b == 1:
-                return x.bit_count()
-            acc = x
-            for s in range(1, b):
-                acc |= x >> s
-            return (acc & _ones_mask(b, self.n)).bit_count()
-        return (self - other).weight()
+        return payload_distance(self.field, self.n, self.payload, other.payload)
 
     def _check_mate(self, other: "VecQ") -> None:
         if not isinstance(other, VecQ):
@@ -399,18 +383,12 @@ def payload_weight(field: FieldTable, n: int, x: int) -> int:
 
 
 def payload_distance(field: FieldTable, n: int, x: int, y: int) -> int:
-    """Hamming distance between two packed payloads (hot-loop form)."""
-    if field.characteristic == 2:
-        return payload_weight(field, n, x ^ y)
-    b = field.bits_per_digit
-    mask = (1 << b) - 1
-    d = 0
-    while x or y:
-        if (x ^ y) & mask:
-            d += 1
-        x >>= b
-        y >>= b
-    return d
+    """Hamming distance between two packed payloads (hot-loop form).
+
+    Two digits differ exactly when their bit patterns differ, so for
+    every q this is the number of nonzero digits of x ^ y.
+    """
+    return payload_weight(field, n, x ^ y)
 
 
 def vec_linear_combination(coeffs: Sequence[int], vectors: Sequence[VecQ],

@@ -150,6 +150,7 @@ def test_out_writes_artifact_with_manifest(tmp_path, capsys):
     manifest = RunManifest.from_json(manifest_path.read_text())
     assert manifest.subcommand == "gen-code"
     assert manifest.seed == 9
+    assert manifest.params == {"n": 8, "k": 2, "q": 2, "iid": False}
     assert manifest.outputs == (str(target),)
     assert "created_at" in json.loads(manifest_path.read_text())
 

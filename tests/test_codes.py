@@ -283,6 +283,9 @@ def test_exact_checker_budget_refusals():
     big = identity_code(2, 30, 26)
     with pytest.raises(ResourceBudgetError):
         check_ld_exact(big, "1/10", 1, mode="full")
+    # q^n = 2^20 is in budget, but the scan checks 2^20 codewords per center.
+    with pytest.raises(ResourceBudgetError):
+        check_ld_exact(identity_code(2, 20, 20), "1/10", 1, mode="full")
     # The coset tally walks B(0, 3) in F_2^30: 4526 points, well in budget.
     verdict = check_ld_exact(big, "1/10", 1)
     assert verdict.mode == "syndrome"
@@ -325,6 +328,9 @@ def test_montecarlo_histogram_on_repetition_code():
 def test_montecarlo_budget_refusal():
     with pytest.raises(ResourceBudgetError):
         check_ld_montecarlo(identity_code(2, 26, 26), "1/4", 10, random.Random(0))
+    # q^k = 2^18 is in budget, but each of the 1000 trials checks every codeword.
+    with pytest.raises(ResourceBudgetError):
+        check_ld_montecarlo(identity_code(2, 18, 18), "1/4", 1000, random.Random(0))
 
 
 def test_code_serialization_round_trip():

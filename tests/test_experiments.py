@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -271,3 +272,39 @@ def test_workers_are_clamped_to_cpu_count(monkeypatch):
     assert _chunk_ranges(1000, 10**9) == [(0, 500), (500, 1000)]
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     assert _clamp_workers(8) == 1
+
+
+def test_pair_sum_opens_one_pool(monkeypatch):
+    """Every (n, center) cell of a pair-sum run shares one worker pool."""
+    opened = []
+
+    class FakePool:
+        """Counts pool creations and runs the work in-process."""
+
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    fake = types.SimpleNamespace(Pool=FakePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "multiprocessing",
+                        types.SimpleNamespace(get_context=lambda method: fake))
+    config = PairSumConfig(
+        p=Fraction(1, 4), q=2, n_values=(8, 12, 16), trials=300, seed=3
+    )
+    serial = run_pair_sum_experiment(config, workers=1)
+    assert opened == []
+    parallel = run_pair_sum_experiment(config, workers=2)
+    assert opened == [2]
+    assert parallel.as_record() == serial.as_record()

@@ -208,6 +208,27 @@ def test_payload_helpers_match_vector_ops(fd):
     assert payload_distance(field, len(u), u.payload, v.payload) == distance(u, v)
 
 
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_distance_matches_oracle_for_every_field(q):
+    """Both distance kernels agree with the digit-tuple oracle for every q.
+
+    Exhaustive over pairs at n = 2, then random pairs at n = 64, where the
+    packed payload spans several machine words.
+    """
+    field = field_new(q)
+    rng = random.Random(q)
+    pairs = [(u, v) for u in oracles.all_tuples(q, 2)
+             for v in oracles.all_tuples(q, 2)]
+    pairs += [(tuple(rng.randrange(q) for _ in range(64)),
+               tuple(rng.randrange(q) for _ in range(64))) for _ in range(200)]
+    for u_digits, v_digits in pairs:
+        u = VecQ.from_digits(field, u_digits)
+        v = VecQ.from_digits(field, v_digits)
+        expected = oracles.brute_distance(u_digits, v_digits)
+        assert u.distance(v) == expected
+        assert payload_distance(field, len(u), u.payload, v.payload) == expected
+
+
 @given(field_and_digits(min_size=1, max_size=8))
 def test_linear_combination_matches_manual_sum(fd):
     field, digits = fd

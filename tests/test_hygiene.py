@@ -1,0 +1,59 @@
+"""Source hygiene: no unused imports or unused private functions in ldlab.
+
+A name counts as used when it appears as a name or an attribute anywhere
+in the module (annotations included) or in the module's ``__all__``.  An
+import whose line carries ``# noqa: F401`` is a deliberate re-export.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import ldlab
+
+SOURCES = sorted(Path(ldlab.__file__).parent.glob("*.py"))
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in SOURCES:
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if (name not in used
+                        and "noqa: F401" not in lines[alias.lineno - 1]):
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def test_no_unused_private_functions():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = set().union(*(_used_names(tree) for tree in trees.values()))
+    unused = [f"{name}: {node.name}"
+              for name, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in used]
+    assert unused == []
