@@ -399,8 +399,15 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
                    help="parallel workers; results are independent of N")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line; subparsers are built from this class."""
+
+    def error(self, message: str):
+        self.exit(2, f"ldlab: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ldlab",
         description="Finite-field Hamming geometry, random linear codes, "
                     "list-decodability checkers, and shattering/chain "

@@ -24,8 +24,8 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import (FieldTable, VecQ, all_payloads, field_new, payload_add,
-                  payload_distance, rank_of)
+from .gfq import (FieldTable, VecQ, all_payloads, echelon, field_new,
+                  payload_add, payload_distance, payload_reduce, rank_of)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       radius_of, sample_ball_uniform)
 # ball_points is not walked here; the name stays importable from this
@@ -182,48 +182,10 @@ class LdVerdict:
         }
 
 
-def _eliminate(field: FieldTable, n: int, y: int, row: int, col: int) -> int:
-    """y minus the multiple of `row` that clears coordinate col of y.
-
-    `row` must have digit 1 at col.
-    """
-    b = field.bits_per_digit
-    d = (y >> (col * b)) & ((1 << b) - 1)
-    if not d:
-        return y
-    return payload_add(field, y,
-                       (field.neg_table[d] * VecQ(field, n, row)).payload)
-
-
-def _coset_basis(code: Code) -> list[tuple[int, int]]:
-    """Fully reduced echelon basis of the row space as (pivot, payload).
-
-    Pivots are taken from coordinate n-1 down and scaled to 1; every row
-    is zero at the other rows' pivots, and its highest nonzero coordinate
-    is its own pivot.  Dependent generator rows reduce to zero and drop.
-    """
-    f, n = code.field, code.n
-    b = f.bits_per_digit
-    mask = (1 << b) - 1
-    rows = [row.payload for row in code.generator]
-    basis: list[tuple[int, int]] = []
-    for col in range(n - 1, -1, -1):
-        shift = col * b
-        i = next((i for i, y in enumerate(rows) if (y >> shift) & mask), None)
-        if i is None:
-            continue
-        lead = rows.pop(i)
-        lead = (f.inv_table[(lead >> shift) & mask] * VecQ(f, n, lead)).payload
-        rows = [_eliminate(f, n, y, lead, col) for y in rows]
-        basis = [(c, _eliminate(f, n, y, lead, col)) for c, y in basis]
-        basis.append((col, lead))
-    return basis
-
-
 def _coset_tally(code: Code, radius: int) -> dict[int, int]:
     """Coset label -> number of points of B(0, radius) in that coset.
 
-    The label of y is y reduced against _coset_basis: the member of
+    The label of y is y reduced against the echelon basis: the member of
     y + C that is zero at every pivot.  Any other member differs from it
     by a nonzero codeword, whose highest nonzero coordinate is a pivot,
     so the label is the lowest-payload member of its coset.  Reduction
@@ -231,14 +193,9 @@ def _coset_tally(code: Code, radius: int) -> dict[int, int]:
     """
     f = code.field
     q, n, b = f.q, code.n, f.bits_per_digit
-    basis = _coset_basis(code)
-
-    def label_of(y: int) -> int:
-        for col, row in basis:
-            y = _eliminate(f, n, y, row, col)
-        return y
-
-    steps = [[label_of(a << (i * b)) for a in range(1, q)] for i in range(n)]
+    basis = echelon(f, [row.payload for row in code.generator])
+    steps = [[payload_reduce(f, basis, a << (i * b)) for a in range(1, q)]
+             for i in range(n)]
     add = operator.xor if f.characteristic == 2 else partial(payload_add, f)
     tally: dict[int, int] = {}
 
@@ -252,6 +209,12 @@ def _coset_tally(code: Code, radius: int) -> dict[int, int]:
 
     walk(0, 0, 0)
     return tally
+
+
+def _count_within(field: FieldTable, n: int, radius: int, x: int,
+                  cws: Sequence[int]) -> int:
+    """Number of the (distinct) codeword payloads cws within radius of x."""
+    return sum(payload_distance(field, n, x, cw) <= radius for cw in cws)
 
 
 def check_ld_exact(code: Code, p: RadiusParam, L: int,
@@ -293,10 +256,7 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
     l_max = -1
     witness = 0
     for x in all_payloads(field, n):
-        cnt = 0
-        for cw in cws:
-            if payload_distance(field, n, x, cw) <= radius:
-                cnt += 1
+        cnt = _count_within(field, n, radius, x, cws)
         if cnt > l_max:
             l_max = cnt
             witness = x
@@ -360,10 +320,7 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
         seed_cw = cws[rng.randrange(len(cws))]
         noise = sample_ball_uniform(spec, rng)
         x = payload_add(field, seed_cw, noise.payload)
-        cnt = 0
-        for cw in cws:
-            if payload_distance(field, n, x, cw) <= radius:
-                cnt += 1
+        cnt = _count_within(field, n, radius, x, cws)
         histogram[cnt] = histogram.get(cnt, 0) + 1
         if cnt > max_count:
             max_count = cnt

@@ -32,7 +32,8 @@ from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact, random_code,
                     span_payloads)
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import VecQ, field_new, payload_add, payload_weight, rank_of
-from .hamming import BallSpec, RadiusParam, as_fraction, ball_points, entropy_q, sample_ball_uniform
+from .hamming import (BallSpec, RadiusParam, as_fraction, ball_points, ball_volume,
+                      entropy_q, sample_ball_uniform)
 from .seeding import derive_stream
 
 SCHEMA_VERSION = 1
@@ -305,11 +306,16 @@ def exact_pair_sum_probability(n: int, p: RadiusParam, q: int,
                                center_payload: int = 0) -> Fraction:
     """Pr[w1 + w2 in B(x, p)] by exhaustive enumeration of ball pairs.
 
-    Exact rational; cost volume^2, so keep n small.
+    Exact rational; cost volume^2 (guard volume^2 <= 2^24).
     """
     field = field_new(q)
     spec = BallSpec.from_p(q, n, p)
     radius = spec.radius
+    volume = ball_volume(n, radius, q)
+    if volume ** 2 > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(
+            f"pair enumeration |B(0, {radius})|^2 = {volume}^2 exceeds budget "
+            f"{ENUMERATION_BUDGET}")
     pts = [v.payload for v in ball_points(field, VecQ(field, n, 0), radius)]
     neg_x = (-VecQ(field, n, center_payload)).payload
     count = 0

@@ -18,6 +18,12 @@ Vectors (`VecQ`) pack one coordinate per ceil(log2 q) bits of a Python
 int, least significant digit = coordinate 1.  All values are immutable
 after construction.  Coordinate indices in public APIs (supports,
 shattering sets) are 1-based.
+
+The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
+`payload_distance`, `echelon`, `payload_reduce`) are the single
+implementation of field arithmetic on packed vectors: `VecQ` methods,
+`rank_of` and the other modules wrap them, and no other module reads the
+field tables.
 """
 
 from __future__ import annotations
@@ -231,26 +237,14 @@ class VecQ:
 
     def support(self) -> frozenset[int]:
         """1-based indices of the nonzero coordinates."""
-        return frozenset(i + 1 for i in range(self.n) if self.digit(i))
+        mask = self.support_mask()
+        return frozenset(i + 1 for i in range(self.n) if mask >> i & 1)
 
     def support_mask(self) -> int:
         """Bit i set iff coordinate i+1 is nonzero."""
-        b = self.field.bits_per_digit
-        x = self.payload
-        if b == 1:
-            return x
-        acc = x
-        for s in range(1, b):
-            acc |= x >> s
-        acc &= _ones_mask(b, self.n)
-        out = 0
-        i = 0
-        while acc:
-            if acc & 1:
-                out |= 1 << i
-            acc >>= b
-            i += 1
-        return out
+        if self.field.bits_per_digit == 1:
+            return self.payload
+        return sum(1 << i for i, d in enumerate(self.digits()) if d)
 
     def distance(self, other: "VecQ") -> int:
         """Hamming distance; requires matching field and length."""
@@ -267,40 +261,16 @@ class VecQ:
 
     def __add__(self, other: "VecQ") -> "VecQ":
         self._check_mate(other)
-        f = self.field
-        if f.characteristic == 2:
-            return VecQ(f, self.n, self.payload ^ other.payload)
-        b = f.bits_per_digit
-        mask = (1 << b) - 1
-        at = f.add_table
-        x, y = self.payload, other.payload
-        out, shift = 0, 0
-        while x or y:
-            out |= at[x & mask][y & mask] << shift
-            x >>= b
-            y >>= b
-            shift += b
-        return VecQ(f, self.n, out)
+        return VecQ(self.field, self.n,
+                    payload_add(self.field, self.payload, other.payload))
 
     def __neg__(self) -> "VecQ":
+        # -v = (-1) * v in any field
         f = self.field
-        if f.characteristic == 2:
-            return self
-        b = f.bits_per_digit
-        mask = (1 << b) - 1
-        nt = f.neg_table
-        x = self.payload
-        out, shift = 0, 0
-        while x:
-            out |= nt[x & mask] << shift
-            x >>= b
-            shift += b
-        return VecQ(f, self.n, out)
+        return VecQ(f, self.n, payload_scale(f, f.neg_table[1], self.payload))
 
     def __sub__(self, other: "VecQ") -> "VecQ":
-        if self.field.characteristic == 2:
-            self._check_mate(other)
-            return VecQ(self.field, self.n, self.payload ^ other.payload)
+        self._check_mate(other)
         return self + (-other)
 
     def __rmul__(self, coeff: int) -> "VecQ":
@@ -308,20 +278,7 @@ class VecQ:
         f = self.field
         if not 0 <= coeff < f.q:
             raise ParameterError(f"scalar {coeff!r} not in [0, {f.q})")
-        if coeff == 0:
-            return VecQ(f, self.n, 0)
-        if coeff == 1:
-            return self
-        b = f.bits_per_digit
-        mask = (1 << b) - 1
-        row = f.mul_table[coeff]
-        x = self.payload
-        out, shift = 0, 0
-        while x:
-            out |= row[x & mask] << shift
-            x >>= b
-            shift += b
-        return VecQ(f, self.n, out)
+        return VecQ(f, self.n, payload_scale(f, coeff, self.payload))
 
     def __eq__(self, other):
         return (isinstance(other, VecQ) and other.field.q == self.field.q
@@ -367,6 +324,23 @@ def payload_add(field: FieldTable, x: int, y: int) -> int:
         out |= at[x & mask][y & mask] << shift
         x >>= b
         y >>= b
+        shift += b
+    return out
+
+
+def payload_scale(field: FieldTable, a: int, x: int) -> int:
+    """Every digit of a packed payload times the field element a (hot-loop form)."""
+    if a <= 1:
+        return x if a else 0
+    b = field.bits_per_digit
+    mask = (1 << b) - 1
+    row = field.mul_table[a]
+    out, shift = 0, 0
+    while x:
+        d = x & mask
+        if d:
+            out |= row[d] << shift
+        x >>= b
         shift += b
     return out
 
@@ -441,13 +415,50 @@ def all_vectors(field: FieldTable, n: int) -> Iterator[VecQ]:
         yield VecQ(field, n, payload)
 
 
+def payload_reduce(field: FieldTable, basis: Sequence[tuple[int, int]],
+                   y: int) -> int:
+    """y minus the combination of `basis` rows that zeroes y at every pivot.
+
+    `basis` is a list of (pivot, payload) as returned by :func:`echelon`.
+    """
+    b = field.bits_per_digit
+    mask = (1 << b) - 1
+    for col, row in basis:
+        d = (y >> (col * b)) & mask
+        if d:
+            y = payload_add(field, y, payload_scale(field, field.neg_table[d], row))
+    return y
+
+
+def echelon(field: FieldTable, payloads: Iterable[int]) -> list[tuple[int, int]]:
+    """Fully reduced echelon basis of the span of packed rows, as (pivot, payload).
+
+    Each row's pivot is its highest nonzero coordinate and its digit
+    there is 1; every row is zero at the other rows' pivots.  This form
+    is unique for the span.  Dependent rows reduce to zero and drop, so
+    the basis length is the rank.
+    """
+    b = field.bits_per_digit
+    basis: list[tuple[int, int]] = []
+    for y in payloads:
+        y = payload_reduce(field, basis, y)
+        if not y:
+            continue
+        # y is zero at every pivot, so its highest coordinate is a new one.
+        col = (y.bit_length() - 1) // b
+        y = payload_scale(field, field.inv_table[y >> (col * b)], y)
+        pivot = [(col, y)]
+        basis = [(c, payload_reduce(field, pivot, row)) for c, row in basis]
+        basis.append((col, y))
+    return basis
+
+
 def rank_of(vectors: Iterable[VecQ]) -> int:
     """Rank of the given vectors as rows of a matrix over their field."""
     vecs = list(vectors)
     if not vecs:
         return 0
     field = vecs[0].field
-    n = vecs[0].n
     for v in vecs[1:]:
         vecs[0]._check_mate(v)
     if field.q == 2:
@@ -461,21 +472,4 @@ def rank_of(vectors: Iterable[VecQ]) -> int:
                 basis.append(x)
                 rank += 1
         return rank
-    rows = [list(v.digits()) for v in vecs]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(echelon(field, [v.payload for v in vecs]))

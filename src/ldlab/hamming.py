@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import ParameterError
-from .gfq import FieldTable, VecQ, field_new
+from .gfq import FieldTable, VecQ, field_new, payload_add
 
 RadiusParam = Union[Fraction, float, int, str]
 
@@ -174,19 +174,10 @@ def ball_points(field: FieldTable, center: VecQ, r: int) -> Iterator[VecQ]:
     b = field.bits_per_digit
     yield center
     base = center.payload
-    char2 = field.characteristic == 2
-    add_table = field.add_table
-    mask = (1 << b) - 1
     for w in range(1, r + 1):
         for positions in itertools.combinations(range(n), w):
             for values in itertools.product(range(1, q), repeat=w):
-                payload = base
-                if char2:
-                    for pos, val in zip(positions, values):
-                        payload ^= val << (pos * b)
-                else:
-                    for pos, val in zip(positions, values):
-                        shift = pos * b
-                        old = (payload >> shift) & mask
-                        payload += (add_table[old][val] - old) << shift
-                yield VecQ(field, n, payload)
+                offset = 0
+                for pos, val in zip(positions, values):
+                    offset |= val << (pos * b)
+                yield VecQ(field, n, payload_add(field, base, offset))

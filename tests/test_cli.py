@@ -71,6 +71,20 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "entropy", "--q", "2", "--x", "1.5")
     assert code == 2
+    span = ["span-exp", "--q", "2", "--ell", "2"]
+    for flag, argv in [
+        ("--p", span + ["--n", "8", "--p", "abc", "--trials", "3"]),
+        ("--n", span + ["--n", "abc", "--p", "1/4", "--trials", "3"]),
+        ("--trials", span + ["--n", "8", "--p", "1/4"]),
+        ("--eps", ["rate-sweep", "--n", "8", "--q", "2", "--p", "1/4",
+                   "--codes", "1", "--eps", "x"]),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ldlab: error: ")
+        assert flag in lines[0]
 
 
 def test_budget_refusal_exits_3(capsys):

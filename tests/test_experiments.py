@@ -39,6 +39,16 @@ def test_exact_pair_sum_anchor():
     assert pair_sum_count_closed_form(4, 1, 2) == 13
 
 
+def test_exact_pair_sum_budget_refusal():
+    """volume^2 pair checks are refused up front when over 2^24."""
+    # |B(0, 7)| in F_2^30 is 2,804,012, so about 7.9e12 pairs.
+    with pytest.raises(ResourceBudgetError):
+        exact_pair_sum_probability(30, Fraction(1, 4), 2)
+    # |B(0, 6)| in F_2^14 is 6476: the volume fits, its square does not.
+    with pytest.raises(ResourceBudgetError):
+        exact_pair_sum_probability(14, Fraction(6, 14), 2)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_exact_pair_sum_matches_brute_enumeration(q):
     add, _ = oracles.prime_field_tables(q)

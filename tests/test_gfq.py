@@ -18,7 +18,8 @@ from ldlab import (
     vec_linear_combination,
     weight,
 )
-from ldlab.gfq import MAX_Q, all_payloads, payload_add, payload_distance, payload_weight
+from ldlab.gfq import (MAX_Q, all_payloads, echelon, payload_add, payload_distance,
+                       payload_scale, payload_weight)
 
 import oracles
 
@@ -204,6 +205,8 @@ def test_payload_helpers_match_vector_ops(fd):
     u = VecQ.from_digits(field, u_digits)
     v = VecQ.from_digits(field, v_digits)
     assert payload_add(field, u.payload, v.payload) == (u + v).payload
+    for a in range(field.q):
+        assert payload_scale(field, a, u.payload) == (a * u).payload
     assert payload_weight(field, len(u), u.payload) == weight(u)
     assert payload_distance(field, len(u), u.payload, v.payload) == distance(u, v)
 
@@ -288,9 +291,10 @@ def test_all_vectors_enumerates_whole_space_in_counting_order(q, n):
     assert list(all_payloads(f, n)) == [v.payload for v in seen]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_rank_matches_independent_elimination(q):
-    """rank_of agrees with Gaussian elimination over oracle-built tables."""
+    """rank_of and the echelon basis agree with Gaussian elimination over
+    oracle-built tables; the basis is in fully reduced echelon form."""
     if q in EXTENSIONS:
         char, degree, irreducible = EXTENSIONS[q]
         add, mul = oracles.extension_field_tables(char, degree, irreducible)
@@ -303,7 +307,17 @@ def test_rank_matches_independent_elimination(q):
         n = rng.randrange(1, 7)
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(m)]
         vectors = [VecQ.from_digits(f, row) for row in rows]
-        assert rank_of(vectors) == oracles.brute_rank(rows, q, add, mul)
+        rank = oracles.brute_rank(rows, q, add, mul)
+        assert rank_of(vectors) == rank
+        basis = echelon(f, [v.payload for v in vectors])
+        assert len(basis) == rank
+        basis_rows = [VecQ(f, n, payload).digits() for _, payload in basis]
+        assert oracles.brute_rank(rows + basis_rows, q, add, mul) == rank
+        pivots = {col for col, _ in basis}
+        for (col, _), digits in zip(basis, basis_rows):
+            assert digits[col] == 1
+            assert all(digits[c] == 0 for c in pivots - {col})
+            assert max(i for i, d in enumerate(digits) if d) == col
 
 
 def test_rank_known_values():

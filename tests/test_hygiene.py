@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports or unused private functions in ldlab.
+"""Source hygiene: no unused imports or unused private functions in ldlab,
+and no module but gfq reads the field tables.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -57,3 +58,24 @@ def test_no_unused_private_functions():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in used]
     assert unused == []
+
+
+def test_only_gfq_reads_field_tables():
+    """Field arithmetic outside gfq goes through its payload kernels.
+
+    Attribute reads (`field.add_table`) and names bound to a table
+    (`add_table[a][b]`) both count.
+    """
+    tables = {"add_table", "mul_table", "neg_table", "inv_table"}
+    readers = []
+    for path in SOURCES:
+        if path.name == "gfq.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, (ast.Attribute, ast.Name))
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            name = node.attr if isinstance(node, ast.Attribute) else node.id
+            if name in tables:
+                readers.append(f"{path.name}:{node.lineno} {name}")
+    assert readers == []
