@@ -50,7 +50,7 @@ def chain_length_bound(L: int, ell: int, c: int, q: int) -> float:
     """(1/c) log_q(L/2) - (1 - 1/c) log_q((q-1)l).
 
     chain_find's length is >= ceil of this whenever it is positive.  At
-    q = 2 this is exactly the binary bound (see binary_chain_length_bound).
+    q = 2 this is (1/c) log2(L/2) - (1 - 1/c) log2(l).
     """
     if L < 1:
         raise ParameterError(f"set size L={L} must be >= 1")
@@ -60,15 +60,6 @@ def chain_length_bound(L: int, ell: int, c: int, q: int) -> float:
         raise ParameterError(f"alphabet size q={q} must be >= 2")
     lq = math.log(q)
     return (math.log(L / 2) / c - (1 - 1 / c) * math.log((q - 1) * ell)) / lq
-
-
-def binary_chain_length_bound(L: int, ell: int, c: int) -> float:
-    """(1/c) log2(L/2) - (1 - 1/c) log2(l), the q=2 form of the bound."""
-    if L < 1:
-        raise ParameterError(f"set size L={L} must be >= 1")
-    if ell < 1 or c < 1:
-        raise ParameterError(f"need ell>=1 and c>=1, got ell={ell}, c={c}")
-    return math.log2(L / 2) / c - (1 - 1 / c) * math.log2(ell)
 
 
 def _as_tuples(S: Iterable[VecQ]) -> tuple[FieldTable, int, frozenset[tuple[int, ...]]]:
@@ -96,19 +87,6 @@ class ShatterWitness:
     c: int
     U: frozenset[int]
     covering_map: dict[tuple[int, ...], VecQ]
-
-    def validate(self, S: Iterable[VecQ]) -> bool:
-        """Internal consistency: map total, members in S, all differing."""
-        members = set(S)
-        cols = sorted(self.U)
-        if len(cols) != self.c or len(self.covering_map) != self.q ** self.c:
-            return False
-        for u, v in self.covering_map.items():
-            if v not in members:
-                return False
-            if any(v.digit(j - 1) == u[i] for i, j in enumerate(cols)):
-                return False
-        return True
 
 
 def shatter_verify(S: Iterable[VecQ], U: Iterable[int], q: int) -> bool:

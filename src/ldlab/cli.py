@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen_code)
 
     p = sub.add_parser("check-ld", help="list-decodability checkers")
-    ld_sub = p.add_subparsers(dest="action", required=True)
+    ld_sub = p.add_subparsers(dest="action", required=True,
+                              metavar="{exact,mc}")
     pe = ld_sub.add_parser("exact", help="exact L_max over all centers")
     pe.add_argument("--code", required=True, metavar="FILE")
     pe.add_argument("--p", type=as_fraction, required=True)
@@ -519,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rate_sweep)
 
     p = sub.add_parser("chain", help="c-increasing chain tools")
-    ch_sub = p.add_subparsers(dest="action", required=True)
+    ch_sub = p.add_subparsers(dest="action", required=True,
+                              metavar="{find,verify,oracle}")
     pf = ch_sub.add_parser("find", help="construct translate + chain")
     pf.add_argument("--set", required=True, metavar="FILE",
                     help="vector-set file (header 'q ell')")
@@ -533,15 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
     po = ch_sub.add_parser("oracle", help="exact longest chain length")
     po.add_argument("--set", required=True, metavar="FILE")
     po.add_argument("--c", type=int, required=True)
-    po.add_argument("--translate", default=None, metavar="DIGITS",
-                    help="apply this translate before the search")
-    po.add_argument("--best-translate", action="store_true",
-                    help="scan all q^ell translates")
+    where = po.add_mutually_exclusive_group()
+    where.add_argument("--translate", default=None, metavar="DIGITS",
+                       help="apply this translate before the search")
+    where.add_argument("--best-translate", action="store_true",
+                       help="scan all q^ell translates")
     _add_output_flags(po)
     po.set_defaults(handler=_cmd_chain)
 
     p = sub.add_parser("shatter", help="everywhere-differing shattering")
-    sh_sub = p.add_subparsers(dest="action", required=True)
+    sh_sub = p.add_subparsers(dest="action", required=True,
+                              metavar="{find,verify}")
     pf = sh_sub.add_parser("find", help="find a shattered coordinate set")
     pf.add_argument("--set", required=True, metavar="FILE")
     pf.add_argument("--c", type=int, required=True)

@@ -21,11 +21,12 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, echelon, field_new,
-                  payload_add, payload_distance, payload_reduce, rank_of)
+                  payload_add, payload_distance, payload_reduce,
+                  payload_scale, rank_of)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       radius_of, sample_ball_uniform)
 # ball_points is not walked here; the name stays importable from this
@@ -79,18 +80,7 @@ class Code:
 
         Duplicates appear when the generator is rank-deficient.
         """
-        f = self.field
-        q = f.q
-        out = [0]
-        for row in self.generator:
-            scaled = [(a * row).payload for a in range(q)]
-            out = [payload_add(f, base, s) for s in scaled for base in out]
-        return out
-
-    def codewords(self) -> Iterator[VecQ]:
-        f = self.field
-        for payload in self.codeword_payloads():
-            yield VecQ(f, self.n, payload)
+        return _span_list(self.field, [row.payload for row in self.generator])
 
 
 def random_code(n: int, k: int, q: int, full_rank: bool,
@@ -113,36 +103,29 @@ def random_code(n: int, k: int, q: int, full_rank: bool,
             return Code(field, n, k, rows, full_rank)
 
 
-def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
-    """Payload set of the span; see span_set."""
-    f = vectors[0].field
-    q = f.q
-    for v in vectors[1:]:
-        vectors[0]._check_mate(v)
-    if q ** len(vectors) > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"span enumeration q^l = {q}^{len(vectors)} exceeds budget "
-            f"{ENUMERATION_BUDGET}")
-    out = {0}
-    for v in vectors:
-        scaled = [(a * v).payload for a in range(1, q)]
-        out |= {payload_add(f, base, s) for s in scaled for base in out}
+def _span_list(field: FieldTable, payloads: Sequence[int]) -> list[int]:
+    """Every combination sum a_i x_i, indexed by a in base-q order (a_1
+    least significant); duplicates are kept."""
+    out = [0]
+    for x in payloads:
+        scaled = [payload_scale(field, a, x) for a in range(1, field.q)]
+        out += [payload_add(field, base, s) for s in scaled for base in out]
     return out
 
 
-def span_set(vectors: Sequence[VecQ], field: FieldTable | None = None,
-             n: int | None = None) -> set[VecQ]:
-    """The set {sum a_i v_i : a in F_q^l}, deduplicated.
+def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
+    """Payload set of {sum a_i v_i : a in F_q^l}, deduplicated.
 
-    Size is q^rank of the input.  An empty input spans {0}; pass `field`
-    and `n` so its shape is known.  Budget: q^l <= 2^24.
+    Size is q^rank of the input.  Budget: q^l <= 2^24.
     """
-    if not vectors:
-        if field is None or n is None:
-            raise ParameterError("empty span needs explicit field and n")
-        return {VecQ.zero(field, n)}
     f = vectors[0].field
-    return {VecQ(f, vectors[0].n, p) for p in span_payloads(vectors)}
+    for v in vectors[1:]:
+        vectors[0]._check_mate(v)
+    if f.q ** len(vectors) > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(
+            f"span enumeration q^l = {f.q}^{len(vectors)} exceeds budget "
+            f"{ENUMERATION_BUDGET}")
+    return set(_span_list(f, [v.payload for v in vectors]))
 
 
 @dataclass(frozen=True)

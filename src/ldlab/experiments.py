@@ -475,6 +475,12 @@ def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepSummary:
             f"codes_per_point={config.codes_per_point} must be >= 1")
     if not config.eps_grid:
         raise ParameterError("eps_grid must be nonempty")
+    bad = [str(e) for e in config.eps_grid if e <= 0]
+    if bad:
+        raise ParameterError(f"eps must be > 0, got {', '.join(bad)}")
+    if not (math.isfinite(config.c_constant) and config.c_constant > 0):
+        raise ParameterError(
+            f"c_constant={config.c_constant} must be a finite number > 0")
     dims = [sweep_dimension(config, eps) for eps in config.eps_grid]
     live = sum(1 for k in dims if k >= 1)
     results = _run_trials(_sweep_chunk, config,

@@ -297,21 +297,6 @@ class VecQ:
         return self.n
 
 
-def weight(v: VecQ) -> int:
-    """Number of nonzero coordinates of v."""
-    return v.weight()
-
-
-def distance(u: VecQ, v: VecQ) -> int:
-    """Hamming distance between u and v (= weight(u - v))."""
-    return u.distance(v)
-
-
-def support(v: VecQ) -> frozenset[int]:
-    """1-based indices of the nonzero coordinates of v."""
-    return v.support()
-
-
 def payload_add(field: FieldTable, x: int, y: int) -> int:
     """Coordinatewise sum of two packed payloads (hot-loop form)."""
     if field.characteristic == 2:
@@ -363,27 +348,6 @@ def payload_distance(field: FieldTable, n: int, x: int, y: int) -> int:
     every q this is the number of nonzero digits of x ^ y.
     """
     return payload_weight(field, n, x ^ y)
-
-
-def vec_linear_combination(coeffs: Sequence[int], vectors: Sequence[VecQ],
-                           field: FieldTable | None = None,
-                           n: int | None = None) -> VecQ:
-    """Coordinatewise sum of coeffs[i] * vectors[i].
-
-    An empty combination is the zero vector; pass `field` and `n` so its
-    shape is known.
-    """
-    if len(coeffs) != len(vectors):
-        raise ParameterError(
-            f"{len(coeffs)} coefficients for {len(vectors)} vectors")
-    if not vectors:
-        if field is None or n is None:
-            raise ParameterError("empty combination needs explicit field and n")
-        return VecQ.zero(field, n)
-    acc = coeffs[0] * vectors[0]
-    for a, v in zip(coeffs[1:], vectors[1:]):
-        acc = acc + a * v
-    return acc
 
 
 def all_payloads(field: FieldTable, n: int) -> Iterator[int]:

@@ -126,17 +126,6 @@ class BallSpec:
         frac = as_fraction(p)
         return cls(n, frac, q, radius_of(frac, n))
 
-    @classmethod
-    def from_radius(cls, q: int, n: int, radius: int) -> "BallSpec":
-        _check_ball_params(n, radius, q)
-        return cls(n, Fraction(radius, n), q, radius)
-
-    def volume(self) -> int:
-        return ball_volume(self.n, self.radius, self.q)
-
-    def weight_class_sizes(self) -> list[int]:
-        return ball_weight_class_sizes(self.n, self.radius, self.q)
-
 
 @lru_cache(maxsize=None)
 def _cumulative_shells(n: int, r: int, q: int) -> tuple[int, ...]:

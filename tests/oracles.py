@@ -8,6 +8,7 @@ sides is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -132,6 +133,26 @@ def brute_shattered(S: Iterable[Digits], U: Sequence[int], q: int) -> bool:
         ):
             return False
     return True
+
+
+def valid_covering_map(S: Iterable[Digits], U: Iterable[int], c: int, q: int,
+                       covering_map: dict[Digits, Digits]) -> bool:
+    """A shattering witness's map is total on F_q^U, |U| = c, and sends each
+    pattern to a member of S differing from it on every coordinate of U
+    (1-based coordinates, patterns in ascending-U order)."""
+    members = set(S)
+    cols = sorted(U)
+    if len(cols) != c or set(covering_map) != set(all_tuples(q, c)):
+        return False
+    return all(
+        v in members and all(v[j - 1] != u[i] for i, j in enumerate(cols))
+        for u, v in covering_map.items()
+    )
+
+
+def binary_chain_length_bound(L: int, ell: int, c: int) -> float:
+    """(1/c) log2(L/2) - (1 - 1/c) log2(ell), the chain bound at q = 2."""
+    return math.log2(L / 2) / c - (1 - 1 / c) * math.log2(ell)
 
 
 def brute_longest_chain(vectors: Iterable[Digits], c: int) -> int:

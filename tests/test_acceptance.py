@@ -182,6 +182,11 @@ def test_criterion_03_uniform_ball_sampling(capsys):
 
 
 def test_criterion_04_shattering(capsys):
+    def covering_map_valid(S, witness) -> bool:
+        return oracles.valid_covering_map(
+            [v.digits() for v in S], witness.U, witness.c, witness.q,
+            {u: v.digits() for u, v in witness.covering_map.items()})
+
     with gate(capsys, 4, "everywhere-differing shattering, exhaustive + random", 120.0):
         space = list(all_vectors(field_new(2), 4))
         for mask in range(1, 1 << 16):
@@ -191,7 +196,7 @@ def test_criterion_04_shattering(capsys):
                 if witness is None:
                     assert len(S) <= shatter_threshold(4, c, 2)
                 else:
-                    assert witness.validate(S)
+                    assert covering_map_valid(S, witness)
                     assert shatter_verify(S, witness.U, 2)
         rng = random.Random(SEED)
         for q in (3, 4):
@@ -203,7 +208,7 @@ def test_criterion_04_shattering(capsys):
                 if witness is None:
                     assert len(S) <= threshold
                 else:
-                    assert witness.validate(S)
+                    assert covering_map_valid(S, witness)
                     assert shatter_verify(S, witness.U, q)
 
 

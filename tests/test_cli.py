@@ -72,12 +72,23 @@ def test_invalid_parameters_exit_2(capsys):
     code, _, _ = run_cli(capsys, "entropy", "--q", "2", "--x", "1.5")
     assert code == 2
     span = ["span-exp", "--q", "2", "--ell", "2"]
+    sweep = ["rate-sweep", "--n", "8", "--q", "2", "--p", "1/4", "--codes", "1"]
     for flag, argv in [
         ("--p", span + ["--n", "8", "--p", "abc", "--trials", "3"]),
         ("--n", span + ["--n", "abc", "--p", "1/4", "--trials", "3"]),
         ("--trials", span + ["--n", "8", "--p", "1/4"]),
-        ("--eps", ["rate-sweep", "--n", "8", "--q", "2", "--p", "1/4",
-                   "--codes", "1", "--eps", "x"]),
+        ("--eps", sweep + ["--eps", "x"]),
+        ("eps", sweep + ["--eps", "0"]),
+        ("eps", sweep + ["--eps=-1/10"]),
+        ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "nan"]),
+        ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "inf"]),
+        ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "-1"]),
+        ("{exact,mc}", ["check-ld"]),
+        ("{exact,mc}", ["check-ld", "bogus"]),
+        ("{find,verify,oracle}", ["chain"]),
+        ("{find,verify}", ["shatter"]),
+        ("--translate", ["chain", "oracle", "--set", "S.vs", "--c", "2",
+                         "--translate", "0000", "--best-translate"]),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

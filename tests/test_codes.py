@@ -16,17 +16,18 @@ from ldlab import (
     ball_volume,
     check_ld_exact,
     check_ld_montecarlo,
-    distance,
     field_new,
     format_code,
     parse_code,
     radius_of,
     random_code,
     rank_of,
-    span_set,
 )
+from ldlab.codes import span_payloads
 
 import oracles
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def identity_code(q: int, n: int, k: int) -> Code:
@@ -42,6 +43,11 @@ def repetition_code(q: int, n: int) -> Code:
     return Code(
         field=f, n=n, k=1, generator=(VecQ.from_digits(f, [1] * n),), full_rank=True
     )
+
+
+def codeword_vectors(code: Code) -> set[VecQ]:
+    """The distinct codewords of `code` as vectors."""
+    return {VecQ(code.field, code.n, p) for p in code.codeword_payloads()}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -65,6 +71,7 @@ def test_random_code_iid_reports_actual_size():
         code = random_code(4, 3, 2, full_rank=False, rng=rng)
         r = rank_of(code.generator)
         assert code.size() == 2**r
+        assert len(code.codeword_payloads()) == 2**3
         assert len(set(code.codeword_payloads())) == 2**r
         if r < 3:
             seen_deficient = True
@@ -97,13 +104,13 @@ def test_codewords_follow_message_order():
     f = field_new(q)
     rng = random.Random(8)
     code = random_code(6, 3, q, full_rank=True, rng=rng)
-    words = list(code.codewords())
+    words = code.codeword_payloads()
     for m in (0, 1, 5, 13, 26):
         digits = [(m // q**i) % q for i in range(3)]
         expected = VecQ.zero(f, 6)
         for a, row in zip(digits, code.generator):
             expected = expected + a * row
-        assert words[m] == expected
+        assert words[m] == expected.payload
 
 
 def test_rate():
@@ -111,41 +118,41 @@ def test_rate():
     assert repetition_code(3, 9).rate() == pytest.approx(1 / 9)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_span_matches_exhaustive_combination_set(q):
-    """span_set equals the set of all coefficient combinations, tried exhaustively."""
+    """span_payloads equals the set of all coefficient combinations, tried
+    exhaustively; every other input has a row dependent on the others."""
     f = field_new(q)
     rng = random.Random(31)
-    for _ in range(20):
-        m = rng.randrange(1, 4)
+    deficient = 0
+    for trial in range(20):
+        m = rng.randrange(1, 3)
         n = rng.randrange(2, 5)
         vectors = [
             VecQ.from_digits(f, [rng.randrange(q) for _ in range(n)]) for _ in range(m)
         ]
+        if trial % 2:
+            vectors.append(rng.randrange(q) * vectors[0] + vectors[-1])
         expected = set()
-        for coeffs in oracles.all_tuples(q, m):
+        for coeffs in oracles.all_tuples(q, len(vectors)):
             v = VecQ.zero(f, n)
             for a, u in zip(coeffs, vectors):
                 v = v + a * u
-            expected.add(v)
-        result = span_set(vectors)
+            expected.add(v.payload)
+        result = span_payloads(vectors)
         assert result == expected
-        assert len(result) == q ** rank_of(vectors)
-        assert VecQ.zero(f, n) in result
-
-
-def test_span_of_nothing_needs_explicit_shape():
-    f = field_new(2)
-    assert span_set([], field=f, n=3) == {VecQ.zero(f, 3)}
-    with pytest.raises(ParameterError):
-        span_set([])
+        rank = rank_of(vectors)
+        assert len(result) == q ** rank
+        assert 0 in result
+        deficient += rank < len(vectors)
+    assert deficient >= 10
 
 
 def test_span_budget_refusal():
     f = field_new(2)
     vectors = [VecQ.from_digits(f, [1] * 30) for _ in range(30)]
     with pytest.raises(ResourceBudgetError):
-        span_set(vectors)
+        span_payloads(vectors)
 
 
 def test_repetition_code_is_uniquely_decodable():
@@ -176,7 +183,7 @@ def test_exact_checker_matches_independent_center_scan(mode):
             code = random_code(n, k, q, full_rank=False, rng=rng)
             p = Fraction(rng.randrange(1, n // 2 + 1), n)
             verdict = check_ld_exact(code, p, 1, mode=mode)
-            codewords = {w.digits() for w in code.codewords()}
+            codewords = {w.digits() for w in codeword_vectors(code)}
             expected = oracles.brute_list_decode_l_max(
                 codewords, radius_of(p, n), q, n
             )
@@ -196,8 +203,8 @@ def test_witness_center_achieves_l_max():
         verdict = check_ld_exact(code, p, 1)
         recount = sum(
             1
-            for w in set(code.codewords())
-            if distance(verdict.witness_center, w) <= verdict.radius
+            for w in codeword_vectors(code)
+            if verdict.witness_center.distance(w) <= verdict.radius
         )
         assert recount == verdict.L_max
 
@@ -239,7 +246,7 @@ def test_exact_modes_match_brute_oracle_on_distinct_codewords(case):
     code, p = case
     syndrome = check_ld_exact(code, p, 1, mode="syndrome")
     full = check_ld_exact(code, p, 1, mode="full")
-    codewords = {w.digits() for w in code.codewords()}
+    codewords = {w.digits() for w in codeword_vectors(code)}
     assert len(codewords) == code.size()
     expected = oracles.brute_list_decode_l_max(
         codewords, radius_of(p, code.n), code.q, code.n)

@@ -11,6 +11,7 @@ import pytest
 from ldlab import (
     BallSampleConfig,
     PairSumConfig,
+    ParameterError,
     ResourceBudgetError,
     SpanTrialConfig,
     SweepConfig,
@@ -242,6 +243,21 @@ def test_sweep_candidate_list_size_scales_with_constant():
     large = run_rate_sweep(config_large).points[0]
     assert large.failure_count <= small.failure_count
     assert small.l_max_values == large.l_max_values
+
+
+def test_sweep_rejects_nonpositive_eps_and_bad_constant(monkeypatch):
+    """eps <= 0 and a constant that is not a finite number > 0 are refused
+    before any code is drawn."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("trials started")
+
+    monkeypatch.setattr(experiments, "_run_trials", no_work)
+    for overrides in (dict(eps_grid=(Fraction(1, 10), Fraction(0))),
+                      dict(eps_grid=(Fraction(-1, 10),)),
+                      dict(c_constant=0.0), dict(c_constant=-1.0),
+                      dict(c_constant=math.nan), dict(c_constant=math.inf)):
+        with pytest.raises(ParameterError):
+            run_rate_sweep(sweep_config(**overrides))
 
 
 def test_sweep_ternary_point():

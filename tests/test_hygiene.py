@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports or unused private functions in ldlab,
-and no module but gfq reads the field tables.
+no module but gfq reads the field tables, and `ldlab.__all__` names only
+what the package defines.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -79,3 +80,13 @@ def test_only_gfq_reads_field_tables():
             if name in tables:
                 readers.append(f"{path.name}:{node.lineno} {name}")
     assert readers == []
+
+
+def test_public_api_resolves():
+    """Every `ldlab.__all__` entry is unique and importable; a stale entry
+    breaks `from ldlab import *` but not `import ldlab`."""
+    assert len(set(ldlab.__all__)) == len(ldlab.__all__)
+    assert [name for name in ldlab.__all__ if not hasattr(ldlab, name)] == []
+    namespace: dict = {}
+    exec("from ldlab import *", namespace)
+    assert set(ldlab.__all__) <= set(namespace)
