@@ -116,8 +116,11 @@ def _span_list(field: FieldTable, payloads: Sequence[int]) -> list[int]:
 def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
     """Payload set of {sum a_i v_i : a in F_q^l}, deduplicated.
 
-    Size is q^rank of the input.  Budget: q^l <= 2^24.
+    Size is q^rank of the input.  Budget: q^l <= 2^24.  An empty list
+    names no field, so it is refused.
     """
+    if not vectors:
+        raise ParameterError("span_payloads needs at least one vector")
     f = vectors[0].field
     for v in vectors[1:]:
         vectors[0]._check_mate(v)

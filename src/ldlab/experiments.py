@@ -352,7 +352,11 @@ def pair_sum_count_closed_form(n: int, r: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Rate sweep: codes at k = floor((1 - H_q(p) - eps) * n) per eps."""
+    """Rate sweep: codes at k = floor((1 - H_q(p) - eps) * n) per eps.
+
+    Construction refuses an empty grid, eps <= 0, fewer than one code per
+    point, and a constant C that is not a finite number > 0.
+    """
 
     n: int
     q: int
@@ -365,6 +369,17 @@ class SweepConfig:
     def __post_init__(self):
         _coerce(self, p=as_fraction(self.p),
                 eps_grid=tuple(as_fraction(e) for e in self.eps_grid))
+        if self.codes_per_point < 1:
+            raise ParameterError(
+                f"codes_per_point={self.codes_per_point} must be >= 1")
+        if not self.eps_grid:
+            raise ParameterError("eps_grid must be nonempty")
+        bad = [str(e) for e in self.eps_grid if e <= 0]
+        if bad:
+            raise ParameterError(f"eps must be > 0, got {', '.join(bad)}")
+        if not (math.isfinite(self.c_constant) and self.c_constant > 0):
+            raise ParameterError(
+                f"c_constant={self.c_constant} must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -430,6 +445,8 @@ def sweep_dimension(config: SweepConfig, eps: Fraction) -> int:
 
 def sweep_candidate_list_size(config: SweepConfig, eps: Fraction) -> int:
     """Candidate list size ceil(C / eps) for the failure-frequency readout."""
+    if eps <= 0:
+        raise ParameterError(f"eps must be > 0, got {eps}")
     return max(1, math.ceil(config.c_constant / float(eps)))
 
 
@@ -470,17 +487,6 @@ def _sweep_chunk(config: SweepConfig, start: int, stop: int) -> list[int]:
 
 def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepSummary:
     """Run the rate sweep; deterministic given (config.seed)."""
-    if config.codes_per_point < 1:
-        raise ParameterError(
-            f"codes_per_point={config.codes_per_point} must be >= 1")
-    if not config.eps_grid:
-        raise ParameterError("eps_grid must be nonempty")
-    bad = [str(e) for e in config.eps_grid if e <= 0]
-    if bad:
-        raise ParameterError(f"eps must be > 0, got {', '.join(bad)}")
-    if not (math.isfinite(config.c_constant) and config.c_constant > 0):
-        raise ParameterError(
-            f"c_constant={config.c_constant} must be a finite number > 0")
     dims = [sweep_dimension(config, eps) for eps in config.eps_grid]
     live = sum(1 for k in dims if k >= 1)
     results = _run_trials(_sweep_chunk, config,

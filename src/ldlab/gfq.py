@@ -23,7 +23,11 @@ The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
 `payload_distance`, `echelon`, `payload_reduce`) are the single
 implementation of field arithmetic on packed vectors: `VecQ` methods,
 `rank_of` and the other modules wrap them, and no other module reads the
-field tables.
+field tables.  `payload_add` picks its kernel by q: XOR for
+characteristic 2 (q = 2, 4, 8, 16), SWAR lanes for odd prime q (3, 5, 7,
+11, 13; one integer add across every digit, see `_lane_masks`), and a
+digit loop over the addition table for q = 9, whose digits are not
+independent mod-p lanes.
 """
 
 from __future__ import annotations
@@ -178,6 +182,30 @@ def _ones_mask(bits_per_digit: int, n: int) -> int:
     return ((1 << (n * bits_per_digit)) - 1) // ((1 << bits_per_digit) - 1)
 
 
+# q -> (limit, even, bias, low) for the odd prime-q branch of payload_add;
+# filled on first use, never at import.
+_LANE_MASKS: dict[int, tuple[int, int, int, int]] = {}
+
+
+def _lane_masks(q: int, b: int, bits: int) -> tuple[int, int, int, int]:
+    """SWAR masks for F_q, q an odd prime, covering payloads below 2**bits.
+
+    The payload's b-bit digits are split into even- and odd-indexed ones,
+    each in a lane of 2b bits.  `even` selects the even digits, `low` is
+    bit 0 of every lane and `bias` holds 2^b - q in every lane, so that a
+    lane sum s < 2q carries into bit b exactly when s >= q.  `limit` is
+    2**width for the width covered; the width doubles from 4b until it
+    reaches `bits`, and the masks are stored for the next call.
+    """
+    width = 4 * b
+    while width < bits:
+        width *= 2
+    low = _ones_mask(2 * b, width // (2 * b))
+    masks = (1 << width, low * ((1 << b) - 1), low * ((1 << b) - q), low)
+    _LANE_MASKS[q] = masks
+    return masks
+
+
 class VecQ:
     """Immutable length-n vector over F_q with packed digit storage."""
 
@@ -302,6 +330,17 @@ def payload_add(field: FieldTable, x: int, y: int) -> int:
     if field.characteristic == 2:
         return x ^ y
     b = field.bits_per_digit
+    if field.degree == 1:
+        q = field.q
+        limit, even, bias, low = _LANE_MASKS.get(q) or _lane_masks(q, b, 0)
+        if (x | y) >= limit:
+            limit, even, bias, low = _lane_masks(q, b, (x | y).bit_length())
+        # Each lane sum is < 2q; subtract q where adding the bias carried.
+        s = (x & even) + (y & even)
+        s -= q * (((s + bias) >> b) & low)
+        t = ((x >> b) & even) + ((y >> b) & even)
+        t -= q * (((t + bias) >> b) & low)
+        return s | (t << b)
     mask = (1 << b) - 1
     at = field.add_table
     out, shift = 0, 0

@@ -148,6 +148,12 @@ def test_span_matches_exhaustive_combination_set(q):
     assert deficient >= 10
 
 
+def test_span_of_empty_list_is_refused():
+    """An empty list names no field, so there is no span to return."""
+    with pytest.raises(ParameterError):
+        span_payloads([])
+
+
 def test_span_budget_refusal():
     f = field_new(2)
     vectors = [VecQ.from_digits(f, [1] * 30) for _ in range(30)]

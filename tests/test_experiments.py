@@ -260,6 +260,26 @@ def test_sweep_rejects_nonpositive_eps_and_bad_constant(monkeypatch):
             run_rate_sweep(sweep_config(**overrides))
 
 
+def test_sweep_config_refuses_bad_grid_codes_and_constant():
+    """The config itself refuses what would break the sweep or its readout,
+    so a library caller gets a ParameterError at construction."""
+    for overrides in (dict(eps_grid=()), dict(eps_grid=(Fraction(0),)),
+                      dict(eps_grid=(Fraction(1, 10), Fraction(-1, 5))),
+                      dict(codes_per_point=0),
+                      dict(c_constant=0.0), dict(c_constant=-2.0),
+                      dict(c_constant=math.nan), dict(c_constant=math.inf),
+                      dict(c_constant=-math.inf)):
+        with pytest.raises(ParameterError):
+            sweep_config(**overrides)
+
+
+def test_sweep_candidate_list_size_refuses_nonpositive_eps():
+    config = sweep_config()
+    for eps in (Fraction(0), Fraction(-1, 10)):
+        with pytest.raises(ParameterError):
+            sweep_candidate_list_size(config, eps)
+
+
 def test_sweep_ternary_point():
     config = sweep_config(n=9, q=3, eps_grid=(Fraction(1, 10),), codes_per_point=6)
     point = run_rate_sweep(config).points[0]

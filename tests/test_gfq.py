@@ -14,6 +14,7 @@ from ldlab import (
     field_new,
     rank_of,
 )
+from ldlab import gfq
 from ldlab.gfq import (MAX_Q, all_payloads, echelon, payload_add, payload_distance,
                        payload_scale, payload_weight)
 
@@ -29,6 +30,34 @@ EXTENSIONS = {
 }
 
 fields = st.sampled_from([field_new(q) for q in PRIME_POWERS])
+
+
+def oracle_tables(q):
+    """(add, mul) dicts for F_q built without the library's tables."""
+    if q in EXTENSIONS:
+        return oracles.extension_field_tables(*EXTENSIONS[q])
+    return oracles.prime_field_tables(q)
+
+
+def pack(q, digits):
+    """Payload of a digit tuple, packed by plain shifts."""
+    b = (q - 1).bit_length()
+    return sum(d << (i * b) for i, d in enumerate(digits))
+
+
+def unpack(q, n, payload):
+    b = (q - 1).bit_length()
+    return tuple((payload >> (i * b)) & ((1 << b) - 1) for i in range(n))
+
+
+def assert_add_matches_oracle(q, pairs):
+    """payload_add of each packed pair equals the oracle's tuple sum."""
+    field = field_new(q)
+    add, _ = oracle_tables(q)
+    for u, v in pairs:
+        got = payload_add(field, pack(q, u), pack(q, v))
+        assert unpack(q, len(u), got) == oracles.tuple_add(u, v, add), (q, u, v)
+        assert got >> (len(u) * field.bits_per_digit) == 0
 
 
 @st.composite
@@ -201,6 +230,9 @@ def test_payload_helpers_match_vector_ops(fd):
     u = VecQ.from_digits(field, u_digits)
     v = VecQ.from_digits(field, v_digits)
     assert payload_add(field, u.payload, v.payload) == (u + v).payload
+    add, _ = oracle_tables(field.q)
+    assert (unpack(field.q, len(u), payload_add(field, u.payload, v.payload))
+            == oracles.tuple_add(tuple(u_digits), tuple(v_digits), add))
     for a in range(field.q):
         assert payload_scale(field, a, u.payload) == (a * u).payload
     assert payload_weight(field, len(u), u.payload) == u.weight()
@@ -226,6 +258,47 @@ def test_distance_matches_oracle_for_every_field(q):
         expected = oracles.brute_distance(u_digits, v_digits)
         assert u.distance(v) == expected
         assert payload_distance(field, len(u), u.payload, v.payload) == expected
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_add_matches_oracle_on_every_pair_at_n2(q):
+    """Exhaustive over F_q^2 x F_q^2, for every kernel (XOR, SWAR, table)."""
+    assert_add_matches_oracle(q, [(u, v) for u in oracles.all_tuples(q, 2)
+                                  for v in oracles.all_tuples(q, 2)])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64])
+def test_swar_add_matches_oracle(q, n):
+    """The SWAR lanes of odd prime q agree with digit-tuple addition on
+    random pairs, zero operands, and operands whose top digits are 0."""
+    rng = random.Random(q * 1000 + n)
+
+    def rand(length):
+        return tuple(rng.randrange(q) for _ in range(length)) + (0,) * (n - length)
+
+    zero = (0,) * n
+    top = (q - 1,) * n
+    pairs = [(rand(n), rand(n)) for _ in range(300)]
+    pairs += [(zero, zero), (zero, top), (top, zero), (top, top)]
+    pairs += [(rand(rng.randrange(n + 1)), rand(rng.randrange(n + 1)))
+              for _ in range(100)]
+    pairs += [(rand(n), zero) for _ in range(10)]
+    assert_add_matches_oracle(q, pairs)
+
+
+def test_swar_masks_grow_for_longer_payloads(monkeypatch):
+    """Lane masks built for a short payload are grown, not reused, when a
+    longer one arrives; results stay exact before and after the growth."""
+    monkeypatch.setattr(gfq, "_LANE_MASKS", {})
+    for q in (3, 5, 7, 11, 13):
+        rng = random.Random(q)
+        for n in (64, 3, 200, 64):
+            pairs = [(tuple(rng.randrange(q) for _ in range(n)),
+                      tuple(rng.randrange(q) for _ in range(n)))
+                     for _ in range(50)]
+            assert_add_matches_oracle(q, pairs + [((q - 1,) * n, (q - 1,) * n)])
+    assert sorted(gfq._LANE_MASKS) == [3, 5, 7, 11, 13]
 
 
 def test_vectors_from_different_fields_do_not_mix():
@@ -260,11 +333,7 @@ def test_all_vectors_enumerates_whole_space_in_counting_order(q, n):
 def test_rank_matches_independent_elimination(q):
     """rank_of and the echelon basis agree with Gaussian elimination over
     oracle-built tables; the basis is in fully reduced echelon form."""
-    if q in EXTENSIONS:
-        char, degree, irreducible = EXTENSIONS[q]
-        add, mul = oracles.extension_field_tables(char, degree, irreducible)
-    else:
-        add, mul = oracles.prime_field_tables(q)
+    add, mul = oracle_tables(q)
     f = field_new(q)
     rng = random.Random(2026)
     for _ in range(60):

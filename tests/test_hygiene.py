@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports or unused private functions in ldlab,
-no module but gfq reads the field tables, and `ldlab.__all__` names only
-what the package defines.
+no module but gfq reads the field tables, importing the package builds no
+field or mask cache, and `ldlab.__all__` names only what the package
+defines.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -10,6 +11,9 @@ import whose line carries ``# noqa: F401`` is a deliberate re-export.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ldlab
@@ -90,3 +94,22 @@ def test_public_api_resolves():
     namespace: dict = {}
     exec("from ldlab import *", namespace)
     assert set(ldlab.__all__) <= set(namespace)
+
+
+def test_import_builds_no_field_or_mask_cache():
+    """Importing ldlab and its CLI builds no field table, lru_cache entry or
+    SWAR lane mask in gfq; all of that is built on first use.  Checked in
+    a fresh interpreter, since this test process has used them already."""
+    probe = (
+        "import ldlab, ldlab.cli\n"
+        "from ldlab import gfq\n"
+        "caches = {name: obj.cache_info().currsize\n"
+        "          for name, obj in vars(gfq).items() if hasattr(obj, 'cache_info')}\n"
+        "assert 'field_new' in caches, caches\n"
+        "assert set(caches.values()) == {0}, caches\n"
+        "assert gfq._LANE_MASKS == {}, gfq._LANE_MASKS\n"
+    )
+    src = str(Path(ldlab.__file__).parent.parent)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0, result.stderr
