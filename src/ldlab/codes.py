@@ -11,6 +11,11 @@ The "full" mode scans every center of F_q^n and is kept as the
 exhaustive oracle.  Every checker counts distinct codewords, also for
 rank-deficient generators.
 
+One enumerator, `_span_list`, lists both a code's q^k encodings and the
+span that `span-exp` counts.  It adds a whole block of span members per
+(row, scalar) rather than one member at a time, except for q = 9 (see
+its docstring).
+
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
 """
@@ -25,8 +30,9 @@ from typing import Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, echelon, field_new,
-                  payload_add, payload_distance, payload_reduce,
-                  payload_scale, rank_of)
+                  payload_add, payload_reduce, payload_scale,
+                  payloads_in_ball, rank_of, slot_ones, slot_width,
+                  unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       radius_of, sample_ball_uniform)
 # ball_points is not walked here; the name stays importable from this
@@ -80,7 +86,8 @@ class Code:
 
         Duplicates appear when the generator is rank-deficient.
         """
-        return _span_list(self.field, [row.payload for row in self.generator])
+        return list(_span_list(self.field,
+                               [row.payload for row in self.generator]))
 
 
 def random_code(n: int, k: int, q: int, full_rank: bool,
@@ -103,14 +110,38 @@ def random_code(n: int, k: int, q: int, full_rank: bool,
             return Code(field, n, k, rows, full_rank)
 
 
-def _span_list(field: FieldTable, payloads: Sequence[int]) -> list[int]:
+def _span_list(field: FieldTable, payloads: Sequence[int]) -> Sequence[int]:
     """Every combination sum a_i x_i, indexed by a in base-q order (a_1
-    least significant); duplicates are kept."""
-    out = [0]
+    least significant); duplicates are kept.
+
+    The members found so far sit in one packed block, member j in slot j
+    (see `gfq.slot_width`).  Row x then appends the q^i members base + a x
+    for each scalar a = 1 .. q - 1 in turn, each part with a single
+    `payload_add` to the part before it, so a span of q^l members takes
+    l (q - 1) adds.  The step added to every slot is (a - (a - 1)) x:
+    x itself for prime q, one small `payload_scale` in characteristic 2.
+    This serves characteristic 2 (XOR) and odd prime q (SWAR lanes).
+    q = 9 adds member by member: its table loop walks every digit of a
+    block in Python, so a block add would be quadratic.
+    """
+    q = field.q
+    if field.characteristic != 2 and field.degree > 1:
+        out = [0]
+        for x in payloads:
+            scaled = [payload_scale(field, a, x) for a in range(1, q)]
+            out += [payload_add(field, base, s) for s in scaled for base in out]
+        return out
+    width = slot_width(field.bits_per_digit,
+                       max((x.bit_length() for x in payloads), default=0))
+    block, count = 0, 1
     for x in payloads:
-        scaled = [payload_scale(field, a, x) for a in range(1, field.q)]
-        out += [payload_add(field, base, s) for s in scaled for base in out]
-    return out
+        part, ones, shift = block, slot_ones(width, count), count * width
+        for a in range(1, q):
+            step = payload_scale(field, field.sub(a, a - 1), x)
+            part = payload_add(field, part, step * ones)
+            block |= part << (a * shift)
+        count *= q
+    return unpack_slots(block, width, count)
 
 
 def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
@@ -199,8 +230,12 @@ def _coset_tally(code: Code, radius: int) -> dict[int, int]:
 
 def _count_within(field: FieldTable, n: int, radius: int, x: int,
                   cws: Sequence[int]) -> int:
-    """Number of the (distinct) codeword payloads cws within radius of x."""
-    return sum(payload_distance(field, n, x, cw) <= radius for cw in cws)
+    """Number of the (distinct) codeword payloads cws within radius of x.
+
+    d(x, c) is the weight of x ^ c for every q (see `payload_distance`),
+    so one batch count covers all codewords.
+    """
+    return payloads_in_ball(field, n, [x ^ cw for cw in cws], radius)
 
 
 def check_ld_exact(code: Code, p: RadiusParam, L: int,

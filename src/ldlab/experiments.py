@@ -31,7 +31,8 @@ from fractions import Fraction
 from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact, random_code,
                     span_payloads)
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import VecQ, field_new, payload_add, payload_weight, rank_of
+from .gfq import (VecQ, field_new, payload_add, payload_weight,
+                  payloads_in_ball, rank_of)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_points, ball_volume,
                       entropy_q, sample_ball_uniform)
 from .seeding import derive_stream
@@ -63,8 +64,14 @@ def _run_trials(chunk_fn, config, total: int, workers: int) -> list:
     chunk_fn(config, start, stop) returns the results of trials start to
     stop - 1.  The chunks of _chunk_ranges run in-process when there is
     one, else on a fork pool; chunk_fn must be a module-level function so
-    the pool can send it to its workers.
+    the pool can send it to its workers.  A run of more than
+    ENUMERATION_BUDGET trials is refused before any chunk starts: it
+    would hold one result per trial.
     """
+    if total > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(
+            f"{total} trial jobs exceed the budget of {ENUMERATION_BUDGET} "
+            "per run")
     tasks = [(config, a, b) for a, b in _chunk_ranges(total, workers)]
     if len(tasks) == 1:
         return chunk_fn(*tasks[0])
@@ -83,7 +90,11 @@ def _coerce(config, **values) -> None:
 
 @dataclass(frozen=True)
 class SpanTrialConfig:
-    """Span experiment: l ball points per trial, tail threshold C * l."""
+    """Span experiment: l ball points per trial, tail threshold C * l.
+
+    C must be >= 1: every span holds 0, which lies in the ball, so with
+    C < 1 every trial would count as a tail event.
+    """
 
     n: int
     p: Fraction
@@ -95,6 +106,9 @@ class SpanTrialConfig:
 
     def __post_init__(self):
         _coerce(self, p=as_fraction(self.p))
+        if self.c_threshold < 1:
+            raise ParameterError(
+                f"c_threshold={self.c_threshold} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,8 +151,7 @@ def _span_chunk(config: SpanTrialConfig, start: int,
         rng = derive_stream(config.seed, "span", t)
         vecs = [sample_ball_uniform(spec, rng) for _ in range(config.ell)]
         span = span_payloads(vecs)
-        count = sum(1 for s in span
-                    if payload_weight(field, config.n, s) <= radius)
+        count = payloads_in_ball(field, config.n, span, radius)
         out.append((count, len(span) != field.q ** rank_of(vecs)))
     return out
 

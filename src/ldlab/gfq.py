@@ -20,19 +20,32 @@ after construction.  Coordinate indices in public APIs (supports,
 shattering sets) are 1-based.
 
 The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
-`payload_distance`, `echelon`, `payload_reduce`) are the single
-implementation of field arithmetic on packed vectors: `VecQ` methods,
-`rank_of` and the other modules wrap them, and no other module reads the
-field tables.  `payload_add` picks its kernel by q: XOR for
+`payloads_in_ball`, `payload_distance`, `echelon`, `payload_reduce`) are
+the single implementation of field arithmetic on packed vectors: `VecQ`
+methods, `rank_of` and the other modules wrap them, and no other module
+reads the field tables.  `payload_add` picks its kernel by q: XOR for
 characteristic 2 (q = 2, 4, 8, 16), SWAR lanes for odd prime q (3, 5, 7,
 11, 13; one integer add across every digit, see `_lane_masks`), and a
 digit loop over the addition table for q = 9, whose digits are not
-independent mod-p lanes.
+independent mod-p lanes.  The SWAR masks are kept per power-of-two width
+class of the operands, so a short add never pays for masks built for a
+longer one.
+
+XOR and SWAR add integers of any width, so they also act on a block:
+many payloads side by side in fixed-width slots (`slot_width`,
+`slot_ones`, `unpack_slots`).  The span enumerator in `codes` adds whole
+blocks, and `payloads_in_ball`, the batch form of `payload_weight`,
+OR-folds a block of payloads at once; both weight kernels share the
+fold, `_digit_flags`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from array import array
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
@@ -182,27 +195,76 @@ def _ones_mask(bits_per_digit: int, n: int) -> int:
     return ((1 << (n * bits_per_digit)) - 1) // ((1 << bits_per_digit) - 1)
 
 
-# q -> (limit, even, bias, low) for the odd prime-q branch of payload_add;
-# filled on first use, never at import.
-_LANE_MASKS: dict[int, tuple[int, int, int, int]] = {}
+def slot_ones(width: int, count: int) -> int:
+    """Bit j*width set for every j < count (width a multiple of 8): a 1 in
+    every slot of a block."""
+    return int.from_bytes((1).to_bytes(width // 8, sys.byteorder) * count,
+                          sys.byteorder)
 
 
-def _lane_masks(q: int, b: int, bits: int) -> tuple[int, int, int, int]:
-    """SWAR masks for F_q, q an odd prime, covering payloads below 2**bits.
+# array / memoryview format of an unsigned slot of each machine width
+_SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+# payloads_in_ball packs at most this many payloads into one block, so a
+# large batch costs no more than a few blocks of this size at a time
+_BATCH = 4096
+
+
+def slot_width(b: int, bits: int) -> int:
+    """Slot width for a block of payloads below 2**bits, digits b bits wide.
+
+    A block holds payload j in bits [j*width, (j+1)*width).  The width is
+    a multiple of b, so every digit of the block sits on a digit boundary
+    and the payload kernels act on all slots at once.  It is the first of
+    8, 16, 32 and 64 that is such a multiple and wide enough, so that
+    `unpack_slots` is one `memoryview.cast`; failing that (b = 3, or more
+    than 64 bits) the smallest wide enough multiple of both b and 8.
+    """
+    need = max(b, -(-bits // b) * b)
+    for width in _SLOT_CODES:
+        if width >= need and width % b == 0:
+            return width
+    step = 8 * b // math.gcd(8, b)
+    return -(-need // step) * step
+
+
+def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
+    """The count slots of a block (width a multiple of 8), lowest first."""
+    data = block.to_bytes(count * width // 8, sys.byteorder)
+    code = _SLOT_CODES.get(width)
+    if code:
+        return memoryview(data).cast(code)
+    step = width // 8
+    return [int.from_bytes(data[i:i + step], sys.byteorder)
+            for i in range(0, len(data), step)]
+
+
+# (q, k) -> (even, bias, low) for the odd prime-q branch of payload_add,
+# covering payloads below 2**(2**k); filled on first use, never at import.
+# Classes above _LANE_CACHE_MAX_K are built per call and not kept: their
+# masks cost a few big-int operations against the add's twenty, and kept
+# they would hold memory in proportion to the largest block ever added.
+_LANE_MASKS: dict[tuple[int, int], tuple[int, int, int]] = {}
+_LANE_CACHE_MAX_K = 16
+
+
+def _lane_masks(q: int, b: int, k: int) -> tuple[int, int, int]:
+    """SWAR masks for F_q, q an odd prime, covering payloads below 2**(2**k).
 
     The payload's b-bit digits are split into even- and odd-indexed ones,
     each in a lane of 2b bits.  `even` selects the even digits, `low` is
     bit 0 of every lane and `bias` holds 2^b - q in every lane, so that a
-    lane sum s < 2q carries into bit b exactly when s >= q.  `limit` is
-    2**width for the width covered; the width doubles from 4b until it
-    reaches `bits`, and the masks are stored for the next call.
+    lane sum s < 2q carries into bit b exactly when s >= q.  Masks are
+    chosen by the width class 2**k of the operands, so a short add after
+    a long one still works on short masks.
     """
-    width = 4 * b
-    while width < bits:
-        width *= 2
-    low = _ones_mask(2 * b, width // (2 * b))
-    masks = (1 << width, low * ((1 << b) - 1), low * ((1 << b) - q), low)
-    _LANE_MASKS[q] = masks
+    lane = 2 * b
+    lanes = -(-(1 << k) // lane)
+    # not _ones_mask, whose cache would keep the classes not kept here
+    low = ((1 << (lanes * lane)) - 1) // ((1 << lane) - 1)
+    masks = (low * ((1 << b) - 1), low * ((1 << b) - q), low)
+    if k <= _LANE_CACHE_MAX_K:
+        _LANE_MASKS[q, k] = masks
     return masks
 
 
@@ -332,9 +394,8 @@ def payload_add(field: FieldTable, x: int, y: int) -> int:
     b = field.bits_per_digit
     if field.degree == 1:
         q = field.q
-        limit, even, bias, low = _LANE_MASKS.get(q) or _lane_masks(q, b, 0)
-        if (x | y) >= limit:
-            limit, even, bias, low = _lane_masks(q, b, (x | y).bit_length())
+        k = ((x | y).bit_length() - 1).bit_length()
+        even, bias, low = _LANE_MASKS.get((q, k)) or _lane_masks(q, b, k)
         # Each lane sum is < 2q; subtract q where adding the bias carried.
         s = (x & even) + (y & even)
         s -= q * (((s + bias) >> b) & low)
@@ -369,15 +430,52 @@ def payload_scale(field: FieldTable, a: int, x: int) -> int:
     return out
 
 
+def _digit_flags(b: int, x: int, ones: int) -> int:
+    """Bit i*b set where digit i of x is nonzero, for the digits `ones` marks.
+
+    OR-folds the b bits of every digit onto its lowest bit; x may be one
+    payload or a block of payloads in slots of at least n*b bits.
+    """
+    acc = x
+    for s in range(1, b):
+        acc |= x >> s
+    return acc & ones
+
+
 def payload_weight(field: FieldTable, n: int, x: int) -> int:
     """Number of nonzero digits in a packed payload (hot-loop form)."""
     b = field.bits_per_digit
     if b == 1:
         return x.bit_count()
-    acc = x
-    for s in range(1, b):
-        acc |= x >> s
-    return (acc & _ones_mask(b, n)).bit_count()
+    return _digit_flags(b, x, _ones_mask(b, n)).bit_count()
+
+
+def payloads_in_ball(field: FieldTable, n: int, payloads: Iterable[int],
+                     radius: int) -> int:
+    """Number of payloads of F_q^n with at most `radius` nonzero digits.
+
+    The batch form of `payload_weight`.  For q > 2 and n*b <= 64 the
+    payloads are packed, up to _BATCH at a time, into one block of 8-,
+    16-, 32- or 64-bit slots, and the block is OR-folded at once; only
+    the per-slot bit counts run per payload.
+    """
+    b = field.bits_per_digit
+    ones = _ones_mask(b, n)
+    width = max(8, 1 << (n * b - 1).bit_length())
+    code = _SLOT_CODES.get(width) if b > 1 else None
+    it = iter(payloads)
+    count = 0
+    while batch := list(islice(it, _BATCH)):
+        if b == 1:
+            flags = batch
+        elif code:
+            block = int.from_bytes(array(code, batch), sys.byteorder)
+            block = _digit_flags(b, block, ones * slot_ones(width, len(batch)))
+            flags = unpack_slots(block, width, len(batch))
+        else:
+            flags = [_digit_flags(b, x, ones) for x in batch]
+        count += sum(1 for v in flags if v.bit_count() <= radius)
+    return count
 
 
 def payload_distance(field: FieldTable, n: int, x: int, y: int) -> int:

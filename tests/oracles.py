@@ -88,6 +88,19 @@ def tuple_add(u: Digits, v: Digits, add: dict) -> Digits:
     return tuple(add[(a, b)] for a, b in zip(u, v))
 
 
+def span_in_message_order(rows: Sequence[Digits], q: int, n: int, add: dict,
+                          mul: dict) -> list[Digits]:
+    """sum_i a_i rows_i for every message a, ascending in base-q order with
+    a_1 least significant; duplicates kept."""
+    out = []
+    for coeffs in itertools.product(range(q), repeat=len(rows)):
+        acc = (0,) * n
+        for a, row in zip(reversed(coeffs), rows):
+            acc = tuple_add(acc, tuple(mul[(a, d)] for d in row), add)
+        out.append(acc)
+    return out
+
+
 def brute_ball_volume(n: int, r: int, q: int) -> int:
     return sum(1 for t in all_tuples(q, n) if brute_weight(t) <= r)
 

@@ -83,6 +83,10 @@ def test_invalid_parameters_exit_2(capsys):
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "nan"]),
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "inf"]),
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "-1"]),
+        ("c_threshold", span + ["--n", "8", "--p", "1/4", "--trials", "3",
+                                "--c-threshold", "0"]),
+        ("c_threshold", span + ["--n", "8", "--p", "1/4", "--trials", "3",
+                                "--c-threshold", "-1"]),
         ("{exact,mc}", ["check-ld"]),
         ("{exact,mc}", ["check-ld", "bogus"]),
         ("{find,verify,oracle}", ["chain"]),
@@ -106,6 +110,33 @@ def test_budget_refusal_exits_3(capsys):
     )
     assert code == 3
     assert "resource refusal" in err
+
+
+@pytest.mark.parametrize("chunk, argv", [
+    ("_span_chunk", ["span-exp", "--q", "2", "--n", "8", "--p", "1/4",
+                     "--ell", "2", "--trials", "1000000000000"]),
+    ("_ball_chunk", ["sample-ball", "--q", "2", "--n", "8", "--p", "1/4",
+                     "--count", "1000000000000"]),
+    ("_pair_chunk", ["pair-sum", "--q", "2", "--p", "1/4", "--n-list", "8,16",
+                     "--trials", "5000000"]),
+    ("_sweep_chunk", ["rate-sweep", "--q", "2", "--n", "18", "--p", "1/6",
+                      "--eps", "1/20", "--codes", "20000000"]),
+])
+def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch):
+    """A run of more than 2^24 trials (pair-sum: trials x grid cells) is
+    refused up front; it would otherwise run until killed while holding
+    one result per trial."""
+    from ldlab import experiments
+
+    def no_work(*args):
+        raise AssertionError("trials started")
+
+    monkeypatch.setattr(experiments, chunk, no_work)
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
 
 
 def test_decimal_and_fraction_error_rates_agree(capsys):
@@ -367,3 +398,14 @@ def test_golden_outputs(seed, capsys):
         assert code == 0
         golden = (GOLDEN_DIR / name).read_text()
         assert out == golden, f"output for {name} diverged from the golden file"
+
+
+@pytest.mark.parametrize("q, n, ell", [(3, 32, 6), (5, 20, 4), (9, 12, 3)])
+def test_span_goldens_across_fields(q, n, ell, capsys):
+    """span-exp at seed 12345 for a SWAR field (q = 3, 5) and the table-loop
+    field q = 9 matches the checked-in records byte for byte."""
+    code, out, _ = run_cli(
+        capsys, "span-exp", "--q", str(q), "--n", str(n), "--p", "1/4",
+        "--ell", str(ell), "--trials", "8", "--seed", "12345", "--json")
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"span_exp_q{q}_12345.json").read_text()

@@ -23,11 +23,17 @@ from ldlab import (
     random_code,
     rank_of,
 )
-from ldlab.codes import span_payloads
+from ldlab.codes import _span_list, span_payloads
 
 import oracles
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+EXTENSIONS = {
+    4: (2, 2, (1, 1, 1)),
+    8: (2, 3, (1, 1, 0, 1)),
+    9: (3, 2, (2, 2, 1)),
+    16: (2, 4, (1, 1, 0, 0, 1)),
+}
 
 
 def identity_code(q: int, n: int, k: int) -> Code:
@@ -146,6 +152,50 @@ def test_span_matches_exhaustive_combination_set(q):
         assert 0 in result
         deficient += rank < len(vectors)
     assert deficient >= 10
+
+
+def rows_ending_at(q, bits, rng):
+    """Three random rows whose longest payload has exactly `bits` bits."""
+    b = (q - 1).bit_length()
+    n = -(-bits // b)
+    top = next(d for d in range(1, q) if (n - 1) * b + d.bit_length() == bits)
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(3)]
+    rows[0][-1] = top
+    rows[1][-1] = rng.randrange(top + 1)
+    return n, rows
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_span_list_matches_tuple_enumeration_in_order(q):
+    """_span_list and codeword_payloads list sum a_i x_i in base-q message
+    order, as digit-tuple arithmetic does.  The row bit lengths sit at the
+    edges of 8-, 16-, 32- and 64-bit slots (for b = 3 no slot width is a
+    power of two), and the inputs include zero rows, dependent rows and
+    k = 0."""
+    f = field_new(q)
+    tables = (oracles.extension_field_tables(*EXTENSIONS[q]) if q in EXTENSIONS
+              else oracles.prime_field_tables(q))
+    rng = random.Random(q * 7)
+    cases = []
+    for bits in (8, 16, 32, 33, 64, 65):
+        n, rows = rows_ending_at(q, bits, rng)
+        cases.append((n, rows))
+        cases.append((n, [rows[0], [0] * n, rows[1]]))
+        dependent = [tables[0][(tables[1][(2 % q, u)], v)]
+                     for u, v in zip(rows[0], rows[1])]
+        cases.append((n, [rows[0], rows[1], dependent]))
+    cases += [(5, []), (5, [[0] * 5]), (1, [[1], [q - 1]])]
+    for n, rows in cases:
+        rows = [tuple(r) for r in rows]
+        expected = oracles.span_in_message_order(rows, q, n, *tables)
+        vectors = tuple(VecQ.from_digits(f, r) for r in rows)
+        got = list(_span_list(f, [v.payload for v in vectors]))
+        assert [VecQ(f, n, x).digits() for x in got] == expected, (n, rows)
+        if len(rows) <= n:
+            code = Code(f, n, len(rows), vectors, rank_of(vectors) == len(rows))
+            assert code.codeword_payloads() == got
+        if rows:
+            assert span_payloads(vectors) == set(got)
 
 
 def test_span_of_empty_list_is_refused():

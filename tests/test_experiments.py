@@ -165,6 +165,15 @@ def test_span_tail_counting_uses_the_threshold():
     assert summary.tail_frequency == summary.tail_count / config.trials
 
 
+def test_span_config_refuses_threshold_below_one():
+    """Every span holds 0, which lies in the ball, so with C < 1 every trial
+    would be a tail event; the config refuses it."""
+    for c in (0, -1):
+        with pytest.raises(ParameterError):
+            SpanTrialConfig(n=16, p=Fraction(1, 4), q=2, ell=4, trials=10,
+                            seed=5, c_threshold=c)
+
+
 def test_span_flags_small_dimension():
     config = SpanTrialConfig(
         n=26, p=Fraction(1, 4), q=2, ell=5, trials=10, seed=5, c_threshold=64

@@ -287,18 +287,86 @@ def test_swar_add_matches_oracle(q, n):
     assert_add_matches_oracle(q, pairs)
 
 
+def width_class(bits):
+    """The k of the lane masks that cover payloads of this bit length."""
+    return (bits - 1).bit_length()
+
+
 def test_swar_masks_grow_for_longer_payloads(monkeypatch):
-    """Lane masks built for a short payload are grown, not reused, when a
-    longer one arrives; results stay exact before and after the growth."""
+    """Each width class of operands gets masks of its own width; results
+    stay exact before and after longer payloads arrive, also past the
+    widest class kept in the cache."""
     monkeypatch.setattr(gfq, "_LANE_MASKS", {})
+    lengths = (64, 3, 200, 64, 20000, 3)
     for q in (3, 5, 7, 11, 13):
         rng = random.Random(q)
-        for n in (64, 3, 200, 64):
+        b = field_new(q).bits_per_digit
+        for n in lengths:
             pairs = [(tuple(rng.randrange(q) for _ in range(n)),
                       tuple(rng.randrange(q) for _ in range(n)))
-                     for _ in range(50)]
+                     for _ in range(50 if n < 1000 else 2)]
             assert_add_matches_oracle(q, pairs + [((q - 1,) * n, (q - 1,) * n)])
-    assert sorted(gfq._LANE_MASKS) == [3, 5, 7, 11, 13]
+        for n in lengths:
+            k = width_class(n * b)
+            assert ((q, k) in gfq._LANE_MASKS) == (k <= gfq._LANE_CACHE_MAX_K)
+    for (q, k), masks in gfq._LANE_MASKS.items():
+        lane = 2 * field_new(q).bits_per_digit
+        assert k <= gfq._LANE_CACHE_MAX_K
+        assert max(m.bit_length() for m in masks) <= (1 << k) + lane
+    assert {q for q, _ in gfq._LANE_MASKS} == {3, 5, 7, 11, 13}
+
+
+def test_short_add_after_long_uses_short_masks(monkeypatch):
+    """After one long add, a short add looks up masks sized to its own
+    operands, not to the widest payload the process has added."""
+    looked_up = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            if found is not None:
+                looked_up.append(found)
+            return found
+
+    monkeypatch.setattr(gfq, "_LANE_MASKS", Recording())
+    for q in (3, 5, 7, 11, 13):
+        f = field_new(q)
+        long_payload = pack(q, (q - 1,) * 16000)
+        payload_add(f, long_payload, long_payload)
+        x, y = pack(q, (q - 1,) * 32), pack(q, (2,) * 32)
+        looked_up.clear()
+        for _ in range(2):
+            assert unpack(q, 32, payload_add(f, x, y)) == (1,) * 32
+        assert looked_up
+        assert max(m.bit_length() for m in looked_up[-1]) <= 2 * 32 * f.bits_per_digit
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_payloads_in_ball_matches_payload_weight(q):
+    """The batch count equals one payload_weight call per payload, at
+    every radius, for lengths that fill 8- to 64-bit slots exactly, fall
+    just short of them or exceed 64 bits, for an iterator input, and for
+    more payloads than fit in one packed block."""
+    f = field_new(q)
+    rng = random.Random(q + 100)
+    b = f.bits_per_digit
+    for n in sorted({1, 2, 3, 8 // b, 16 // b, 32 // b, 64 // b, 64 // b + 1,
+                     21, 40}):
+        n = max(n, 1)
+        payloads = [pack(q, [rng.randrange(q) if rng.random() < 0.7 else 0
+                             for _ in range(n)]) for _ in range(300)]
+        payloads += [0, pack(q, (q - 1,) * n)]
+        for radius in range(n + 1):
+            expected = sum(payload_weight(f, n, x) <= radius for x in payloads)
+            assert gfq.payloads_in_ball(f, n, payloads, radius) == expected
+        assert gfq.payloads_in_ball(f, n, iter(set(payloads)), n // 2) == sum(
+            payload_weight(f, n, x) <= n // 2 for x in set(payloads))
+    n = 64 // b
+    many = [pack(q, [rng.randrange(q) for _ in range(n)])
+            for _ in range(gfq._BATCH + 5)]
+    assert gfq.payloads_in_ball(f, n, many, n // 2) == sum(
+        payload_weight(f, n, x) <= n // 2 for x in many)
+    assert gfq.payloads_in_ball(f, n, [], 0) == 0
 
 
 def test_vectors_from_different_fields_do_not_mix():
