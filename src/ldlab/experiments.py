@@ -3,7 +3,9 @@
 Every experiment is deterministic given (config, seed): trial t draws
 from a stream derived from (seed, tag, t), so results are identical for
 any worker count, and summaries serialize to stable records (exact
-rationals as "a/b" strings, histograms with sorted keys).
+rationals as "a/b" strings, histograms with sorted keys).  Every runner
+goes through _run_trials, which splits the trials into contiguous
+chunks: the caller runs the first and one forked child runs each other.
 
 Experiments:
 - span: draw l uniform ball points, enumerate their span, count span
@@ -20,9 +22,11 @@ Experiments:
 
 from __future__ import annotations
 
+import contextlib
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -61,23 +65,83 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
 def _run_trials(chunk_fn, config, total: int, workers: int) -> list:
     """One result per trial of range(total), in trial order.
 
-    chunk_fn(config, start, stop) returns the results of trials start to
-    stop - 1.  The chunks of _chunk_ranges run in-process when there is
-    one, else on a fork pool; chunk_fn must be a module-level function so
-    the pool can send it to its workers.  A run of more than
-    ENUMERATION_BUDGET trials is refused before any chunk starts: it
-    would hold one result per trial.
+    chunk_fn(config, start, stop) returns the list of results of trials
+    start to stop - 1.  The caller runs the first chunk of _chunk_ranges
+    itself and _fork_chunk runs each further one in a child, so
+    --workers N starts at most N - 1 children, N clamped to the core
+    count, and a one-chunk run forks nothing.  A child's exception is
+    re-raised here with its type and message; a child that ends without
+    a result raises RuntimeError.  No child outlives the call: on any
+    exit, interrupts included, children not yet reaped are killed and
+    reaped.  Fork copies only the calling thread, so callers must not
+    hold locks in other threads.  A run of more than ENUMERATION_BUDGET
+    trials is refused before any chunk starts: it would hold one result
+    per trial.
     """
     if total > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
             f"{total} trial jobs exceed the budget of {ENUMERATION_BUDGET} "
             "per run")
-    tasks = [(config, a, b) for a, b in _chunk_ranges(total, workers)]
-    if len(tasks) == 1:
-        return chunk_fn(*tasks[0])
-    with multiprocessing.get_context("fork").Pool(len(tasks)) as pool:
-        parts = pool.starmap(chunk_fn, tasks)
-    return [result for part in parts for result in part]
+    (start, stop), *rest = _chunk_ranges(total, workers)
+    children = {}
+    try:
+        for index, chunk in enumerate(rest, 1):
+            children[index] = _fork_chunk(chunk_fn, config, *chunk)
+        results = chunk_fn(config, start, stop)
+        for index, chunk in enumerate(rest, 1):
+            pid, pipe = children[index]
+            with pipe:
+                reply = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[index]
+            if status != 0 or not reply:
+                raise RuntimeError(
+                    f"trial chunk {index} (trials {chunk[0]} to "
+                    f"{chunk[1] - 1}) ended with exit status {status} "
+                    "and no result")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _fork_chunk(chunk_fn, config, start: int, stop: int):
+    """Fork a child that runs one chunk; returns (pid, read end of its pipe).
+
+    The child writes pickle.dumps((True, results)) or, if the chunk
+    raised, pickle.dumps((False, exception)), and always ends with
+    os._exit: status 0 only once the whole reply is written.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, chunk_fn(config, start, stop))
+            except BaseException as exc:  # sent to the parent, which re-raises
+                reply = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(reply))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def _coerce(config, **values) -> None:

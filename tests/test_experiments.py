@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-import types
+import os
 from fractions import Fraction
 
 import pytest
@@ -318,6 +318,27 @@ def test_ball_sample_batch_consistency():
     assert parallel.as_record() == summary.as_record()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children forked during the test, with cpu_count at 2."""
+    real_fork = os.fork
+    pids = []
+
+    def counting_fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments.os, "fork", counting_fork)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_workers_are_clamped_to_cpu_count(monkeypatch):
     """A huge --workers never asks for more chunks (or processes) than cpus."""
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
@@ -329,37 +350,73 @@ def test_workers_are_clamped_to_cpu_count(monkeypatch):
     assert _clamp_workers(8) == 1
 
 
-def test_pair_sum_opens_one_pool(monkeypatch):
-    """Every (n, center) cell of a pair-sum run shares one worker pool."""
-    opened = []
+def test_huge_workers_fork_one_child_on_two_cpus(forks):
+    """The caller runs the first chunk, so 2 cpus mean at most 1 child."""
+    config = BallSampleConfig(q=2, n=12, p=Fraction(1, 4), count=50, seed=4)
+    serial = run_ball_samples(config, workers=1)
+    assert forks == []
+    assert run_ball_samples(config, workers=10**9) == serial
+    assert len(forks) == 1
+    assert_no_child_left()
 
-    class FakePool:
-        """Counts pool creations and runs the work in-process."""
 
-        def __init__(self, processes):
-            opened.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-        def starmap(self, fn, tasks):
-            return [fn(*task) for task in tasks]
-
-    fake = types.SimpleNamespace(Pool=FakePool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(experiments, "multiprocessing",
-                        types.SimpleNamespace(get_context=lambda method: fake))
+def test_pair_sum_forks_once_per_run(forks):
+    """Every (n, center) cell of a pair-sum run shares one set of workers."""
     config = PairSumConfig(
         p=Fraction(1, 4), q=2, n_values=(8, 12, 16), trials=300, seed=3
     )
     serial = run_pair_sum_experiment(config, workers=1)
-    assert opened == []
+    assert forks == []
     parallel = run_pair_sum_experiment(config, workers=2)
-    assert opened == [2]
+    assert len(forks) == 1
     assert parallel.as_record() == serial.as_record()
+
+
+def trial_numbers(config, start, stop):
+    return list(range(start, stop))
+
+
+def child_raises(config, start, stop):
+    """config is an exception type; only the forked chunk raises it."""
+    if start:
+        raise config(f"chunk from trial {start} refused")
+    return trial_numbers(config, start, stop)
+
+
+def child_exits(config, start, stop):
+    if start:
+        os._exit(1)
+    return trial_numbers(config, start, stop)
+
+
+def caller_raises(config, start, stop):
+    """config is an exception; only the caller's own chunk raises it."""
+    if not start:
+        raise config
+    return trial_numbers(config, start, stop)
+
+
+@pytest.mark.parametrize("error", [ParameterError, ResourceBudgetError])
+def test_child_exception_reaches_caller(forks, error):
+    with pytest.raises(error) as excinfo:
+        experiments._run_trials(child_raises, error, 10, 2)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == "chunk from trial 5 refused"
+    assert_no_child_left()
+
+
+def test_child_exiting_without_result_is_one_clear_error(forks):
+    with pytest.raises(RuntimeError,
+                       match=r"chunk 1 \(trials 5 to 9\) ended with exit "
+                             r"status 1 and no result"):
+        experiments._run_trials(child_exits, None, 10, 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ParameterError("caller chunk refused"),
+                                   KeyboardInterrupt()])
+def test_caller_chunk_error_leaves_no_child(forks, error):
+    with pytest.raises(type(error)):
+        experiments._run_trials(caller_raises, error, 10, 2)
+    assert len(forks) == 1
+    assert_no_child_left()

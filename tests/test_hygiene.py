@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports or unused private functions in ldlab,
-no module but gfq reads the field tables, importing the package builds no
-field or mask cache, and `ldlab.__all__` names only what the package
-defines.
+no module but gfq reads the field tables, no process pool and no fork
+outside `experiments`, importing the package builds no field or mask
+cache, and `ldlab.__all__` names only what the package defines.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -84,6 +84,25 @@ def test_only_gfq_reads_field_tables():
             if name in tables:
                 readers.append(f"{path.name}:{node.lineno} {name}")
     assert readers == []
+
+
+def test_only_run_trials_starts_processes():
+    """Worker processes come from `experiments._run_trials` alone, which
+    forks at most one child per extra core: no module starts a pool or a
+    subprocess, and no other module forks."""
+    starters = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names]
+                           if isinstance(node, ast.Import) else [node.module])
+                starters += [f"{path.name}: import {module}" for module in modules
+                             if module and module.partition(".")[0]
+                             in {"multiprocessing", "concurrent", "subprocess"}]
+            elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and path.name != "experiments.py"):
+                starters.append(f"{path.name}:{node.lineno} fork")
+    assert starters == []
 
 
 def test_public_api_resolves():
