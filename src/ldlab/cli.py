@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -406,7 +407,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"ldlab: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ldlab parser, built on the first call and reused after it."""
     parser = _Parser(
         prog="ldlab",
         description="Finite-field Hamming geometry, random linear codes, "
@@ -562,7 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    """Parse argv and run; returns the process exit status."""
+    """Parse argv and run; returns the process exit status.
+
+    Every call in a process, the `--manifest` replay included, parses
+    with the one parser `build_parser` makes on the first call (never at
+    import): parse_args keeps no state between calls, and building the
+    parser costs more than most runs.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

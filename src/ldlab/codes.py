@@ -5,8 +5,9 @@ is the row span (q^k messages, q^rank distinct codewords).  The exact
 checker reports L_max = max over centers x of |B(x, radius) ∩ C|.  Its
 default strategy is a coset tally: |B(x, radius) ∩ C| depends only on
 the coset x + C, and equals the number of ball points e ∈ B(0, radius)
-in that coset, so a single walk over B(0, radius) that labels each
-point by its coset tallies every center at once (|B(0, radius)| steps).
+in that coset, so labelling every point of B(0, radius) by its coset
+tallies every center at once.  The labels are built weight level by
+weight level, a whole level per bulk step (see `_coset_tally`).
 The "full" mode scans every center of F_q^n and is kept as the
 exhaustive oracle.  Every checker counts distinct codewords, also for
 rank-deficient generators.
@@ -22,17 +23,17 @@ truncations.
 
 from __future__ import annotations
 
-import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, echelon, field_new,
-                  payload_add, payload_reduce, payload_scale,
-                  payloads_in_ball, rank_of, slot_ones, slot_width,
-                  unpack_slots)
+                  pack_slots, payload_add, payload_reduce, payload_scale,
+                  payloads_in_ball, rank_of, slot_array, slot_ones,
+                  slot_width, unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       radius_of, sample_ball_uniform)
 # ball_points is not walked here; the name stays importable from this
@@ -206,26 +207,59 @@ def _coset_tally(code: Code, radius: int) -> dict[int, int]:
     y + C that is zero at every pivot.  Any other member differs from it
     by a nonzero codeword, whose highest nonzero coordinate is a pivot,
     so the label is the lowest-payload member of its coset.  Reduction
-    is linear, so the walk adds precomputed labels of a * e_i.
+    is linear, so labels are sums of the precomputed labels of a * e_i.
+
+    The tally goes level by level.  Over positions i = n-1 .. 0,
+    levels[d] holds the labels of the weight-d points supported on the
+    positions after i; position i extends levels[d] by levels[d-1] plus
+    the label of a * e_i, for d from the top down and for each scalar
+    a, in one bulk step (`_shifted`): a XOR per label in characteristic
+    2, one SWAR add over the packed level for odd prime q, an add per
+    label for q = 9.  Weight-radius labels go straight into the Counter
+    and are never stored, so the levels hold |B(0, radius - 1)| labels:
+    machine words in an array where the slot width is 8-64 bits, ints in
+    a list otherwise (3-bit digits, or labels above 64 bits).
     """
     f = code.field
     q, n, b = f.q, code.n, f.bits_per_digit
     basis = echelon(f, [row.payload for row in code.generator])
     steps = [[payload_reduce(f, basis, a << (i * b)) for a in range(1, q)]
              for i in range(n)]
-    add = operator.xor if f.characteristic == 2 else partial(payload_add, f)
-    tally: dict[int, int] = {}
-
-    def walk(start: int, depth: int, label: int) -> None:
-        tally[label] = tally.get(label, 0) + 1
-        if depth == radius:
-            return
-        for i in range(start, n):
-            for step in steps[i]:
-                walk(i + 1, depth + 1, add(label, step))
-
-    walk(0, 0, 0)
+    width = slot_width(b, n * b)
+    # levels[0] is the zero point, counted also when radius is 0
+    levels = [slot_array(width) for _ in range(max(radius, 1))]
+    levels[0].append(0)
+    tally: Counter[int] = Counter()
+    for i in reversed(range(n)):
+        for d in range(min(radius, n - i), 0, -1):
+            out = tally.update if d == radius else levels[d].extend
+            for labels in _shifted(f, width, levels[d - 1], steps[i]):
+                out(labels)
+    for level in levels:
+        tally.update(level)
     return tally
+
+
+def _shifted(field: FieldTable, width: int, level: Sequence[int],
+             steps: Sequence[int]) -> Iterator[Iterable[int]]:
+    """level + step for each step in turn, every label of the level at once.
+
+    Characteristic 2 XORs each label; odd prime q adds the step to every
+    slot of the packed level with one SWAR `payload_add`; q = 9 adds
+    label by label, as in `_span_list`.
+    """
+    if field.characteristic == 2:
+        for step in steps:
+            yield map(step.__xor__, level)
+    elif field.degree > 1:
+        for step in steps:
+            yield map(partial(payload_add, field, step), level)
+    else:
+        count = len(level)
+        block, ones = pack_slots(level, width), slot_ones(width, count)
+        for step in steps:
+            yield unpack_slots(payload_add(field, block, step * ones),
+                               width, count)
 
 
 def _count_within(field: FieldTable, n: int, radius: int, x: int,

@@ -431,8 +431,8 @@ def pair_sum_count_closed_form(n: int, r: int, q: int) -> int:
 class SweepConfig:
     """Rate sweep: codes at k = floor((1 - H_q(p) - eps) * n) per eps.
 
-    Construction refuses an empty grid, eps <= 0, fewer than one code per
-    point, and a constant C that is not a finite number > 0.
+    Construction refuses n < 1, an empty grid, eps <= 0, fewer than one
+    code per point, and a constant C that is not a finite number > 0.
     """
 
     n: int
@@ -446,6 +446,8 @@ class SweepConfig:
     def __post_init__(self):
         _coerce(self, p=as_fraction(self.p),
                 eps_grid=tuple(as_fraction(e) for e in self.eps_grid))
+        if self.n < 1:
+            raise ParameterError(f"block length n={self.n} must be >= 1")
         if self.codes_per_point < 1:
             raise ParameterError(
                 f"codes_per_point={self.codes_per_point} must be >= 1")

@@ -33,10 +33,10 @@ longer one.
 
 XOR and SWAR add integers of any width, so they also act on a block:
 many payloads side by side in fixed-width slots (`slot_width`,
-`slot_ones`, `unpack_slots`).  The span enumerator in `codes` adds whole
-blocks, and `payloads_in_ball`, the batch form of `payload_weight`,
-OR-folds a block of payloads at once; both weight kernels share the
-fold, `_digit_flags`.
+`slot_ones`, `pack_slots`, `unpack_slots`, `slot_array`).  The span
+enumerator and the coset tally in `codes` add whole blocks, and
+`payloads_in_ball`, the batch form of `payload_weight`, OR-folds a block
+of payloads at once; both weight kernels share the fold, `_digit_flags`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, MutableSequence, Sequence
 
 from .errors import ParameterError
 
@@ -226,6 +226,25 @@ def slot_width(b: int, bits: int) -> int:
             return width
     step = 8 * b // math.gcd(8, b)
     return -(-need // step) * step
+
+
+def pack_slots(values: Iterable[int], width: int) -> int:
+    """The block with the j-th value in slot j (width a multiple of 8):
+    the inverse of `unpack_slots`."""
+    code = _SLOT_CODES.get(width)
+    if code:
+        data = array(code, values)
+    else:
+        step = width // 8
+        data = b"".join(v.to_bytes(step, sys.byteorder) for v in values)
+    return int.from_bytes(data, sys.byteorder)
+
+
+def slot_array(width: int) -> MutableSequence[int]:
+    """An empty growable sequence of slot values (width a multiple of 8):
+    an array of machine words for 8-64-bit slots, else a list."""
+    code = _SLOT_CODES.get(width)
+    return array(code) if code else []
 
 
 def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
@@ -469,7 +488,7 @@ def payloads_in_ball(field: FieldTable, n: int, payloads: Iterable[int],
         if b == 1:
             flags = batch
         elif code:
-            block = int.from_bytes(array(code, batch), sys.byteorder)
+            block = pack_slots(batch, width)
             block = _digit_flags(b, block, ones * slot_ones(width, len(batch)))
             flags = unpack_slots(block, width, len(batch))
         else:

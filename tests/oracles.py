@@ -217,3 +217,33 @@ def brute_list_decode_l_max(
         count = sum(1 for w in codewords if brute_distance(center, w) <= radius)
         best = max(best, count)
     return best
+
+
+def brute_ball(n: int, r: int, q: int) -> list[Digits]:
+    """Every tuple of F_q^n with at most r nonzero digits."""
+    out = []
+    for w in range(min(r, n) + 1):
+        for support in itertools.combinations(range(n), w):
+            for values in itertools.product(range(1, q), repeat=w):
+                t = [0] * n
+                for i, v in zip(support, values):
+                    t[i] = v
+                out.append(tuple(t))
+    return out
+
+
+def brute_coset_tally(rows: Sequence[Digits], q: int, n: int, r: int,
+                      add: dict, mul: dict) -> dict[Digits, int]:
+    """Coset representative -> number of points of B(0, r) in that coset.
+
+    The representative of y is the least member of y + C when a tuple is
+    read as a base-2^b number with the last coordinate most significant,
+    which is how the library orders packed payloads.  C is enumerated
+    with duplicates removed.
+    """
+    code = set(span_in_message_order(rows, q, n, add, mul))
+    tally: dict[Digits, int] = {}
+    for y in brute_ball(n, r, q):
+        rep = min((tuple_add(y, c, add) for c in code), key=lambda t: t[::-1])
+        tally[rep] = tally.get(rep, 0) + 1
+    return tally

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from ldlab import (
     parse_witness,
     run_span_experiment,
 )
-from ldlab.cli import RunManifest, dispatch
+from ldlab.cli import RunManifest, build_parser, dispatch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -83,6 +85,8 @@ def test_invalid_parameters_exit_2(capsys):
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "nan"]),
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "inf"]),
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "-1"]),
+        ("n=", sweep + ["--eps", "1/10", "--n", "0"]),
+        ("n=", sweep + ["--eps", "1/10", "--n", "-3"]),
         ("c_threshold", span + ["--n", "8", "--p", "1/4", "--trials", "3",
                                 "--c-threshold", "0"]),
         ("c_threshold", span + ["--n", "8", "--p", "1/4", "--trials", "3",
@@ -239,6 +243,39 @@ def test_manifest_replay_reproduces_stdout(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--manifest", str(manifest_file))
     assert code == 0
     assert out == expected
+
+
+def test_parser_built_once_behaves_like_a_fresh_one(tmp_path, capsys):
+    """Calls in one process share one parser: a run, two usage errors, a
+    manifest replay and another run each return and print exactly what
+    they do with a freshly built parser."""
+    sweep = ["rate-sweep", "--q", "2", "--n", "10", "--p", "1/5", "--eps",
+             "1/10", "--codes", "2", "--seed", "3", "--json"]
+    manifest_file = tmp_path / "run.manifest.json"
+    manifest_file.write_text(RunManifest(
+        subcommand="rate-sweep", argv=tuple(sweep), seed=3, params={},
+        outputs=(), version="0.1.0", created_at="").to_json())
+    calls = [sweep,
+             ["span-exp", "--q", "2", "--n", "8", "--ell", "2",
+              "--trials", "3", "--p", "abc"],
+             ["check-ld"],
+             ["--manifest", str(manifest_file)],
+             ["span-exp", "--q", "3", "--n", "8", "--p", "1/4", "--ell", "2",
+              "--trials", "5", "--seed", "4", "--json"]]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0]
+    for _, out, err in fresh[1:3]:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("ldlab: error: ")
+    assert "--p" in fresh[1][2] and "{exact,mc}" in fresh[2][2]
+    assert fresh[3][1] == fresh[0][1] != ""
 
 
 def test_manifest_rejects_malformed_files(tmp_path, capsys):
@@ -409,3 +446,45 @@ def test_span_goldens_across_fields(q, n, ell, capsys):
         "--ell", str(ell), "--trials", "8", "--seed", "12345", "--json")
     assert code == 0
     assert out == (GOLDEN_DIR / f"span_exp_q{q}_12345.json").read_text()
+
+
+# (q, n, k, p, L): one code per field drawn by gen-code at seed 12345,
+# then checked exactly; the verdicts include the witness center.
+EXACT_GOLDEN_CASES = [
+    (2, 14, 4, "1/4", 2),
+    (3, 10, 3, "1/5", 2),
+    (4, 8, 3, "1/4", 2),
+    (5, 8, 3, "3/8", 2),
+    (7, 6, 2, "1/3", 2),
+    (9, 6, 2, "1/3", 2),
+    (16, 5, 2, "2/5", 2),
+]
+SWEEP_GOLDEN_ARGV = ["rate-sweep", "--q", "3", "--n", "14", "--p", "1/5",
+                     "--eps", "1/20,1/10,1/5", "--codes", "3",
+                     "--seed", "12345", "--json"]
+
+
+def exact_golden_transcript(tmp_path: Path) -> str:
+    """The check-ld exact --json lines of EXACT_GOLDEN_CASES, in order."""
+    out = io.StringIO()
+    for q, n, k, p, L in EXACT_GOLDEN_CASES:
+        path = tmp_path / f"code_q{q}.txt"
+        argv = ["gen-code", "--q", str(q), "--n", str(n), "--k", str(k),
+                "--seed", "12345", "--out", str(path)]
+        assert dispatch(argv) == 0
+        with contextlib.redirect_stdout(out):
+            assert dispatch(["check-ld", "exact", "--code", str(path),
+                             "--p", p, "--L", str(L), "--json"]) == 0
+    return out.getvalue()
+
+
+def test_exact_verdict_goldens_across_fields(tmp_path):
+    """Exact verdicts (L_max and witness center) for q in {2, 3, 4, 5, 7, 9,
+    16} and a q = 3 rate-sweep record match the checked-in files byte for
+    byte; both were taken before the level-wise coset tally."""
+    assert exact_golden_transcript(tmp_path) == (
+        GOLDEN_DIR / "check_ld_exact_12345.jsonl").read_text()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert dispatch(SWEEP_GOLDEN_ARGV) == 0
+    assert out.getvalue() == (GOLDEN_DIR / "rate_sweep_q3_12345.json").read_text()

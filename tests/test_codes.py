@@ -23,7 +23,7 @@ from ldlab import (
     random_code,
     rank_of,
 )
-from ldlab.codes import _span_list, span_payloads
+from ldlab.codes import _coset_tally, _span_list, span_payloads
 
 import oracles
 
@@ -54,6 +54,12 @@ def repetition_code(q: int, n: int) -> Code:
 def codeword_vectors(code: Code) -> set[VecQ]:
     """The distinct codewords of `code` as vectors."""
     return {VecQ(code.field, code.n, p) for p in code.codeword_payloads()}
+
+
+def field_tables(q: int) -> tuple[dict, dict]:
+    """Oracle (add, mul) tables of F_q from tuple arithmetic."""
+    return (oracles.extension_field_tables(*EXTENSIONS[q]) if q in EXTENSIONS
+            else oracles.prime_field_tables(q))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -173,8 +179,7 @@ def test_span_list_matches_tuple_enumeration_in_order(q):
     power of two), and the inputs include zero rows, dependent rows and
     k = 0."""
     f = field_new(q)
-    tables = (oracles.extension_field_tables(*EXTENSIONS[q]) if q in EXTENSIONS
-              else oracles.prime_field_tables(q))
+    tables = field_tables(q)
     rng = random.Random(q * 7)
     cases = []
     for bits in (8, 16, 32, 33, 64, 65):
@@ -196,6 +201,42 @@ def test_span_list_matches_tuple_enumeration_in_order(q):
             assert code.codeword_payloads() == got
         if rows:
             assert span_payloads(vectors) == set(got)
+
+
+def assert_tally_matches_oracle(q: int, rows: list[tuple[int, ...]], n: int,
+                                radius: int) -> None:
+    f = field_new(q)
+    gen = tuple(VecQ.from_digits(f, row) for row in rows)
+    code = Code(f, n, len(gen), gen, full_rank=rank_of(gen) == len(gen))
+    got = {VecQ(f, n, label).digits(): count
+           for label, count in _coset_tally(code, radius).items()}
+    want = oracles.brute_coset_tally(rows, q, n, radius, *field_tables(q))
+    assert got == want, (q, rows, radius)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_coset_tally_matches_brute_per_coset_count(q):
+    """Level-wise tally against tuple arithmetic: random codes, full and
+    deficient rank, every radius up to n, k = 0 and k = n, and n = 1."""
+    rng = random.Random(1000 + q)
+    n = {2: 7, 3: 5, 4: 4, 5: 3, 7: 3, 8: 3, 9: 3, 11: 2, 13: 2, 16: 2}[q]
+    for k in sorted({0, 1, n // 2, n}):
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
+        for radius in sorted({0, 1, n // 2, n}):
+            assert_tally_matches_oracle(q, rows, n, radius)
+    for row in ([], [0], [1], [q - 1]):
+        for radius in (0, 1):
+            assert_tally_matches_oracle(q, [tuple(row)] if row else [], 1,
+                                        radius)
+
+
+def test_coset_tally_with_slots_wider_than_a_word():
+    """q = 3 at n > 32: labels take more than 64 bits, so the levels are
+    packed into 72- and 80-bit slots."""
+    rng = random.Random(33)
+    for n, k, radius in ((33, 2, 2), (34, 1, 2), (40, 2, 2), (36, 0, 3)):
+        rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(k)]
+        assert_tally_matches_oracle(3, rows, n, radius)
 
 
 def test_span_of_empty_list_is_refused():

@@ -282,6 +282,14 @@ def test_sweep_config_refuses_bad_grid_codes_and_constant():
             sweep_config(**overrides)
 
 
+def test_sweep_config_refuses_block_length_below_one():
+    """n < 1 is refused at construction; it used to run and report a
+    record with n = -3, k = -1."""
+    for n in (0, -3):
+        with pytest.raises(ParameterError, match="n="):
+            sweep_config(n=n)
+
+
 def test_sweep_candidate_list_size_refuses_nonpositive_eps():
     config = sweep_config()
     for eps in (Fraction(0), Fraction(-1, 10)):

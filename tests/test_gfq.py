@@ -430,3 +430,19 @@ def test_rank_known_values():
     assert rank_of([e[0], e[1], e[0] + e[1]]) == 2
     assert rank_of([]) == 0
     assert rank_of([VecQ.zero(f, 3)]) == 0
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 32, 48, 64, 72, 80, 136])
+def test_pack_slots_inverts_unpack_slots(width):
+    """pack_slots puts value j in bits [j*width, (j+1)*width) and
+    unpack_slots reads it back, for machine widths and the others; a
+    slot_array of the width holds the values unchanged."""
+    rng = random.Random(width)
+    for count in (0, 1, 2, 7, 300):
+        values = [rng.randrange(1 << width) for _ in range(count)]
+        block = gfq.pack_slots(iter(values), width)
+        assert block == sum(v << (j * width) for j, v in enumerate(values))
+        assert list(gfq.unpack_slots(block, width, count)) == values
+        level = gfq.slot_array(width)
+        level.extend(values)
+        assert gfq.pack_slots(level, width) == block

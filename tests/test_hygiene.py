@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports or unused private functions in ldlab,
 no module but gfq reads the field tables, no process pool and no fork
 outside `experiments`, importing the package builds no field or mask
-cache, and `ldlab.__all__` names only what the package defines.
+cache and no CLI parser, and `ldlab.__all__` names only what the package
+defines.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -128,6 +129,35 @@ def test_import_builds_no_field_or_mask_cache():
         "assert set(caches.values()) == {0}, caches\n"
         "assert gfq._LANE_MASKS == {}, gfq._LANE_MASKS\n"
     )
+    run_fresh(probe)
+
+
+def test_import_builds_no_parser():
+    """Importing ldlab and its CLI constructs no argparse parser, so set-up
+    time does not grow with the CLI; the first dispatch builds the parser
+    and later calls reuse it."""
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import ldlab, ldlab.cli\n"
+        "assert built == [], built\n"
+        "argv = ['entropy', '--q', '2', '--x', '1/2']\n"
+        "assert ldlab.cli.dispatch(argv) == 0\n"
+        "first = len(built)\n"
+        "assert first > 0 and built[0] == 'ldlab', built\n"
+        "assert ldlab.cli.dispatch(argv) == 0\n"
+        "assert len(built) == first, built\n"
+    )
+    run_fresh(probe)
+
+
+def run_fresh(probe: str) -> None:
+    """Run probe in a fresh interpreter that imports ldlab from this tree."""
     src = str(Path(ldlab.__file__).parent.parent)
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
