@@ -35,7 +35,8 @@ from .gfq import (FieldTable, VecQ, all_payloads, echelon, field_new,
                   payloads_in_ball, rank_of, slot_array, slot_ones,
                   slot_width, unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
-                      radius_of, sample_ball_uniform)
+                      check_sample_budget, radius_of, sample_ball_uniform,
+                      uniform_payload)
 # ball_points is not walked here; the name stays importable from this
 # module for callers that patch or read ldlab.codes.ball_points.
 from .hamming import ball_points  # noqa: F401
@@ -101,12 +102,9 @@ def random_code(n: int, k: int, q: int, full_rank: bool,
     field = field_new(q)
     if n < 1 or k < 0 or k > n:
         raise ParameterError(f"invalid dimensions n={n}, k={k}")
-    b = field.bits_per_digit
     while True:
-        rows = tuple(
-            VecQ(field, n,
-                 sum(rng.randrange(q) << (i * b) for i in range(n)))
-            for _ in range(k))
+        rows = tuple(VecQ(field, n, uniform_payload(field, n, rng))
+                     for _ in range(k))
         if not full_rank or rank_of(rows) == k:
             return Code(field, n, k, rows, full_rank)
 
@@ -367,6 +365,7 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
             f"{ENUMERATION_BUDGET}")
     radius = radius_of(p, n)
     spec = BallSpec.from_p(q, n, as_fraction(p))
+    check_sample_budget(spec)
     cws = list(dict.fromkeys(code.codeword_payloads()))
     histogram: dict[int, int] = {}
     max_count = -1

@@ -35,10 +35,11 @@ from fractions import Fraction
 from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact, random_code,
                     span_payloads)
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import (VecQ, field_new, payload_add, payload_weight,
+from .gfq import (VecQ, field_new, payload_add, payload_scale, payload_weight,
                   payloads_in_ball, rank_of)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_points, ball_volume,
-                      entropy_q, sample_ball_uniform)
+                      check_sample_budget, entropy_q, sample_ball_uniform,
+                      uniform_payload)
 from .seeding import derive_stream
 
 SCHEMA_VERSION = 1
@@ -231,6 +232,7 @@ def run_span_experiment(config: SpanTrialConfig, workers: int = 1) -> SpanSummar
             f"span budget q^l = {config.q}^{config.ell} exceeds "
             f"{ENUMERATION_BUDGET}")
     spec = BallSpec.from_p(config.q, config.n, config.p)
+    check_sample_budget(spec)
     results = _run_trials(_span_chunk, config, config.trials, workers)
     hist = Counter(count for count, _ in results)
     threshold = config.c_threshold * config.ell
@@ -321,7 +323,7 @@ def _pair_chunk(config: PairSumConfig, start: int, stop: int) -> list[bool]:
     q = config.q
     field = field_new(q)
     specs = [BallSpec.from_p(q, n, config.p) for n in config.n_values]
-    b = field.bits_per_digit
+    minus_one = field.neg(1)
     out = []
     for index in range(start, stop):
         t, cell = divmod(index, len(_PAIR_CENTERS) * len(config.n_values))
@@ -332,10 +334,8 @@ def _pair_chunk(config: PairSumConfig, start: int, stop: int) -> list[bool]:
         w2 = sample_ball_uniform(spec, rng)
         s = payload_add(field, w1.payload, w2.payload)
         if _PAIR_CENTERS[mi] == "random":
-            x = 0
-            for i in range(n):
-                x |= rng.randrange(q) << (i * b)
-            s = payload_add(field, s, (-VecQ(field, n, x)).payload)
+            x = uniform_payload(field, n, rng)
+            s = payload_add(field, s, payload_scale(field, minus_one, x))
         out.append(payload_weight(field, n, s) <= spec.radius)
     return out
 
@@ -347,6 +347,8 @@ def run_pair_sum_experiment(config: PairSumConfig,
         raise ParameterError(f"trials={config.trials} must be >= 1")
     if not config.n_values:
         raise ParameterError("n_values must be nonempty")
+    for n in config.n_values:
+        check_sample_budget(BallSpec.from_p(config.q, n, config.p))
     cells = [(n, center) for n in config.n_values for center in _PAIR_CENTERS]
     hit = _run_trials(_pair_chunk, config, len(cells) * config.trials, workers)
     records = []
@@ -642,6 +644,7 @@ def run_ball_samples(config: BallSampleConfig,
     if config.count < 1:
         raise ParameterError(f"count={config.count} must be >= 1")
     spec = BallSpec.from_p(config.q, config.n, config.p)
+    check_sample_budget(spec)
     samples = _run_trials(_ball_chunk, config, config.count, workers)
     hist = Counter(sum(1 for ch in s if ch != "0") for s in samples)
     return BallSampleSummary(config, spec.radius, dict(sorted(hist.items())),

@@ -8,6 +8,13 @@ Ball volumes are exact integers: |B(r)| = sum_{i<=r} C(n, i) (q-1)^i.
 `sample_ball_uniform` draws exactly uniformly: the weight class is chosen
 by an integer draw against exact shell sizes, then a uniform support and
 uniform nonzero values.
+
+Stream contract: the samplers consume the same Mersenne Twister words, in
+the same order, as CPython 3.11's `randrange` and `sample` would.  Each
+draw is `rng.getrandbits(k)` in an inline rejection loop, as in
+`Random._randbelow`, so a seeded stream gives the same vectors and leaves
+the generator in the same state as the stdlib calls named in each
+docstring (tests/oracles.py keeps those calls as the reference).
 """
 
 from __future__ import annotations
@@ -15,13 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceBudgetError
 from .gfq import FieldTable, VecQ, field_new, payload_add
 
 RadiusParam = Union[Fraction, float, int, str]
@@ -86,9 +93,15 @@ def _check_ball_params(n: int, r: int, q: int) -> None:
 
 
 def ball_weight_class_sizes(n: int, r: int, q: int) -> list[int]:
-    """Exact shell sizes [|S_0|, ..., |S_r|], |S_i| = C(n,i)(q-1)^i."""
+    """Exact shell sizes [|S_0|, ..., |S_r|], |S_i| = C(n,i)(q-1)^i.
+
+    Built by S_i = S_{i-1} (n-i+1)(q-1) / i, an exact division at every step.
+    """
     _check_ball_params(n, r, q)
-    return [math.comb(n, i) * (q - 1) ** i for i in range(r + 1)]
+    sizes = [1]
+    for i in range(1, r + 1):
+        sizes.append(sizes[-1] * (n - i + 1) * (q - 1) // i)
+    return sizes
 
 
 def ball_volume(n: int, r: int, q: int) -> int:
@@ -127,28 +140,102 @@ class BallSpec:
         return cls(n, frac, q, radius_of(frac, n))
 
 
+# Largest shell table a sampler builds, in bits.
+SAMPLE_TABLE_BITS = 1 << 27
+
+
+def check_sample_budget(spec: BallSpec) -> None:
+    """Build and cache the shell table that sampling from `spec` needs;
+    ResourceBudgetError if it would exceed SAMPLE_TABLE_BITS."""
+    _sample_tables(spec.n, spec.radius, spec.q)
+
+
 @lru_cache(maxsize=None)
-def _cumulative_shells(n: int, r: int, q: int) -> tuple[int, ...]:
-    out = []
-    total = 0
-    for s in ball_weight_class_sizes(n, r, q):
-        total += s
-        out.append(total)
-    return tuple(out)
+def _sample_tables(n: int, r: int, q: int) -> tuple[list[int], list[bool]]:
+    """Cumulative shell sizes, and for each weight w whether
+    `random.sample(range(n), w)` takes its pool branch (n <= setsize).
+
+    The table holds r + 1 integers of up to n * ceil(log2 q) bits; that
+    count is checked against SAMPLE_TABLE_BITS before anything is built.
+    """
+    bits = (r + 1) * n * (q - 1).bit_length()
+    if bits > SAMPLE_TABLE_BITS:
+        raise ResourceBudgetError(
+            f"ball sampling table for n={n}, r={r}, q={q} needs {bits} "
+            "bits, over the budget of 2^27 bits")
+    cum = list(itertools.accumulate(ball_weight_class_sizes(n, r, q)))
+    pool = [n <= 21 + (4 ** math.ceil(math.log(w * 3, 4)) if w > 5 else 0)
+            for w in range(r + 1)]
+    return cum, pool
 
 
 def sample_ball_uniform(spec: BallSpec, rng: random.Random) -> VecQ:
-    """One vector distributed exactly uniformly over B(0, radius) in F_q^n."""
-    field = field_new(spec.q)
-    cum = _cumulative_shells(spec.n, spec.radius, spec.q)
-    w = bisect_left(cum, rng.randrange(cum[-1]) + 1)
+    """One vector distributed exactly uniformly over B(0, radius) in F_q^n.
+
+    Draw for draw: w = bisect_left(cum, randrange(|B|) + 1), then
+    sorted(sample(range(n), w)), then randrange(1, q) for each support
+    position in increasing order.
+    """
+    n, q = spec.n, spec.q
+    cum, pool = _sample_tables(n, spec.radius, q)
+    field = field_new(q)
+    getrandbits = rng.getrandbits
+    total = cum[-1]
+    k = total.bit_length()
+    x = getrandbits(k)
+    while x >= total:
+        x = getrandbits(k)
+    w = bisect_right(cum, x)
     if w == 0:
-        return VecQ(field, spec.n, 0)
+        return VecQ(field, n, 0)
+    if pool[w]:
+        # pool[j] = pool[m - 1] after picking pool[j] from the first m;
+        # `moved` holds only the entries that differ from range(n).
+        moved: dict[int, int] = {}
+        support = []
+        for m in range(n, n - w, -1):
+            k = m.bit_length()
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            support.append(moved.get(j, j))
+            moved[j] = moved.get(m - 1, m - 1)
+        support.sort()
+    else:
+        # Redraw on j >= n (randbelow) and on a repeat (the set branch).
+        chosen: set[int] = set()
+        k = n.bit_length()
+        while len(chosen) < w:
+            j = getrandbits(k)
+            if j < n:
+                chosen.add(j)
+        support = sorted(chosen)
     b = field.bits_per_digit
+    m = q - 1
+    k = m.bit_length()
     payload = 0
-    for pos in sorted(rng.sample(range(spec.n), w)):
-        payload |= rng.randrange(1, spec.q) << (pos * b)
-    return VecQ(field, spec.n, payload)
+    for pos in support:
+        d = getrandbits(k)
+        while d >= m:
+            d = getrandbits(k)
+        payload |= (d + 1) << (pos * b)
+    return VecQ(field, n, payload)
+
+
+def uniform_payload(field: FieldTable, n: int, rng: random.Random) -> int:
+    """n digits uniform over F_q, packed; draw for draw randrange(q) for
+    digit 0, 1, ..., n - 1."""
+    q = field.q
+    b = field.bits_per_digit
+    k = q.bit_length()
+    getrandbits = rng.getrandbits
+    payload = 0
+    for shift in range(0, n * b, b):
+        d = getrandbits(k)
+        while d >= q:
+            d = getrandbits(k)
+        payload |= d << shift
+    return payload
 
 
 def ball_points(field: FieldTable, center: VecQ, r: int) -> Iterator[VecQ]:

@@ -7,8 +7,11 @@ sides is meaningful evidence rather than a tautology.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -247,3 +250,28 @@ def brute_coset_tally(rows: Sequence[Digits], q: int, n: int, r: int,
         rep = min((tuple_add(y, c, add) for c in code), key=lambda t: t[::-1])
         tally[rep] = tally.get(rep, 0) + 1
     return tally
+
+
+@functools.lru_cache(maxsize=None)
+def _comb_cumulative_shells(n: int, r: int, q: int) -> list[int]:
+    return list(itertools.accumulate(
+        math.comb(n, i) * (q - 1) ** i for i in range(r + 1)))
+
+
+def stdlib_ball_digits(n: int, r: int, q: int, rng: random.Random) -> Digits:
+    """A uniform point of B(0, r) in F_q^n, drawn with the stdlib calls
+    the library's sampler reproduces word for word: randrange over the
+    cumulative shell sizes C(n, i)(q-1)^i for the weight, rng.sample for
+    the support, and randrange(1, q) per support position in increasing
+    order."""
+    cum = _comb_cumulative_shells(n, r, q)
+    w = bisect.bisect_left(cum, rng.randrange(cum[-1]) + 1)
+    digits = [0] * n
+    for pos in sorted(rng.sample(range(n), w)):
+        digits[pos] = rng.randrange(1, q)
+    return tuple(digits)
+
+
+def stdlib_uniform_digits(q: int, n: int, rng: random.Random) -> Digits:
+    """n digits uniform over F_q by rng.randrange(q), digit 0 first."""
+    return tuple(rng.randrange(q) for _ in range(n))

@@ -143,6 +143,26 @@ def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch
     assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample-ball", "--q", "2", "--n", "100000000", "--p", "1/2",
+     "--count", "1"],
+    ["pair-sum", "--q", "2", "--p", "1/10", "--n-list", "20,100000000",
+     "--trials", "1"],
+    ["span-exp", "--q", "2", "--n", "100000000", "--p", "1/10", "--ell", "2",
+     "--trials", "1"],
+])
+def test_oversized_ball_sampling_exits_3_before_drawing(argv):
+    """A ball whose exact shell table is too large to build is refused
+    before the first draw; at n = 10^8 the table alone would run until
+    killed."""
+    result = subprocess.run([sys.executable, "-m", "ldlab", *argv],
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
+
+
 def test_decimal_and_fraction_error_rates_agree(capsys):
     argv = ["sample-ball", "--n", "10", "--q", "2", "--count", "4", "--seed", "3"]
     _, out_decimal, _ = run_cli(capsys, *argv, "--p", "0.2")
@@ -435,6 +455,22 @@ def test_golden_outputs(seed, capsys):
         assert code == 0
         golden = (GOLDEN_DIR / name).read_text()
         assert out == golden, f"output for {name} diverged from the golden file"
+
+
+def test_pair_sum_golden(capsys):
+    """pair-sum at q = 2 and q = 3 matches the checked-in records byte for
+    byte.  The grid reaches both branches of the support draw
+    (random.sample's pool for n <= 21, or n <= 85 once w > 5, and its set
+    otherwise) and the random-center digit draws."""
+    out = []
+    for q in ("2", "3"):
+        code, text, _ = run_cli(
+            capsys, "pair-sum", "--q", q, "--p", "1/4",
+            "--n-list", "12,20,40,90", "--trials", "300",
+            "--seed", "12345", "--json")
+        assert code == 0
+        out.append(text)
+    assert "".join(out) == (GOLDEN_DIR / "pair_sum_12345.json").read_text()
 
 
 @pytest.mark.parametrize("q, n, ell", [(3, 32, 6), (5, 20, 4), (9, 12, 3)])

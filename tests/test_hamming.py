@@ -14,6 +14,7 @@ from scipy.stats import chisquare
 from ldlab import (
     BallSpec,
     ParameterError,
+    ResourceBudgetError,
     VecQ,
     ball_points,
     ball_volume,
@@ -23,7 +24,7 @@ from ldlab import (
     radius_of,
     sample_ball_uniform,
 )
-from ldlab.hamming import as_fraction
+from ldlab.hamming import as_fraction, check_sample_budget, uniform_payload
 
 import oracles
 
@@ -55,10 +56,10 @@ def test_ball_volume_rejects_bad_radii():
             ball_volume(n, r, 2)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 16])
 def test_weight_class_sizes(q):
     """Class i has size C(n,i)(q-1)^i and the classes sum to the volume."""
-    for n in range(1, 9):
+    for n in [*range(1, 9), 64, 201]:
         for r in range(n + 1):
             sizes = ball_weight_class_sizes(n, r, q)
             assert len(sizes) == r + 1
@@ -165,6 +166,59 @@ def test_sampling_is_deterministic_per_seed():
     a = [str(sample_ball_uniform(spec, random.Random(99))) for _ in range(3)]
     b = [str(sample_ball_uniform(spec, random.Random(99))) for _ in range(3)]
     assert a == b
+
+
+def test_sample_table_budget_edge():
+    """The shell table of r + 1 integers of n * ceil(log2 q) bits may take
+    up to 2^27 bits; one weight class more is refused before any draw."""
+    n = 1 << 14
+    rng = random.Random(3)
+    state = rng.getstate()
+    over = BallSpec.from_p(q=2, n=n, p=Fraction(8192, n))
+    with pytest.raises(ResourceBudgetError, match="2\\^27"):
+        sample_ball_uniform(over, rng)
+    assert rng.getstate() == state
+    under = BallSpec.from_p(q=2, n=n, p=Fraction(8191, n))
+    check_sample_budget(under)
+    assert sample_ball_uniform(under, rng).weight() <= 8191
+    with pytest.raises(ResourceBudgetError):
+        check_sample_budget(BallSpec.from_p(q=16, n=n, p=Fraction(2048, n)))
+
+
+FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_sampler_draws_the_stdlib_stream(q):
+    """sample_ball_uniform returns the point the stdlib calls in
+    oracles.stdlib_ball_digits return and leaves the generator in the same
+    state, after every draw.  n crosses random.sample's pool/set threshold
+    at 21/22 and, for w > 5, at 85/86; r = 5 and 6 put most draws on either
+    side of w > 5.  At n = 86, r = 43 the ball holds more than 2^32 points,
+    so the weight draw takes several words."""
+    field = field_new(q)
+    for n in (1, 2, 21, 22, 85, 86):
+        for r in sorted({0, 1, n // 6, n // 2, n} | ({5, 6} if n > 6 else set())):
+            spec = BallSpec.from_p(q=q, n=n, p=Fraction(r, n))
+            ours, theirs = random.Random(1000 * n + r), random.Random(1000 * n + r)
+            for _ in range(6):
+                v = sample_ball_uniform(spec, ours)
+                assert v.field == field and v.n == n
+                assert v.digits() == oracles.stdlib_ball_digits(n, r, q, theirs)
+                assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_uniform_payload_draws_the_stdlib_stream(q):
+    """uniform_payload packs the digits of oracles.stdlib_uniform_digits and
+    consumes the same words, after every draw."""
+    field = field_new(q)
+    for n in (1, 2, 21, 22, 85, 86):
+        ours, theirs = random.Random(n), random.Random(n)
+        for _ in range(4):
+            digits = VecQ(field, n, uniform_payload(field, n, ours)).digits()
+            assert digits == oracles.stdlib_uniform_digits(q, n, theirs)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_sampling_uniform_over_individual_points():
