@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,9 @@ from ldlab import (
 )
 
 import oracles
+
+GOLDEN = Path(__file__).parent / "golden" / "chains_12345.jsonl"
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def subsets_of_space(q: int, ell: int, rng: random.Random, count: int):
@@ -367,3 +373,50 @@ def test_parse_chain_rejects_malformed_input():
     for text in ["", "2 4 2\n0000\n", "2 4 2\nw 000\n", "2 4 0\nw 0000\n"]:
         with pytest.raises(ParameterError):
             parse_chain(text)
+
+
+def golden_sets(seed: int):
+    """(q, ell, S) for every q <= 16 and ell <= 6: three seeded sets per
+    space, of at most 8, 64 and 400 members."""
+    rng = random.Random(seed)
+    for q in FIELDS:
+        field = field_new(q)
+        for ell in range(1, 7):
+            size = q**ell
+            for cap in (8, 64, 400):
+                picks = rng.sample(range(size), rng.randint(1, min(size, cap)))
+                yield q, ell, [VecQ.from_digits(field, [i // q**j % q for j in range(ell)])
+                               for i in picks]
+
+
+def chains_golden_lines(seed: int):
+    """One JSON line per (set, c in {1, 2, 3}): the shattering witness (its
+    full text when it covers at most 81 patterns, a SHA-256 always), the
+    chain, the oracle on S and on S + w, and the best translate when
+    q^ell <= 64."""
+    for q, ell, S in golden_sets(seed):
+        for c in (1, 2, 3):
+            witness = shatter_find(S, c)
+            chain = chain_find(S, c, q)
+            wtext = None if witness is None else format_witness(witness)
+            record = {
+                "q": q, "ell": ell, "c": c, "size": len(S),
+                "set_sha256": hashlib.sha256(format_vector_set(S).encode()).hexdigest(),
+                "witness": wtext if witness is None or q**c <= 81 else None,
+                "witness_sha256": wtext and hashlib.sha256(wtext.encode()).hexdigest(),
+                "chain": format_chain(chain),
+                "oracle": longest_chain_oracle(S, c),
+                "oracle_translated": longest_chain_oracle(
+                    [v + chain.translate_w for v in S], c),
+            }
+            if q**ell <= 64:
+                d, w = oracle_best_translate(S, c)
+                record["best_translate"] = [d, str(w)]
+            yield json.dumps(record, sort_keys=True)
+
+
+def test_chains_golden():
+    """Witnesses, chains and oracle values for seeded sets over every
+    q <= 16, ell <= 6 and c in {1, 2, 3} match the checked-in file, which
+    was taken before the finders moved to packed lex keys."""
+    assert "\n".join(chains_golden_lines(12345)) + "\n" == GOLDEN.read_text()
