@@ -163,6 +163,29 @@ def test_oversized_ball_sampling_exits_3_before_drawing(argv):
     assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
 
 
+@pytest.mark.parametrize("n", ["20000", "100000000"])
+def test_oversized_ball_volume_exits_3_before_the_sum(n):
+    """A volume too long to print is refused with one line before its
+    r + 1 shell terms are summed: at n = 20000 printing it raised
+    ValueError (the 4300-digit str limit), at n = 10^8 the sum ran until
+    killed."""
+    result = subprocess.run([sys.executable, "-m", "ldlab", "ball-volume",
+                             "--q", "2", "--p", "1/2", "--n", n],
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
+
+
+def test_long_ball_volume_under_the_budget_still_prints(capsys):
+    """Thousands of digits are fine: 2^9999 < |B(0, 5000)| < 2^10000."""
+    code, out, _ = run_cli(capsys, "ball-volume", "--n", "10000", "--p", "1/2",
+                           "--q", "2")
+    assert code == 0
+    assert 2**9999 < int(out) < 2**10000
+
+
 def test_decimal_and_fraction_error_rates_agree(capsys):
     argv = ["sample-ball", "--n", "10", "--q", "2", "--count", "4", "--seed", "3"]
     _, out_decimal, _ = run_cli(capsys, *argv, "--p", "0.2")
