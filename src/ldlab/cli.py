@@ -47,7 +47,8 @@ from .experiments import (BallSampleConfig, PairSumConfig, SpanTrialConfig,
                           run_pair_sum_experiment, run_rate_sweep,
                           run_span_experiment)
 from .gfq import VecQ
-from .hamming import as_fraction, ball_volume, entropy_q, radius_of
+from .hamming import (as_fraction, ball_volume, check_volume_budget, entropy_q,
+                      radius_of)
 from .seeding import derive_stream
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -220,6 +221,7 @@ def _radius_from_args(args) -> tuple[int, Fraction]:
 
 def _cmd_ball_volume(args, argv):
     r, p = _radius_from_args(args)
+    check_volume_budget(args.n, r, args.q)
     volume = ball_volume(args.n, r, args.q)
     record = {"kind": "ball-volume", "n": args.n, "r": r, "q": args.q,
               "p": str(p), "volume": volume}

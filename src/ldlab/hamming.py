@@ -109,6 +109,29 @@ def ball_volume(n: int, r: int, q: int) -> int:
     return sum(ball_weight_class_sizes(n, r, q))
 
 
+VOLUME_DIGITS_BUDGET = 4000
+
+
+def check_volume_budget(n: int, r: int, q: int) -> None:
+    """ResourceBudgetError unless |B(r)| surely has at most
+    VOLUME_DIGITS_BUDGET decimal digits (below CPython's 4300-digit str
+    limit), decided from lgamma before any shell is built.
+
+    The bound is (r + 1) times the largest shell |S_i|, i <= r; shells grow
+    while i <= (n + 1)(q - 1)/q.  Since |B(r)| >= 2^(r-1), the same budget
+    caps the r + 1 terms of the sum at about 13,300.
+    """
+    _check_ball_params(n, r, q)
+    i = min(r, (n + 1) * (q - 1) // q)
+    log_shell = (math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                 + i * math.log(q - 1))
+    digits = math.floor((log_shell + math.log(r + 1)) / math.log(10)) + 1
+    if digits > VOLUME_DIGITS_BUDGET:
+        raise ResourceBudgetError(
+            f"ball volume for n={n}, r={r}, q={q} has about {digits} digits "
+            f"over {r + 1} terms, over the budget of {VOLUME_DIGITS_BUDGET}")
+
+
 @dataclass(frozen=True)
 class BallSpec:
     """A Hamming ball shape: ambient length n, error fraction p, field
