@@ -351,9 +351,12 @@ class VecQ:
 
     def support_mask(self) -> int:
         """Bit i set iff coordinate i+1 is nonzero."""
-        if self.field.bits_per_digit == 1:
+        b = self.field.bits_per_digit
+        if b == 1:
             return self.payload
-        return sum(1 << i for i, d in enumerate(self.digits()) if d)
+        flags = _digit_flags(b, self.payload, _ones_mask(b, self.n))
+        # Keep every b-th bit of the flags, from bit 0 up.
+        return int(format(flags, "b")[::-b][::-1], 2)
 
     def distance(self, other: "VecQ") -> int:
         """Hamming distance; requires matching field and length."""
@@ -361,6 +364,8 @@ class VecQ:
         return payload_distance(self.field, self.n, self.payload, other.payload)
 
     def _check_mate(self, other: "VecQ") -> None:
+        if type(other) is VecQ and other.field is self.field and other.n == self.n:
+            return
         if not isinstance(other, VecQ):
             raise ParameterError(f"expected VecQ, got {type(other).__name__}")
         if other.field.q != self.field.q or other.n != self.n:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -175,6 +176,7 @@ def test_weight_and_support_match_brute(fd):
     v = VecQ.from_digits(field, digits)
     assert v.weight() == oracles.brute_weight(tuple(digits))
     assert v.support() == frozenset(i + 1 for i, d in enumerate(digits) if d)
+    assert v.support_mask() == sum(1 << i for i, d in enumerate(digits) if d)
 
 
 @given(field_and_digit_pair())
@@ -446,3 +448,29 @@ def test_pack_slots_inverts_unpack_slots(width):
         level = gfq.slot_array(width)
         level.extend(values)
         assert gfq.pack_slots(level, width) == block
+
+
+def test_mate_mismatch_errors_are_pinned():
+    """Vectors over different fields or lengths, or a non-vector, are
+    refused with these exact messages; a vector on a copied field table,
+    or of a VecQ subclass, with the same q and n is a mate."""
+    f2, f3 = field_new(2), field_new(3)
+    a = VecQ(f2, 3, 5)
+    cases = [
+        (VecQ.zero(f3, 3), "mismatched vectors: (q=2, n=3) vs (q=3, n=3)"),
+        (VecQ.zero(f2, 4), "mismatched vectors: (q=2, n=3) vs (q=2, n=4)"),
+        (5, "expected VecQ, got int"),
+    ]
+    for other, message in cases:
+        for op in (a.__add__, a.__sub__, a.distance):
+            with pytest.raises(ParameterError) as exc:
+                op(other)
+            assert str(exc.value) == message
+
+    class Sub(VecQ):
+        __slots__ = ()
+
+    for mate in (VecQ(copy.copy(f2), 3, 6), Sub(f2, 3, 6)):
+        assert mate.field is not f2 or type(mate) is not VecQ
+        assert (a + mate).payload == 3
+        assert a.distance(mate) == 2
