@@ -21,9 +21,17 @@ u0 (the averaging step), recurses on the remaining coordinates, and
 appends an element everywhere-differing from u0 on U.
 
 Both finders are deterministic: all ties break to the lexicographically
-smallest digit tuple (coordinate 1 most significant).  The brute-force
-`longest_chain_oracle` certifies results by memoized search over
-covered-support masks.
+smallest digit tuple (coordinate 1 most significant).  They work on lex
+keys: one int per vector with coordinate 1 in the most significant b-bit
+digit, so int order is that tuple order, the last-coordinate split is
+key >> b (prefix) and key & (2^b - 1) (last digit), and fibers and
+projections are masks and shifts.  Vectors become keys once on entry and
+back once on exit.
+
+The brute-force `longest_chain_oracle` certifies results by memoized
+search over covered-support masks.  A state with u uncovered coordinates
+returns as soon as its chain reaches floor(u / c): every further member
+adds at least c fresh coordinates, so no chain from there is longer.
 """
 
 from __future__ import annotations
@@ -31,11 +39,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import FieldTable, VecQ, all_vectors, field_new
+from .gfq import FieldTable, VecQ, all_vectors, field_new, payload_weight
 
 ORACLE_DIM_BUDGET = 20
 TRANSLATE_SCAN_BUDGET = 2 ** 16
@@ -62,15 +70,41 @@ def chain_length_bound(L: int, ell: int, c: int, q: int) -> float:
     return (math.log(L / 2) / c - (1 - 1 / c) * math.log((q - 1) * ell)) / lq
 
 
-def _as_tuples(S: Iterable[VecQ]) -> tuple[FieldTable, int, frozenset[tuple[int, ...]]]:
+def _reverse_digits(x: int, ell: int, b: int) -> int:
+    """x with the order of its ell b-bit digits reversed.
+
+    Maps a payload (coordinate 1 in the least significant digit) to its
+    lex key (coordinate 1 in the most significant digit) and back.  Keys
+    compare as ints exactly as the digit tuples compare.
+    """
+    mask = (1 << b) - 1
+    out = 0
+    for _ in range(ell):
+        out = (out << b) | (x & mask)
+        x >>= b
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reversal(ell: int, b: int) -> Callable[[int], int]:
+    """_reverse_digits for length ell: a table lookup when there are at
+    most 2^12 payloads, the digit loop beyond."""
+    if ell * b > 12:
+        return partial(_reverse_digits, ell=ell, b=b)
+    return [_reverse_digits(x, ell, b) for x in range(1 << (ell * b))].__getitem__
+
+
+def _lex_keys(S: Iterable[VecQ]) -> tuple[FieldTable, int, list[int]]:
+    """Field, length and the ascending distinct lex keys of a nonempty set."""
     vecs = list(S)
     if not vecs:
         raise ParameterError("vector set must be nonempty")
-    field = vecs[0].field
-    ell = vecs[0].n
+    first = vecs[0]
     for v in vecs[1:]:
-        vecs[0]._check_mate(v)
-    return field, ell, frozenset(v.digits() for v in vecs)
+        first._check_mate(v)
+    field, ell = first.field, first.n
+    reverse = _reversal(ell, field.bits_per_digit)
+    return field, ell, sorted({reverse(v.payload) for v in vecs})
 
 
 @dataclass(frozen=True)
@@ -111,27 +145,39 @@ def shatter_verify(S: Iterable[VecQ], U: Iterable[int], q: int) -> bool:
     return True
 
 
-def _shatter_tuples(S: frozenset[tuple[int, ...]], ell: int, q: int,
-                    c: int) -> tuple[tuple[int, ...], dict] | None:
-    """Recursive finder on digit tuples; returns (U 0-based ascending,
-    pattern -> member tuple) or None."""
+def _shatter_keys(S: list[int], ell: int, q: int, b: int, c: int,
+                  want_cover: bool) -> tuple[tuple[int, ...], dict | None] | None:
+    """Recursive finder on ascending lex keys of length ell; returns
+    (U 0-based ascending, pattern -> member key) or None.  The map is
+    built only when want_cover is set (it is None otherwise).
+
+    S is kept ascending, so the least member with a property is the
+    first one found.
+    """
     if c > ell or len(S) < 2:
         return None
+    mask = (1 << b) - 1
     if c == 1:
+        first = S[0]
         for j in range(ell):
-            if len({t[j] for t in S}) >= 2:
-                cover = {}
-                for u in range(q):
-                    cover[(u,)] = min(t for t in S if t[j] != u)
-                return ((j,), cover)
+            shift = (ell - 1 - j) * b
+            d0 = (first >> shift) & mask
+            other = next((t for t in S if (t >> shift) & mask != d0), None)
+            if other is None:
+                continue
+            if not want_cover:
+                return ((j,), None)
+            cover = {(u,): first for u in range(q)}
+            cover[(d0,)] = other
+            return ((j,), cover)
         return None
-    extensions: dict[tuple[int, ...], list[int]] = {}
+    # Split off the last coordinate: prefix key >> b, last digit key & mask;
+    # each prefix's last digits arrive in ascending order.
+    extensions: dict[int, list[int]] = {}
     for t in S:
-        extensions.setdefault(t[:-1], []).append(t[-1])
-    for bs in extensions.values():
-        bs.sort()
-    S1 = frozenset(extensions)
-    S2 = frozenset(y for y, bs in extensions.items() if len(bs) >= 2)
+        extensions.setdefault(t >> b, []).append(t & mask)
+    S1 = list(extensions)
+    S2 = [y for y, bs in extensions.items() if len(bs) >= 2]
     thr1 = shatter_threshold(ell - 1, c, q)
     thr2 = 2 * ((q - 1) * (ell - 1)) ** (c - 2)
     # |S| <= |S1| + (q-1)|S2|, so above the (l, c) threshold one of the
@@ -139,21 +185,26 @@ def _shatter_tuples(S: frozenset[tuple[int, ...]], ell: int, q: int,
     order = (2, 1) if len(S2) > thr2 and len(S1) <= thr1 else (1, 2)
     for case in order:
         if case == 1:
-            res = _shatter_tuples(S1, ell - 1, q, c)
+            res = _shatter_keys(S1, ell - 1, q, b, c, want_cover)
             if res is not None:
                 U, cover1 = res
-                return (U, {u: y + (extensions[y][0],)
-                            for u, y in cover1.items()})
+                if want_cover:
+                    cover1 = {u: (y << b) | extensions[y][0]
+                              for u, y in cover1.items()}
+                return (U, cover1)
         elif S2:
-            res = _shatter_tuples(S2, ell - 1, q, c - 1)
+            res = _shatter_keys(S2, ell - 1, q, b, c - 1, want_cover)
             if res is not None:
                 U1, cover2 = res
+                U = U1 + (ell - 1,)
+                if not want_cover:
+                    return (U, None)
                 cover = {}
                 for u in itertools.product(range(q), repeat=c):
                     y = cover2[u[:-1]]
-                    b = next(bb for bb in extensions[y] if bb != u[-1])
-                    cover[u] = y + (b,)
-                return (U1 + (ell - 1,), cover)
+                    bs = extensions[y]
+                    cover[u] = (y << b) | (bs[0] if bs[0] != u[-1] else bs[1])
+                return (U, cover)
     return None
 
 
@@ -167,12 +218,13 @@ def shatter_find(S: Iterable[VecQ], c: int) -> ShatterWitness | None:
     """
     if c < 1:
         raise ParameterError(f"shattering size c={c} must be >= 1")
-    field, ell, tuples = _as_tuples(S)
-    res = _shatter_tuples(tuples, ell, field.q, c)
+    field, ell, keys = _lex_keys(S)
+    res = _shatter_keys(keys, ell, field.q, field.bits_per_digit, c, True)
     if res is None:
         return None
     U, cover = res
-    covering_map = {u: VecQ.from_digits(field, t) for u, t in sorted(cover.items())}
+    reverse = _reversal(ell, field.bits_per_digit)
+    covering_map = {u: VecQ(field, ell, reverse(t)) for u, t in sorted(cover.items())}
     return ShatterWitness(field.q, ell, c,
                           frozenset(j + 1 for j in U), covering_map)
 
@@ -218,45 +270,51 @@ def chain_verify(translate_w: VecQ, members: Sequence[VecQ], c: int) -> bool:
     return True
 
 
-def _compose(ell: int, cols: Sequence[int], on_cols: Sequence[int],
-             rest: Sequence[int], on_rest: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * ell
-    for j, val in zip(cols, on_cols):
-        out[j] = val
-    for j, val in zip(rest, on_rest):
-        out[j] = val
-    return tuple(out)
-
-
-def _chain_tuples(S: frozenset[tuple[int, ...]], ell: int, field: FieldTable,
-                  c: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    q = field.q
+def _chain_keys(S: list[int], ell: int, field: FieldTable,
+                c: int) -> tuple[int, list[int]]:
+    """(translate key, member keys) for ascending lex keys S of length ell."""
     if ell < c:
-        return ((0,) * ell, [])
-    res = _shatter_tuples(S, ell, q, c)
+        return (0, [])
+    b = field.bits_per_digit
+    mask = (1 << b) - 1
+    res = _shatter_keys(S, ell, field.q, b, c, False)
     if res is None:
         # Best effort: one member, translated onto the all-ones vector.
-        v1 = min(S)
-        return (tuple(field.sub(1, x) for x in v1), [v1])
-    U, cover = res
-    cols = list(U)
-    in_u = set(cols)
-    rest = [j for j in range(ell) if j not in in_u]
-    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        v1 = S[0]
+        w = 0
+        for shift in range((ell - 1) * b, -1, -b):
+            w |= field.sub(1, (v1 >> shift) & mask) << shift
+        return (w, [v1])
+    U, _ = res
+    col_shifts = [(ell - 1 - j) * b for j in U]
+    rest_shifts = [(ell - 1 - j) * b for j in range(ell) if j not in U]
+    # A fiber is keyed by its members masked to the digits of U, which
+    # orders fibers as their patterns on U.
+    col_mask = sum(mask << shift for shift in col_shifts)
+    fibers: dict[int, list[int]] = {}
     for t in S:
-        fibers.setdefault(tuple(t[j] for j in cols), []).append(t)
+        fibers.setdefault(t & col_mask, []).append(t)
     u0 = min(fibers, key=lambda u: (-len(fibers[u]), u))
-    v_last = min(t for t in S
-                 if all(t[j] != u0[i] for i, j in enumerate(cols)))
-    neg_u0 = [field.neg(x) for x in u0]
-    if not rest:
-        return (tuple(neg_u0), [v_last])
-    S_prime = frozenset(tuple(t[j] for j in rest) for t in fibers[u0])
-    w_prime, chain_prime = _chain_tuples(S_prime, len(rest), field, c)
-    members = [_compose(ell, cols, u0, rest, vp) for vp in chain_prime]
-    members.append(v_last)
-    w = _compose(ell, cols, neg_u0, rest, w_prime)
-    return (w, members)
+    v_last = next(t for t in S
+                  if payload_weight(field, ell, (t ^ u0) & col_mask) == c)
+    w = 0
+    for shift in col_shifts:
+        w |= field.neg((u0 >> shift) & mask) << shift
+    if not rest_shifts:
+        return (w, [v_last])
+    # Project the richest fiber onto the other coordinates; its members
+    # agree on U, so the projection keeps their order and identity.
+    fiber: dict[int, int] = {}
+    for t in fibers[u0]:
+        y = 0
+        for shift in rest_shifts:
+            y = (y << b) | ((t >> shift) & mask)
+        fiber[y] = t
+    w_prime, chain_prime = _chain_keys(list(fiber), len(rest_shifts), field, c)
+    for shift in reversed(rest_shifts):
+        w |= (w_prime & mask) << shift
+        w_prime >>= b
+    return (w, [fiber[y] for y in chain_prime] + [v_last])
 
 
 def chain_find(S: Iterable[VecQ], c: int, q: int) -> Chain:
@@ -268,12 +326,13 @@ def chain_find(S: Iterable[VecQ], c: int, q: int) -> Chain:
     """
     if c < 1:
         raise ParameterError(f"freshness threshold c={c} must be >= 1")
-    field, ell, tuples = _as_tuples(S)
+    field, ell, keys = _lex_keys(S)
     if field.q != q:
         raise ParameterError(f"q={q} does not match vector field q={field.q}")
-    w, members = _chain_tuples(tuples, ell, field, c)
-    return Chain(ell, c, VecQ.from_digits(field, w),
-                 tuple(VecQ.from_digits(field, t) for t in members))
+    w, members = _chain_keys(keys, ell, field, c)
+    reverse = _reversal(ell, field.bits_per_digit)
+    return Chain(ell, c, VecQ(field, ell, reverse(w)),
+                 tuple(VecQ(field, ell, reverse(t)) for t in members))
 
 
 def longest_chain_oracle(T: Iterable[VecQ], c: int) -> int:
@@ -294,16 +353,23 @@ def longest_chain_oracle(T: Iterable[VecQ], c: int) -> int:
     if ell > ORACLE_DIM_BUDGET:
         raise ResourceBudgetError(
             f"oracle dimension l={ell} exceeds budget {ORACLE_DIM_BUDGET}")
-    masks = sorted({v.support_mask() for v in vecs})
+    # Masks with fewer than c coordinates never join a chain.
+    masks = sorted({m for v in vecs if (m := v.support_mask()).bit_count() >= c})
 
     @lru_cache(maxsize=None)
     def best(covered: int) -> int:
+        # Each further member adds >= c fresh coordinates, so no chain
+        # from here is longer than cap: stop as soon as one reaches it.
+        cap = (ell - covered.bit_count()) // c
         top = 0
-        for m in masks:
-            if (m & ~covered).bit_count() >= c:
-                cand = 1 + best(covered | m)
-                if cand > top:
-                    top = cand
+        if cap:
+            for m in masks:
+                if (m & ~covered).bit_count() >= c:
+                    cand = 1 + best(covered | m)
+                    if cand > top:
+                        top = cand
+                        if top >= cap:
+                            break
         return top
 
     return best(0)
@@ -328,6 +394,8 @@ def oracle_best_translate(S: Iterable[VecQ], c: int) -> tuple[int, VecQ]:
         if d > best_d:
             best_d = d
             best_w = w
+            if best_d >= ell // c:
+                break    # no chain in F_q^l is longer
     return best_d, best_w
 
 

@@ -191,6 +191,23 @@ def brute_longest_chain(vectors: Iterable[Digits], c: int) -> int:
     return best(frozenset())
 
 
+def uncut_longest_chain(vectors: Iterable[Digits], c: int) -> int:
+    """The chain oracle's memoized search over covered-support masks with
+    no cut: from every state it tries every support mask that adds at
+    least c fresh coordinates."""
+    masks = sorted({sum(1 << i for i, d in enumerate(v) if d) for v in vectors})
+
+    @functools.lru_cache(maxsize=None)
+    def best(covered: int) -> int:
+        top = 0
+        for m in masks:
+            if (m & ~covered).bit_count() >= c:
+                top = max(top, 1 + best(covered | m))
+        return top
+
+    return best(0)
+
+
 def brute_pair_hits(n: int, r: int, q: int, center: Digits, add: dict) -> tuple[int, int]:
     """Count ball pairs whose sum lands within radius r of the center.
 

@@ -6,9 +6,11 @@ import hashlib
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ldlab import (
     Chain,
@@ -32,6 +34,7 @@ from ldlab import (
     shatter_threshold,
     shatter_verify,
 )
+from ldlab import chains
 
 import oracles
 
@@ -280,6 +283,64 @@ def test_longest_chain_oracle_matches_independent_search():
                     [v.digits() for v in S], c
                 )
                 assert longest_chain_oracle(S, c) == expected
+
+
+@st.composite
+def digit_sets(draw, max_ell: int):
+    """(q, ell, rows): q <= 16, ell <= max_ell, 1-40 digit tuples with
+    about half their digits zero."""
+    q = draw(st.sampled_from(FIELDS))
+    ell = draw(st.integers(1, max_ell))
+    digit = st.one_of(st.just(0), st.integers(1, q - 1))
+    rows = draw(st.lists(st.tuples(*[digit] * ell), min_size=1, max_size=40))
+    return q, ell, rows
+
+
+@given(digit_sets(8), st.sampled_from([1, 2, 3]))
+def test_cut_oracle_equals_uncut_reference(case, c):
+    q, ell, rows = case
+    assert longest_chain_oracle(vectors(q, rows), c) == (
+        oracles.uncut_longest_chain(rows, c))
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_oracle_cut_stops_at_the_upper_bound(c):
+    """A search state returns once a chain reaches (l - |covered|) // c.
+    For 12/c disjoint blocks of c coordinates that means one path of
+    12/c + 1 states, where the uncut search visits every union of blocks."""
+    blocks = vectors(2, [tuple(int(j // c == i) for j in range(12))
+                         for i in range(12 // c)])
+    states = []
+
+    def count(frame, event, arg):
+        # lru_cache hits make no frame, so calls of `best` are states searched.
+        if event == "call" and frame.f_code is best_code:
+            states.append(frame.f_locals["covered"])
+
+    best_code = next(k for k in longest_chain_oracle.__code__.co_consts
+                     if getattr(k, "co_name", None) == "best")
+    sys.setprofile(count)
+    try:
+        d = longest_chain_oracle(blocks, c)
+    finally:
+        sys.setprofile(None)
+    assert d == 12 // c
+    assert len(states) == 12 // c + 1
+
+
+@given(digit_sets(10))
+def test_lex_keys_round_trip_and_order(case):
+    """VecQ -> key -> VecQ is the identity, and the ascending distinct keys
+    are the distinct vectors in digits() order, for the table (l*b <= 12)
+    and the digit-loop conversions alike."""
+    q, ell, rows = case
+    S = vectors(q, rows)
+    field = S[0].field
+    reverse = chains._reversal(ell, field.bits_per_digit)
+    assert [VecQ(field, ell, reverse(reverse(v.payload))) for v in S] == S
+    _, _, keys = chains._lex_keys(S)
+    assert [VecQ(field, ell, reverse(k)).digits() for k in keys] == sorted(
+        {v.digits() for v in S})
 
 
 def test_longest_chain_oracle_budget():
