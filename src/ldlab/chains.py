@@ -70,7 +70,7 @@ def chain_length_bound(L: int, ell: int, c: int, q: int) -> float:
     return (math.log(L / 2) / c - (1 - 1 / c) * math.log((q - 1) * ell)) / lq
 
 
-def _reverse_digits(x: int, ell: int, b: int) -> int:
+def _reverse_digits(ell: int, b: int, x: int) -> int:
     """x with the order of its ell b-bit digits reversed.
 
     Maps a payload (coordinate 1 in the least significant digit) to its
@@ -90,8 +90,8 @@ def _reversal(ell: int, b: int) -> Callable[[int], int]:
     """_reverse_digits for length ell: a table lookup when there are at
     most 2^12 payloads, the digit loop beyond."""
     if ell * b > 12:
-        return partial(_reverse_digits, ell=ell, b=b)
-    return [_reverse_digits(x, ell, b) for x in range(1 << (ell * b))].__getitem__
+        return partial(_reverse_digits, ell, b)
+    return [_reverse_digits(ell, b, x) for x in range(1 << (ell * b))].__getitem__
 
 
 def _lex_keys(S: Iterable[VecQ]) -> tuple[FieldTable, int, list[int]]:
