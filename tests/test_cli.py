@@ -150,27 +150,16 @@ def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch
      "--trials", "1"],
     ["span-exp", "--q", "2", "--n", "100000000", "--p", "1/10", "--ell", "2",
      "--trials", "1"],
+    ["ball-volume", "--q", "2", "--p", "1/2", "--n", "20000"],
+    ["ball-volume", "--q", "2", "--p", "1/2", "--n", "100000000"],
 ])
 def test_oversized_ball_sampling_exits_3_before_drawing(argv):
     """A ball whose exact shell table is too large to build is refused
     before the first draw; at n = 10^8 the table alone would run until
-    killed."""
+    killed.  A volume too long to print is refused before its shells are
+    summed: at n = 20000 printing it raised ValueError (the 4300-digit str
+    limit), at n = 10^8 the sum ran until killed."""
     result = subprocess.run([sys.executable, "-m", "ldlab", *argv],
-                            capture_output=True, text=True, timeout=20)
-    assert result.returncode == 3
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
-
-
-@pytest.mark.parametrize("n", ["20000", "100000000"])
-def test_oversized_ball_volume_exits_3_before_the_sum(n):
-    """A volume too long to print is refused with one line before its
-    r + 1 shell terms are summed: at n = 20000 printing it raised
-    ValueError (the 4300-digit str limit), at n = 10^8 the sum ran until
-    killed."""
-    result = subprocess.run([sys.executable, "-m", "ldlab", "ball-volume",
-                             "--q", "2", "--p", "1/2", "--n", n],
                             capture_output=True, text=True, timeout=20)
     assert result.returncode == 3
     assert result.stdout == ""
