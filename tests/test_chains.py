@@ -28,6 +28,7 @@ from ldlab import (
     longest_chain_oracle,
     oracle_best_translate,
     parse_chain,
+    parse_code,
     parse_vector_set,
     parse_witness,
     shatter_find,
@@ -434,6 +435,36 @@ def test_parse_chain_rejects_malformed_input():
     for text in ["", "2 4 2\n0000\n", "2 4 2\nw 000\n", "2 4 0\nw 0000\n"]:
         with pytest.raises(ParameterError):
             parse_chain(text)
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_code, "", "empty code file"),
+    (parse_code, " \n\t\n", "empty code file"),
+    (parse_code, "2 4\n", "bad code header '2 4'; expected 'q n k'"),
+    (parse_code, "2 4 1 0\n1100\n",
+     "bad code header '2 4 1 0'; expected 'q n k'"),
+    (parse_code, "2 x 1\n1100\n", "bad code header '2 x 1'"),
+    (parse_vector_set, "", "empty vector-set file"),
+    (parse_vector_set, "2\n", "bad header '2'; expected 'q ell'"),
+    (parse_vector_set, "2 3 1\n101\n", "bad header '2 3 1'; expected 'q ell'"),
+    (parse_vector_set, "2 y\n101\n", "bad header '2 y'"),
+    (parse_chain, "", "chain file needs a header and a translate line"),
+    (parse_chain, "2 3 1\n", "chain file needs a header and a translate line"),
+    (parse_chain, "2 3\nw 101\n", "bad chain header '2 3'; expected 'q ell c'"),
+    (parse_chain, "2 3 z\nw 101\n", "bad chain header '2 3 z'"),
+    (parse_chain, "2 0 1\nw 1\n",
+     "bad chain header '2 0 1'; need ell >= 1, c >= 1"),
+    (parse_witness, "", "witness file needs a header and a U line"),
+    (parse_witness, "2 3 1\n", "witness file needs a header and a U line"),
+    (parse_witness, "2 3\nU 1\n", "bad witness header '2 3'; expected 'q ell c'"),
+    (parse_witness, "2 3 1.5\nU 1\n", "bad witness header '2 3 1.5'"),
+])
+def test_parsers_pin_malformed_header_messages(parse, text, message):
+    """Each text parser refuses a missing, short, long or non-integer
+    header with its own one-line message."""
+    with pytest.raises(ParameterError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
 
 
 def golden_sets(seed: int):
