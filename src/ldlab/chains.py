@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
+from .codes import read_header
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import FieldTable, VecQ, all_vectors, field_new, payload_weight
 
@@ -412,16 +413,8 @@ def format_vector_set(vectors: Iterable[VecQ]) -> str:
 
 def parse_vector_set(text: str) -> list[VecQ]:
     """Inverse of format_vector_set (order preserved as listed)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParameterError("empty vector-set file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParameterError(f"bad header {lines[0]!r}; expected 'q ell'")
-    try:
-        q, ell = (int(x) for x in head)
-    except ValueError:
-        raise ParameterError(f"bad header {lines[0]!r}") from None
+    lines, (q, ell) = read_header(text, "header", "q ell", 1,
+                                  "empty vector-set file")
     field = field_new(q)
     out = []
     for ln in lines[1:]:
@@ -443,16 +436,9 @@ def format_chain(chain: Chain) -> str:
 
 def parse_chain(text: str) -> Chain:
     """Inverse of format_chain; round-trips exactly."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ParameterError("chain file needs a header and a translate line")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParameterError(f"bad chain header {lines[0]!r}; expected 'q ell c'")
-    try:
-        q, ell, c = (int(x) for x in head)
-    except ValueError:
-        raise ParameterError(f"bad chain header {lines[0]!r}") from None
+    lines, (q, ell, c) = read_header(
+        text, "chain header", "q ell c", 2,
+        "chain file needs a header and a translate line")
     if ell < 1 or c < 1:
         raise ParameterError(f"bad chain header {lines[0]!r}; need ell >= 1, c >= 1")
     wparts = lines[1].split()
@@ -483,16 +469,8 @@ def format_witness(witness: ShatterWitness) -> str:
 
 def parse_witness(text: str) -> ShatterWitness:
     """Inverse of format_witness; round-trips exactly."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ParameterError("witness file needs a header and a U line")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParameterError(f"bad witness header {lines[0]!r}; expected 'q ell c'")
-    try:
-        q, ell, c = (int(x) for x in head)
-    except ValueError:
-        raise ParameterError(f"bad witness header {lines[0]!r}") from None
+    lines, (q, ell, c) = read_header(text, "witness header", "q ell c", 2,
+                                     "witness file needs a header and a U line")
     uparts = lines[1].split()
     if not uparts or uparts[0] != "U":
         raise ParameterError(f"bad U line {lines[1]!r}")

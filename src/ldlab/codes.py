@@ -6,16 +6,15 @@ checker reports L_max = max over centers x of |B(x, radius) ∩ C|.  Its
 default strategy is a coset tally: |B(x, radius) ∩ C| depends only on
 the coset x + C, and equals the number of ball points e ∈ B(0, radius)
 in that coset, so labelling every point of B(0, radius) by its coset
-tallies every center at once.  The labels are built weight level by
-weight level, a whole level per bulk step (see `_coset_tally`).
-The "full" mode scans every center of F_q^n and is kept as the
-exhaustive oracle.  Every checker counts distinct codewords, also for
-rank-deficient generators.
+tallies every center at once.  The labels come from `hamming.ball_walk`,
+the one ball enumerator, run on the labels of a * e_i (see
+`_coset_tally`).  The "full" mode scans every center of F_q^n and is
+kept as the exhaustive oracle.  Every checker counts distinct codewords,
+also for rank-deficient generators.
 
 One enumerator, `_span_list`, lists both a code's q^k encodings and the
 span that `span-exp` counts.  It adds a whole block of span members per
-(row, scalar) rather than one member at a time, except for q = 9 (see
-its docstring).
+(row, scalar) with `gfq.slots_add`, for every q.
 
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
@@ -26,17 +25,17 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, echelon, field_new,
-                  pack_slots, payload_add, payload_reduce, payload_scale,
-                  payloads_in_ball, rank_of, slot_array, slot_ones,
-                  slot_width, unpack_slots)
+                  payload_add, payload_reduce, payload_scale,
+                  payloads_in_ball, rank_of, slot_width, slots_add,
+                  unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
-                      check_sample_budget, radius_of, sample_ball_uniform,
-                      uniform_payload)
+                      ball_walk, check_sample_budget, radius_of,
+                      sample_ball_uniform, uniform_payload)
 # ball_points is not walked here; the name stays importable from this
 # module for callers that patch or read ldlab.codes.ball_points.
 from .hamming import ball_points  # noqa: F401
@@ -116,28 +115,19 @@ def _span_list(field: FieldTable, payloads: Sequence[int]) -> Sequence[int]:
     The members found so far sit in one packed block, member j in slot j
     (see `gfq.slot_width`).  Row x then appends the q^i members base + a x
     for each scalar a = 1 .. q - 1 in turn, each part with a single
-    `payload_add` to the part before it, so a span of q^l members takes
-    l (q - 1) adds.  The step added to every slot is (a - (a - 1)) x:
-    x itself for prime q, one small `payload_scale` in characteristic 2.
-    This serves characteristic 2 (XOR) and odd prime q (SWAR lanes).
-    q = 9 adds member by member: its table loop walks every digit of a
-    block in Python, so a block add would be quadratic.
+    `gfq.slots_add` to the part before it, so a span of q^l members takes
+    l (q - 1) block adds.  The step added to every slot is (a - (a - 1)) x:
+    x itself for prime q, one small `payload_scale` otherwise.
     """
     q = field.q
-    if field.characteristic != 2 and field.degree > 1:
-        out = [0]
-        for x in payloads:
-            scaled = [payload_scale(field, a, x) for a in range(1, q)]
-            out += [payload_add(field, base, s) for s in scaled for base in out]
-        return out
     width = slot_width(field.bits_per_digit,
                        max((x.bit_length() for x in payloads), default=0))
     block, count = 0, 1
     for x in payloads:
-        part, ones, shift = block, slot_ones(width, count), count * width
+        part, shift = block, count * width
         for a in range(1, q):
             step = payload_scale(field, field.sub(a, a - 1), x)
-            part = payload_add(field, part, step * ones)
+            part = slots_add(field, part, step, width, count)
             block |= part << (a * shift)
         count *= q
     return unpack_slots(block, width, count)
@@ -205,59 +195,15 @@ def _coset_tally(code: Code, radius: int) -> dict[int, int]:
     y + C that is zero at every pivot.  Any other member differs from it
     by a nonzero codeword, whose highest nonzero coordinate is a pivot,
     so the label is the lowest-payload member of its coset.  Reduction
-    is linear, so labels are sums of the precomputed labels of a * e_i.
-
-    The tally goes level by level.  Over positions i = n-1 .. 0,
-    levels[d] holds the labels of the weight-d points supported on the
-    positions after i; position i extends levels[d] by levels[d-1] plus
-    the label of a * e_i, for d from the top down and for each scalar
-    a, in one bulk step (`_shifted`): a XOR per label in characteristic
-    2, one SWAR add over the packed level for odd prime q, an add per
-    label for q = 9.  Weight-radius labels go straight into the Counter
-    and are never stored, so the levels hold |B(0, radius - 1)| labels:
-    machine words in an array where the slot width is 8-64 bits, ints in
-    a list otherwise (3-bit digits, or labels above 64 bits).
+    is linear, so the labels of B(0, radius) are the sums that
+    `ball_walk` makes of the labels of a * e_i, a chunk at a time.
     """
     f = code.field
-    q, n, b = f.q, code.n, f.bits_per_digit
+    b = f.bits_per_digit
     basis = echelon(f, [row.payload for row in code.generator])
-    steps = [[payload_reduce(f, basis, a << (i * b)) for a in range(1, q)]
-             for i in range(n)]
-    width = slot_width(b, n * b)
-    # levels[0] is the zero point, counted also when radius is 0
-    levels = [slot_array(width) for _ in range(max(radius, 1))]
-    levels[0].append(0)
-    tally: Counter[int] = Counter()
-    for i in reversed(range(n)):
-        for d in range(min(radius, n - i), 0, -1):
-            out = tally.update if d == radius else levels[d].extend
-            for labels in _shifted(f, width, levels[d - 1], steps[i]):
-                out(labels)
-    for level in levels:
-        tally.update(level)
-    return tally
-
-
-def _shifted(field: FieldTable, width: int, level: Sequence[int],
-             steps: Sequence[int]) -> Iterator[Iterable[int]]:
-    """level + step for each step in turn, every label of the level at once.
-
-    Characteristic 2 XORs each label; odd prime q adds the step to every
-    slot of the packed level with one SWAR `payload_add`; q = 9 adds
-    label by label, as in `_span_list`.
-    """
-    if field.characteristic == 2:
-        for step in steps:
-            yield map(step.__xor__, level)
-    elif field.degree > 1:
-        for step in steps:
-            yield map(partial(payload_add, field, step), level)
-    else:
-        count = len(level)
-        block, ones = pack_slots(level, width), slot_ones(width, count)
-        for step in steps:
-            yield unpack_slots(payload_add(field, block, step * ones),
-                               width, count)
+    steps = [[payload_reduce(f, basis, a << (i * b)) for a in range(1, f.q)]
+             for i in range(code.n)]
+    return Counter(chain.from_iterable(ball_walk(f, steps, radius)))
 
 
 def _count_within(field: FieldTable, n: int, radius: int, x: int,
@@ -339,7 +285,7 @@ class LdSampleDistribution:
         return {
             "q": self.q, "n": self.n, "k": self.k, "radius": self.radius,
             "trials": self.trials,
-            "histogram": {str(c): f for c, f in sorted(self.histogram.items())},
+            "histogram": histogram_record(self.histogram),
             "max_count": self.max_count,
             "witness_center": str(self.witness_center),
         }
@@ -383,6 +329,29 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
                                 max_count, VecQ(field, n, witness))
 
 
+def histogram_record(histogram: Mapping[int, int]) -> dict[str, int]:
+    """A histogram as a result record stores it: string keys in
+    increasing numeric order."""
+    return {str(key): histogram[key] for key in sorted(histogram)}
+
+
+def read_header(text: str, header: str, names: str, min_lines: int,
+                missing: str) -> tuple[list[str], tuple[int, ...]]:
+    """The stripped nonblank lines of a text file and the integers of the
+    first, one per name in `names`; ParameterError `missing` for fewer
+    than min_lines lines, "bad <header> ..." for any other first line."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) < min_lines:
+        raise ParameterError(missing)
+    head = lines[0].split()
+    if len(head) != len(names.split()):
+        raise ParameterError(f"bad {header} {lines[0]!r}; expected {names!r}")
+    try:
+        return lines, tuple(int(x) for x in head)
+    except ValueError:
+        raise ParameterError(f"bad {header} {lines[0]!r}") from None
+
+
 def format_code(code: Code) -> str:
     """Serialize to the text format: header `q n k`, then k digit rows."""
     lines = [f"{code.q} {code.n} {code.k}"]
@@ -392,16 +361,8 @@ def format_code(code: Code) -> str:
 
 def parse_code(text: str) -> Code:
     """Inverse of format_code; round-trips bit-exactly."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParameterError("empty code file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParameterError(f"bad code header {lines[0]!r}; expected 'q n k'")
-    try:
-        q, n, k = (int(x) for x in head)
-    except ValueError:
-        raise ParameterError(f"bad code header {lines[0]!r}") from None
+    lines, (q, n, k) = read_header(text, "code header", "q n k", 1,
+                                   "empty code file")
     if len(lines) - 1 != k:
         raise ParameterError(f"expected {k} generator rows, found {len(lines) - 1}")
     field = field_new(q)

@@ -32,8 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact, random_code,
-                    span_payloads)
+from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact,
+                    histogram_record, random_code, span_payloads)
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (VecQ, field_new, payload_add, payload_scale, payload_weight,
                   payloads_in_ball, rank_of)
@@ -196,8 +196,7 @@ class SpanSummary:
             "n": c.n, "p": str(c.p), "q": c.q, "ell": c.ell,
             "c_threshold": c.c_threshold, "trials": c.trials,
             "seed": c.seed, "radius": self.radius,
-            "histogram": {str(k): self.histogram[k]
-                          for k in sorted(self.histogram)},
+            "histogram": histogram_record(self.histogram),
             "tail_count": self.tail_count,
             "tail_frequency": self.tail_frequency,
             "rank_check_failures": self.rank_check_failures,
@@ -486,18 +485,11 @@ class SweepPoint:
             "eps": str(self.eps), "rate": self.rate, "k": self.k,
             "degenerate": self.degenerate, "note": self.note,
             "L_candidate": self.L_candidate,
-            "l_max_histogram": _int_histogram(self.l_max_values),
+            "l_max_histogram": histogram_record(Counter(self.l_max_values)),
             "failure_count": self.failure_count,
             "failure_frequency": self.failure_frequency,
             "failures_at_code_size": self.failures_at_code_size,
         }
-
-
-def _int_histogram(values: tuple[int, ...]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for v in sorted(values):
-        out[str(v)] = out.get(str(v), 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -623,8 +615,7 @@ class BallSampleSummary:
             "kind": "ball-sample-summary",
             "q": c.q, "n": c.n, "p": str(c.p), "count": c.count,
             "seed": c.seed, "radius": self.radius,
-            "weight_histogram": {str(k): self.weight_histogram[k]
-                                 for k in sorted(self.weight_histogram)},
+            "weight_histogram": histogram_record(self.weight_histogram),
         }
 
 

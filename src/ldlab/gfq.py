@@ -22,8 +22,7 @@ shattering sets) are 1-based.
 The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
 `payloads_in_ball`, `payload_distance`, `echelon`, `payload_reduce`) are
 the single implementation of field arithmetic on packed vectors: `VecQ`
-methods, `rank_of` and the other modules wrap them, and no other module
-reads the field tables.  `payload_add` picks its kernel by q: XOR for
+methods, `rank_of` and the other modules wrap them.  `payload_add` picks its kernel by q: XOR for
 characteristic 2 (q = 2, 4, 8, 16), SWAR lanes for odd prime q (3, 5, 7,
 11, 13; one integer add across every digit, see `_lane_masks`), and a
 digit loop over the addition table for q = 9, whose digits are not
@@ -33,10 +32,14 @@ longer one.
 
 XOR and SWAR add integers of any width, so they also act on a block:
 many payloads side by side in fixed-width slots (`slot_width`,
-`slot_ones`, `pack_slots`, `unpack_slots`, `slot_array`).  The span
-enumerator and the coset tally in `codes` add whole blocks, and
-`payloads_in_ball`, the batch form of `payload_weight`, OR-folds a block
-of payloads at once; both weight kernels share the fold, `_digit_flags`.
+`slot_ones`, `pack_slots`, `unpack_slots`).  `slots_add` adds one step
+to every slot of a block, with one such add, or slot by slot for q = 9;
+the span enumerator in `codes` and the ball walk in `hamming` add whole
+blocks through it.  `payloads_in_ball`, the batch form of
+`payload_weight`, OR-folds a block of payloads at once; both weight
+kernels share the fold, `_digit_flags`.  No other module reads a field's
+tables, characteristic or degree, so every choice of kernel by q is made
+here.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, MutableSequence, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
 
@@ -240,13 +243,6 @@ def pack_slots(values: Iterable[int], width: int) -> int:
     return int.from_bytes(data, sys.byteorder)
 
 
-def slot_array(width: int) -> MutableSequence[int]:
-    """An empty growable sequence of slot values (width a multiple of 8):
-    an array of machine words for 8-64-bit slots, else a list."""
-    code = _SLOT_CODES.get(width)
-    return array(code) if code else []
-
-
 def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
     """The count slots of a block (width a multiple of 8), lowest first."""
     data = block.to_bytes(count * width // 8, sys.byteorder)
@@ -256,6 +252,17 @@ def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
     step = width // 8
     return [int.from_bytes(data[i:i + step], sys.byteorder)
             for i in range(0, len(data), step)]
+
+
+def slots_add(field: FieldTable, block: int, step: int, width: int,
+              count: int) -> int:
+    """The block with `step` added to each of its count slots: one XOR or
+    SWAR `payload_add` of step in every slot, or for q = 9, whose table
+    loop over a whole block would be quadratic, slot by slot."""
+    if field.characteristic == 2 or field.degree == 1:
+        return payload_add(field, block, step * slot_ones(width, count))
+    return pack_slots((payload_add(field, x, step)
+                       for x in unpack_slots(block, width, count)), width)
 
 
 # (q, k) -> (even, bias, low) for the odd prime-q branch of payload_add,

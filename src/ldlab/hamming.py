@@ -9,6 +9,9 @@ Ball volumes are exact integers: |B(r)| = sum_{i<=r} C(n, i) (q-1)^i.
 by an integer draw against exact shell sizes, then a uniform support and
 uniform nonzero values.
 
+`ball_walk` is the one ball enumerator: `ball_points` runs it on the
+steps a * e_i, and the coset tally in `codes` on their coset labels.
+
 Stream contract: the samplers consume the same Mersenne Twister words, in
 the same order, as CPython 3.11's `randrange` and `sample` would.  Each
 draw is `rng.getrandbits(k)` in an inline rejection loop, as in
@@ -22,14 +25,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import FieldTable, VecQ, field_new, payload_add
+from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add, slot_width,
+                  slots_add, unpack_slots)
 
 RadiusParam = Union[Fraction, float, int, str]
 
@@ -261,22 +266,64 @@ def uniform_payload(field: FieldTable, n: int, rng: random.Random) -> int:
     return payload
 
 
+def ball_walk(field: FieldTable, steps: Sequence[Sequence[int]],
+              r: int) -> Iterator[Sequence[int]]:
+    """Every sum of at most r steps at distinct positions, in chunks.
+
+    steps[i] lists the steps allowed at position i (n = len(steps)), and
+    every sum must stay below 2^(n b); steps[i] = [a * e_i for a = 1 ..
+    q - 1] gives each point of B(0, r) once.  Chunks come weight-major:
+    0 alone, then the steps themselves by decreasing position, then the
+    weight-2 sums, and so on.
+
+    Weight d >= 2 is built from weight d - 1, packed once in order of
+    decreasing lowest support: position i, from n - 1 down to 0, adds
+    each of its steps to the prefix of weight d - 1 whose lowest support
+    lies above i, one `gfq.slots_add` per step.  Weight-r chunks are
+    yielded and never stored, so the walk holds two weights at a time.
+    Each chunk is valid only until the next one is asked for: use it
+    before going on.
+    """
+    n, b = len(steps), field.bits_per_digit
+    width = slot_width(b, n * b)
+    yield (0,)
+    if r == 0:
+        return
+    sums = [step for i in reversed(range(n)) for step in steps[i]]
+    yield sums
+    level = pack_slots(sums, width)
+    # counts[i]: how many sums of weight d - 1 have lowest support >= i
+    counts = [0] * (n + 1)
+    for i in reversed(range(n)):
+        counts[i] = counts[i + 1] + len(steps[i])
+    for d in range(2, r + 1):
+        parts, above = [], [0] * (n + 1)
+        for i in reversed(range(n - d + 1)):
+            count = counts[i + 1]
+            prefix = level & ((1 << count * width) - 1)
+            for step in steps[i]:
+                block = slots_add(field, prefix, step, width, count)
+                if d < r:
+                    parts.append(block.to_bytes(count * width // 8,
+                                                sys.byteorder))
+                yield unpack_slots(block, width, count)
+            above[i] = above[i + 1] + count * len(steps[i])
+        level, counts = int.from_bytes(b"".join(parts), sys.byteorder), above
+
+
 def ball_points(field: FieldTable, center: VecQ, r: int) -> Iterator[VecQ]:
     """Yield every point within distance r of `center`, center first.
 
-    Points come out grouped by distance from the center, each group in
-    lexicographic order of (changed positions, replacement values).
+    Points come out weight-major, in the order of `ball_walk`: grouped by
+    distance from the center, and within a distance by decreasing lowest
+    changed position.
     """
     n = center.n
     q = field.q
     _check_ball_params(n, r, q)
     b = field.bits_per_digit
-    yield center
+    steps = [[a << (i * b) for a in range(1, q)] for i in range(n)]
     base = center.payload
-    for w in range(1, r + 1):
-        for positions in itertools.combinations(range(n), w):
-            for values in itertools.product(range(1, q), repeat=w):
-                offset = 0
-                for pos, val in zip(positions, values):
-                    offset |= val << (pos * b)
-                yield VecQ(field, n, payload_add(field, base, offset))
+    for offsets in ball_walk(field, steps, r):
+        for offset in offsets:
+            yield VecQ(field, n, payload_add(field, base, offset))

@@ -437,17 +437,50 @@ def test_rank_known_values():
 @pytest.mark.parametrize("width", [8, 16, 24, 32, 48, 64, 72, 80, 136])
 def test_pack_slots_inverts_unpack_slots(width):
     """pack_slots puts value j in bits [j*width, (j+1)*width) and
-    unpack_slots reads it back, for machine widths and the others; a
-    slot_array of the width holds the values unchanged."""
+    unpack_slots reads it back, for machine widths and the others."""
     rng = random.Random(width)
     for count in (0, 1, 2, 7, 300):
         values = [rng.randrange(1 << width) for _ in range(count)]
         block = gfq.pack_slots(iter(values), width)
         assert block == sum(v << (j * width) for j, v in enumerate(values))
         assert list(gfq.unpack_slots(block, width, count)) == values
-        level = gfq.slot_array(width)
-        level.extend(values)
-        assert gfq.pack_slots(level, width) == block
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_slots_add_adds_the_step_to_every_slot(q):
+    """slots_add equals payload_add slot by slot, for machine-word slots
+    and wider ones, and an empty block stays empty."""
+    f = field_new(q)
+    b = f.bits_per_digit
+    rng = random.Random(q)
+    for n in (1, 5, 16, 30):
+        width = gfq.slot_width(b, n * b)
+        for count in (0, 1, 3, 257):
+            values = [VecQ.from_digits(f, [rng.randrange(q) for _ in range(n)]).payload
+                      for _ in range(count + 1)]
+            step = values.pop()
+            block = gfq.pack_slots(values, width)
+            got = gfq.slots_add(f, block, step, width, count)
+            assert list(gfq.unpack_slots(got, width, count)) == [
+                payload_add(f, v, step) for v in values]
+
+
+def test_q9_slots_add_goes_slot_by_slot(monkeypatch):
+    """For q = 9 no payload_add sees a whole block: its digit loop over a
+    block would be quadratic in the block's length."""
+    f = field_new(9)
+    seen = []
+    add = gfq.payload_add
+
+    def recording(field, x, y):
+        seen.append(max(x, y).bit_length())
+        return add(field, x, y)
+
+    monkeypatch.setattr(gfq, "payload_add", recording)
+    width, count = 32, 100
+    block = gfq.pack_slots((j % 9 | j // 9 % 9 << 4 for j in range(count)), width)
+    gfq.slots_add(f, block, 0x12345678, width, count)
+    assert len(seen) == count and max(seen) <= width
 
 
 def test_mate_mismatch_errors_are_pinned():

@@ -257,10 +257,13 @@ def test_sampling_weight_distribution_ternary():
 
 @pytest.mark.parametrize(
     "q,n,radii",
-    [(2, 5, range(6)), (3, 4, range(3)), (4, 3, range(4)), (5, 3, range(3))],
+    [(2, 5, range(6)), (3, 4, range(3)), (4, 3, range(4)), (5, 3, range(3)),
+     (7, 3, range(4)), (8, 3, range(4)), (9, 3, range(4)), (11, 3, range(4)),
+     (13, 2, range(3)), (16, 3, range(4))],
 )
 def test_ball_points_enumerates_exactly_the_ball(q, n, radii):
-    """ball_points yields each ball member exactly once, center first."""
+    """ball_points yields each ball member exactly once, center first and
+    weight-major: the distance from the center never decreases."""
     f = field_new(q)
     for r in radii:
         center = VecQ.from_digits(f, [(i + 1) % q for i in range(n)])
@@ -268,6 +271,8 @@ def test_ball_points_enumerates_exactly_the_ball(q, n, radii):
         assert points[0] == center
         assert len(points) == ball_volume(n, r, q)
         assert len(set(points)) == len(points)
+        distances = [p.distance(center) for p in points]
+        assert distances == sorted(distances)
         expected = {
             VecQ.from_digits(f, t)
             for t in oracles.all_tuples(q, n)

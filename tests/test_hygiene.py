@@ -1,8 +1,8 @@
 """Source hygiene: no unused imports or unused private functions in ldlab,
-no module but gfq reads the field tables, no process pool and no fork
-outside `experiments`, importing the package builds no field or mask
-cache and no CLI parser, and `ldlab.__all__` names only what the package
-defines.
+no module but gfq reads the field tables, characteristic or degree, no
+process pool and no fork outside `experiments`, importing the package
+builds no field or mask cache and no CLI parser, and `ldlab.__all__`
+names only what the package defines.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -67,12 +67,14 @@ def test_no_unused_private_functions():
 
 
 def test_only_gfq_reads_field_tables():
-    """Field arithmetic outside gfq goes through its payload kernels.
+    """Field arithmetic outside gfq goes through its payload kernels, and
+    only gfq picks a kernel by the field's characteristic or degree.
 
     Attribute reads (`field.add_table`) and names bound to a table
     (`add_table[a][b]`) both count.
     """
-    tables = {"add_table", "mul_table", "neg_table", "inv_table"}
+    tables = {"add_table", "mul_table", "neg_table", "inv_table",
+              "characteristic", "degree"}
     readers = []
     for path in SOURCES:
         if path.name == "gfq.py":
