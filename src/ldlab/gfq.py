@@ -22,7 +22,8 @@ shattering sets) are 1-based.
 The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
 `payloads_in_ball`, `payload_distance`, `echelon`, `payload_reduce`) are
 the single implementation of field arithmetic on packed vectors: `VecQ`
-methods, `rank_of` and the other modules wrap them.  `payload_add` picks its kernel by q: XOR for
+methods, `rank_of` and the other modules wrap them, and no other module
+reads the field tables.  `payload_add` picks its kernel by q: XOR for
 characteristic 2 (q = 2, 4, 8, 16), SWAR lanes for odd prime q (3, 5, 7,
 11, 13; one integer add across every digit, see `_lane_masks`), and a
 digit loop over the addition table for q = 9, whose digits are not
@@ -38,7 +39,7 @@ the span enumerator in `codes` and the ball walk in `hamming` add whole
 blocks through it.  `payloads_in_ball`, the batch form of
 `payload_weight`, OR-folds a block of payloads at once; both weight
 kernels share the fold, `_digit_flags`.  No other module reads a field's
-tables, characteristic or degree, so every choice of kernel by q is made
+characteristic or degree either, so every choice of kernel by q is made
 here.
 """
 
@@ -257,8 +258,8 @@ def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
 def slots_add(field: FieldTable, block: int, step: int, width: int,
               count: int) -> int:
     """The block with `step` added to each of its count slots: one XOR or
-    SWAR `payload_add` of step in every slot, or for q = 9, whose table
-    loop over a whole block would be quadratic, slot by slot."""
+    SWAR `payload_add` of step in every slot.  q = 9 goes slot by slot,
+    since its table loop over a whole block would be quadratic."""
     if field.characteristic == 2 or field.degree == 1:
         return payload_add(field, block, step * slot_ones(width, count))
     return pack_slots((payload_add(field, x, step)
