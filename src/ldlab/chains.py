@@ -469,8 +469,9 @@ def format_witness(witness: ShatterWitness) -> str:
 
 def parse_witness(text: str) -> ShatterWitness:
     """Inverse of format_witness; round-trips exactly."""
-    lines, (q, ell, c) = read_header(text, "witness header", "q ell c", 2,
-                                     "witness file needs a header and a U line")
+    lines, (q, ell, c) = read_header(
+        text, "witness header", "q ell c", 2,
+        "witness file needs a header and a U line")
     uparts = lines[1].split()
     if not uparts or uparts[0] != "U":
         raise ParameterError(f"bad U line {lines[1]!r}")

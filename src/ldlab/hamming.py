@@ -33,8 +33,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add, slot_width,
-                  slots_add, unpack_slots)
+from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add,
+                  slot_width, slots_add, unpack_slots)
 
 RadiusParam = Union[Fraction, float, int, str]
 
