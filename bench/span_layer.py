@@ -1,0 +1,119 @@
+"""Per-part time and peak memory of ldlab's span trial on seeded inputs.
+
+Run from the root of a checkout:
+
+    python3 bench/span_layer.py [--repeats 5]
+
+Each row is one (q, n, l, p) and a number of trials.  Trial t draws its
+l points of B(0, floor(p n)) as `span-exp` does at seed 12345
+(`derive_stream(12345, "span", t)`, then `sample_ball_uniform` l times).
+The parts of a trial are timed one by one on those points:
+
+- span:  `codes._span_list` of the points' payloads, every q^l member;
+- set:   `set(...)` of those members, the distinct span;
+- count: `gfq.payloads_in_ball` of the distinct span;
+- rank:  `gfq.rank_of` of the points;
+- trial: `experiments._span_chunk` of the same trials, which is the
+  whole trial as `span-exp` runs it, sampling included.
+
+The script prints one JSON object per row: for each part the median over
+the repeats of its milliseconds per trial, the peak memory one untimed
+trial allocates above what was live before it (tracemalloc, so Python
+objects and not the allocator's slack), the number of span members per
+trial, and a SHA-256 of the (distinct size, in-ball count) pair of every
+trial.  It asserts that the trial path counts what the parts count.  The
+script uses only names an older checkout also has, so a copy of it runs
+unchanged against one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import sys
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+
+from ldlab.codes import _span_list  # noqa: E402
+from ldlab.experiments import SpanTrialConfig, _span_chunk  # noqa: E402
+from ldlab.gfq import field_new, payloads_in_ball, rank_of  # noqa: E402
+from ldlab.hamming import BallSpec, sample_ball_uniform  # noqa: E402
+from ldlab.seeding import derive_stream  # noqa: E402
+
+SEED = 12345
+
+# (q, n, l, p, trials).  (3, 32, 6) is the span-q3 trial; the q = 2,
+# n = 8, l = 10 row has rank below l, so its spans hold duplicates;
+# (5, 20, 8) is the 390,625-member memory row; every row from 4096
+# members up fills one or more blocks of gfq._BATCH = 4096 slots.
+ROWS = ((2, 64, 12, "1/4", 4), (2, 8, 10, "1/4", 10), (3, 32, 6, "1/4", 40),
+        (3, 20, 9, "1/5", 4), (5, 20, 6, "1/4", 4), (5, 20, 8, "1/4", 1),
+        (9, 12, 4, "1/4", 4), (16, 10, 3, "1/5", 10))
+PARTS = ("span", "set", "count", "rank", "trial")
+
+
+def row(q: int, n: int, ell: int, p: str, trials: int, repeats: int) -> dict:
+    field = field_new(q)
+    spec = BallSpec.from_p(q, n, Fraction(p))
+    points = []
+    for t in range(trials):
+        rng = derive_stream(SEED, "span", t)
+        points.append([sample_ball_uniform(spec, rng) for _ in range(ell)])
+    config = SpanTrialConfig(n, Fraction(p), q, ell, trials, SEED)
+    times = {part: [] for part in PARTS}
+    pairs = []
+    for _ in range(repeats):
+        spent = dict.fromkeys(PARTS, 0.0)
+        pairs = []
+        for vecs in points:
+            t0 = time.perf_counter()
+            members = _span_list(field, [v.payload for v in vecs])
+            t1 = time.perf_counter()
+            distinct = set(members)
+            t2 = time.perf_counter()
+            count = payloads_in_ball(field, n, distinct, spec.radius)
+            t3 = time.perf_counter()
+            rank_of(vecs)
+            t4 = time.perf_counter()
+            for part, dt in zip(PARTS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+                spent[part] += dt
+            pairs.append((len(distinct), count))
+            del members, distinct
+        t0 = time.perf_counter()
+        chunk = _span_chunk(config, 0, trials)
+        spent["trial"] = time.perf_counter() - t0
+        assert [count for count, _ in chunk] == [c for _, c in pairs]
+        for part in PARTS:
+            times[part].append(spent[part] * 1e3 / trials)
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    _span_chunk(config, 0, 1)
+    peak = tracemalloc.get_traced_memory()[1] - before
+    tracemalloc.stop()
+    text = "".join(f"{size} {count}\n" for size, count in pairs)
+    return {"q_n_l_p": [q, n, ell, p], "trials": trials, "repeats": repeats,
+            "members": q ** ell,
+            **{f"{part}_ms": round(statistics.median(times[part]), 4)
+               for part in PARTS},
+            "trial_peak_mb": round(peak / 2 ** 20, 3),
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    for q, n, ell, p, trials in ROWS:
+        print(json.dumps(row(q, n, ell, p, trials, args.repeats)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

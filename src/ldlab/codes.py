@@ -12,9 +12,10 @@ the one ball enumerator, run on the labels of a * e_i (see
 kept as the exhaustive oracle.  Every checker counts distinct codewords,
 also for rank-deficient generators.
 
-One enumerator, `_span_list`, lists both a code's q^k encodings and the
+One enumerator, `_span_block`, lists both a code's q^k encodings and the
 span that `span-exp` counts.  It adds a whole block of span members per
-(row, scalar) with `gfq.slots_add`, for every q.
+(row, scalar) with `gfq.slots_add`, for every q; `span_in_ball` counts
+the span's members in the ball on that block.
 
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
@@ -29,9 +30,9 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import (FieldTable, VecQ, all_payloads, echelon, field_new,
-                  payload_add, payload_reduce, payload_scale,
-                  payloads_in_ball, rank_of, slot_width, slots_add,
+from .gfq import (FieldTable, VecQ, all_payloads, block_in_ball, echelon,
+                  field_new, payload_add, payload_reduce, payload_scale,
+                  payloads_in_ball, rank_of, slot_ones, slot_width, slots_add,
                   unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       ball_walk, check_sample_budget, radius_of,
@@ -108,16 +109,19 @@ def random_code(n: int, k: int, q: int, full_rank: bool,
             return Code(field, n, k, rows, full_rank)
 
 
-def _span_list(field: FieldTable, payloads: Sequence[int]) -> Sequence[int]:
-    """Every combination sum a_i x_i, indexed by a in base-q order (a_1
-    least significant); duplicates are kept.
+def _span_block(field: FieldTable,
+                payloads: Sequence[int]) -> tuple[int, int, int]:
+    """(block, width, count): every combination sum a_i x_i in slot j of
+    a packed block for message j, in base-q order (a_1 least
+    significant); duplicates are kept.
 
     The members found so far sit in one packed block, member j in slot j
     (see `gfq.slot_width`).  Row x then appends the q^i members base + a x
     for each scalar a = 1 .. q - 1 in turn, each part with a single
     `gfq.slots_add` to the part before it, so a span of q^l members takes
-    l (q - 1) block adds.  The step added to every slot is (a - (a - 1)) x:
-    x itself for prime q, one small `payload_scale` otherwise.
+    l (q - 1) block adds; the row's q - 1 adds share one `gfq.slot_ones`.
+    The step added to every slot is (a - (a - 1)) x: x itself for prime
+    q, one small `payload_scale` otherwise.
     """
     q = field.q
     width = slot_width(field.bits_per_digit,
@@ -125,12 +129,33 @@ def _span_list(field: FieldTable, payloads: Sequence[int]) -> Sequence[int]:
     block, count = 0, 1
     for x in payloads:
         part, shift = block, count * width
+        ones = slot_ones(width, count)
         for a in range(1, q):
             step = payload_scale(field, field.sub(a, a - 1), x)
-            part = slots_add(field, part, step, width, count)
+            part = slots_add(field, part, step, width, count, ones)
             block |= part << (a * shift)
         count *= q
-    return unpack_slots(block, width, count)
+    return block, width, count
+
+
+def _span_list(field: FieldTable, payloads: Sequence[int]) -> Sequence[int]:
+    """The members of `_span_block`, in message order."""
+    return unpack_slots(*_span_block(field, payloads))
+
+
+def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, list[int]]:
+    """The field and payloads of a span's generators, refused when empty,
+    mismatched or over the q^l <= 2^24 budget."""
+    if not vectors:
+        raise ParameterError("a span needs at least one vector")
+    f = vectors[0].field
+    for v in vectors[1:]:
+        vectors[0]._check_mate(v)
+    if f.q ** len(vectors) > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(
+            f"span enumeration q^l = {f.q}^{len(vectors)} exceeds budget "
+            f"{ENUMERATION_BUDGET}")
+    return f, [v.payload for v in vectors]
 
 
 def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
@@ -139,16 +164,29 @@ def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
     Size is q^rank of the input.  Budget: q^l <= 2^24.  An empty list
     names no field, so it is refused.
     """
-    if not vectors:
-        raise ParameterError("span_payloads needs at least one vector")
-    f = vectors[0].field
-    for v in vectors[1:]:
-        vectors[0]._check_mate(v)
-    if f.q ** len(vectors) > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"span enumeration q^l = {f.q}^{len(vectors)} exceeds budget "
-            f"{ENUMERATION_BUDGET}")
-    return set(_span_list(f, [v.payload for v in vectors]))
+    return set(_span_list(*_span_rows(vectors)))
+
+
+def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
+    """(|S|, |S ∩ B(0, radius)|) for the span S of the vectors, both
+    counted over distinct members; refusals as `span_payloads`.
+
+    The block that lists the q^l combinations is counted as it stands
+    (`gfq.block_in_ball`), and that count holds when they are all
+    distinct; otherwise the distinct members are counted.  The block is
+    counted before the set is built and dropped, so it does not add to
+    the set's peak memory.
+    """
+    f, rows = _span_rows(vectors)
+    n = vectors[0].n
+    block, width, count = _span_block(f, rows)
+    members = unpack_slots(block, width, count)
+    in_ball = block_in_ball(f, n, block, width, count, radius)
+    del block
+    distinct = set(members)
+    if len(distinct) == count:
+        return count, in_ball
+    return len(distinct), payloads_in_ball(f, n, distinct, radius)
 
 
 @dataclass(frozen=True)

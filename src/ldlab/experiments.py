@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact,
-                    histogram_record, random_code, span_payloads)
+                    histogram_record, random_code, span_in_ball)
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (VecQ, field_new, payload_add, payload_scale, payload_weight,
-                  payloads_in_ball, rank_of)
+                  rank_of)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_points, ball_volume,
                       check_sample_budget, entropy_q, sample_ball_uniform,
                       uniform_payload)
@@ -214,9 +214,8 @@ def _span_chunk(config: SpanTrialConfig, start: int,
     for t in range(start, stop):
         rng = derive_stream(config.seed, "span", t)
         vecs = [sample_ball_uniform(spec, rng) for _ in range(config.ell)]
-        span = span_payloads(vecs)
-        count = payloads_in_ball(field, config.n, span, radius)
-        out.append((count, len(span) != field.q ** rank_of(vecs)))
+        size, count = span_in_ball(vecs, radius)
+        out.append((count, size != field.q ** rank_of(vecs)))
     return out
 
 

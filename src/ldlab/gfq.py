@@ -20,27 +20,35 @@ after construction.  Coordinate indices in public APIs (supports,
 shattering sets) are 1-based.
 
 The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
-`payloads_in_ball`, `payload_distance`, `echelon`, `payload_reduce`) are
-the single implementation of field arithmetic on packed vectors: `VecQ`
-methods, `rank_of` and the other modules wrap them, and no other module
-reads the field tables.  `payload_add` picks its kernel by q: XOR for
-characteristic 2 (q = 2, 4, 8, 16), SWAR lanes for odd prime q (3, 5, 7,
-11, 13; one integer add across every digit, see `_lane_masks`), and a
-digit loop over the addition table for q = 9, whose digits are not
-independent mod-p lanes.  The SWAR masks are kept per power-of-two width
-class of the operands, so a short add never pays for masks built for a
-longer one.
+`payloads_in_ball`, `block_in_ball`, `payload_distance`, `echelon`,
+`payload_reduce`) are the single implementation of field arithmetic on
+packed vectors: `VecQ` methods, `rank_of` and the other modules wrap
+them, and no other module reads the field tables.  `payload_add` picks
+its kernel by q: XOR for characteristic 2 (q = 2, 4, 8, 16), SWAR lanes
+for odd prime q (3, 5, 7, 11, 13; one integer add across every digit,
+see `_lane_masks`), and a digit loop over the addition table for q = 9,
+whose digits are not independent mod-p lanes.  The SWAR masks are kept
+per power-of-two width class of the operands, so a short add never pays
+for masks built for a longer one.  `payload_scale` negates for prime q
+without a digit loop: -x is q * flags - x, flags marking the nonzero
+digits, and no digit borrows since each is below q.  At q = 3 every
+scalar is 0, 1 or -1, so `echelon` and `payload_reduce` scale there
+without a digit loop; other scalars, and q = 4, 8, 9, 16, keep it.
 
 XOR and SWAR add integers of any width, so they also act on a block:
 many payloads side by side in fixed-width slots (`slot_width`,
 `slot_ones`, `pack_slots`, `unpack_slots`).  `slots_add` adds one step
 to every slot of a block, with one such add, or slot by slot for q = 9;
 the span enumerator in `codes` and the ball walk in `hamming` add whole
-blocks through it.  `payloads_in_ball`, the batch form of
-`payload_weight`, OR-folds a block of payloads at once; both weight
-kernels share the fold, `_digit_flags`.  No other module reads a field's
-characteristic or degree either, so every choice of kernel by q is made
-here.
+blocks through it.  `block_in_ball` counts the slots of a block that
+lie in a Hamming ball around 0: it OR-folds every digit onto a flag
+(`_digit_flags`, which `payload_weight` shares), sums the flags per slot
+in a tree of masked adds, and finds the slots over the radius with one
+biased add and one `bit_count`.  `payloads_in_ball`, the batch form of
+`payload_weight`, packs its payloads into such blocks; at q = 2 it takes
+one `bit_count` per payload, which costs less than the packing.  No
+other module reads a field's characteristic or degree either, so every
+choice of kernel by q is made here.
 """
 
 from __future__ import annotations
@@ -256,12 +264,16 @@ def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
 
 
 def slots_add(field: FieldTable, block: int, step: int, width: int,
-              count: int) -> int:
+              count: int, ones: int | None = None) -> int:
     """The block with `step` added to each of its count slots: one XOR or
     SWAR `payload_add` of step in every slot.  q = 9 goes slot by slot,
-    since its table loop over a whole block would be quadratic."""
+    since its table loop over a whole block would be quadratic.  A caller
+    that adds several steps to blocks of one size passes their
+    `slot_ones(width, count)` as `ones`, which is then built once."""
     if field.characteristic == 2 or field.degree == 1:
-        return payload_add(field, block, step * slot_ones(width, count))
+        if ones is None:
+            ones = slot_ones(width, count)
+        return payload_add(field, block, step * ones)
     return pack_slots((payload_add(field, x, step)
                        for x in unpack_slots(block, width, count)), width)
 
@@ -450,6 +462,12 @@ def payload_scale(field: FieldTable, a: int, x: int) -> int:
     if a <= 1:
         return x if a else 0
     b = field.bits_per_digit
+    if field.degree == 1 and a == field.q - 1:
+        # -x for prime q: q - d at every nonzero digit d, which never
+        # borrows from the digit above.  The flag mask covers the
+        # power-of-two width class of x, so one is cached per class.
+        k = (x.bit_length() - 1).bit_length()
+        return _digit_flags(b, x, _ones_mask(b, -(-(1 << k) // b))) * field.q - x
     mask = (1 << b) - 1
     row = field.mul_table[a]
     out, shift = 0, 0
@@ -486,28 +504,97 @@ def payloads_in_ball(field: FieldTable, n: int, payloads: Iterable[int],
                      radius: int) -> int:
     """Number of payloads of F_q^n with at most `radius` nonzero digits.
 
-    The batch form of `payload_weight`.  For q > 2 and n*b <= 64 the
-    payloads are packed, up to _BATCH at a time, into one block of 8-,
-    16-, 32- or 64-bit slots, and the block is OR-folded at once; only
-    the per-slot bit counts run per payload.
+    The batch form of `payload_weight`: for q > 2 the payloads are
+    packed, up to _BATCH at a time, into one block of 8-, 16-, 32- or
+    64-bit slots (wider ones past 64 bits) and counted with
+    `block_in_ball`.
     """
     b = field.bits_per_digit
-    ones = _ones_mask(b, n)
-    width = max(8, 1 << (n * b - 1).bit_length())
-    code = _SLOT_CODES.get(width) if b > 1 else None
+    if b == 1:
+        # packing costs more than one bit_count per payload
+        return sum(1 for x in payloads if x.bit_count() <= radius)
+    need = n * b
+    width = next((w for w in _SLOT_CODES if w >= need), None) or slot_width(b, need)
     it = iter(payloads)
     count = 0
     while batch := list(islice(it, _BATCH)):
-        if b == 1:
-            flags = batch
-        elif code:
-            block = pack_slots(batch, width)
-            block = _digit_flags(b, block, ones * slot_ones(width, len(batch)))
-            flags = unpack_slots(block, width, len(batch))
-        else:
-            flags = [_digit_flags(b, x, ones) for x in batch]
-        count += sum(1 for v in flags if v.bit_count() <= radius)
+        count += block_in_ball(field, n, pack_slots(batch, width), width,
+                               len(batch), radius)
     return count
+
+
+def block_in_ball(field: FieldTable, n: int, block: int, width: int,
+                  count: int, radius: int) -> int:
+    """Number of the count slots of a block (slot j in bits [j*width,
+    (j+1)*width), width a multiple of 8) whose payload of F_q^n has at
+    most `radius` nonzero digits; digits past the slot width count as 0.
+
+    The digit flags of every slot are summed in a tree of masked adds
+    (`_count_masks`), which leaves each slot's weight in its low bits.
+    Adding 2^m - 1 - radius to every slot, m the bit length of n, then
+    carries into bit m exactly in the slots whose weight exceeds the
+    radius, and one `bit_count` counts them.  A block of more slots than
+    the masks cover is counted in slices, read from one byte copy of it,
+    so the masks and the tree's temporaries stay slice-sized.
+    """
+    b = field.bits_per_digit
+    n = min(n, width // b)
+    if radius < 0:
+        return 0
+    if radius >= n:
+        return count
+    flag_ones, levels, ones, slots = _count_masks(b, n, width)
+    m = n.bit_length()
+    bias = (1 << m) - 1 - radius
+    if count > slots:
+        data = memoryview(block.to_bytes(count * width // 8, sys.byteorder))
+        step = slots * width // 8
+        parts = (int.from_bytes(data[i:i + step], sys.byteorder)
+                 for i in range(0, len(data), step))
+    else:
+        parts = (block,)
+    over = 0
+    for left, x in zip(range(count, 0, -slots), parts):
+        x = _digit_flags(b, x, flag_ones)
+        for shift, even, odd in levels:
+            x = (x & even) + ((x >> shift) & odd)
+        here = ones >> (max(0, slots - left) * width)
+        over += ((x + bias * here) >> m & ones).bit_count()
+    return count - over
+
+
+@lru_cache(maxsize=8)
+def _count_masks(b: int, n: int, width: int) -> tuple[int, tuple, int, int]:
+    """Masks over a slice of slots of `width` bits, each holding n digits
+    of b bits: the digit flags, the tree levels (shift, even, odd), bit 0
+    of every slot, and the number of slots.  A slice holds _BATCH slots,
+    fewer when they are wider than 64 bits, so a mask is at most
+    _BATCH * 64 bits long.
+
+    After level j the count at slot bit i*s, s = b*2^j, is the number of
+    nonzero digits among digits i*2^j .. (i+1)*2^j - 1.  The next level
+    adds the count at (i+1)*s, shifted down by s, to the one at i*s for
+    even i.  Each mask covers just the bits its count can fill, and
+    `odd` only the counts that exist, so no level reads the next slot.
+    """
+    levels = []
+    digits, counts = 1, n
+    while counts > 1:
+        shift = b * digits
+        even = odd = 0
+        for i in range(0, counts, 2):
+            even |= ((1 << min(digits, n - i * digits).bit_length()) - 1) << i * shift
+            if i + 1 < counts:
+                top = min(digits, n - (i + 1) * digits)
+                odd |= ((1 << top.bit_length()) - 1) << i * shift
+        digits *= 2
+        counts = -(-n // digits)
+        levels.append((shift, even, odd))
+    slots = max(1, min(_BATCH, _BATCH * 64 // width))
+    ones = slot_ones(width, slots)
+    return (_ones_mask(b, n) * ones,
+            tuple((s, even * ones, odd * ones) for s, even, odd in levels),
+            ones, slots)
 
 
 def payload_distance(field: FieldTable, n: int, x: int, y: int) -> int:

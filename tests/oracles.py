@@ -83,6 +83,16 @@ def brute_distance(u: Digits, v: Digits) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
 
 
+def brute_in_ball(tuples: Iterable[Digits], r: int) -> int:
+    """How many of the tuples have at most r nonzero entries, one by one."""
+    return sum(1 for t in tuples if brute_weight(t) <= r)
+
+
+def tuple_neg(u: Digits, q: int, add: dict) -> Digits:
+    """-u entry by entry: the b with a + b = 0 in the supplied table."""
+    return tuple(next(b for b in range(q) if add[(a, b)] == 0) for a in u)
+
+
 def all_tuples(q: int, n: int) -> Iterable[Digits]:
     return itertools.product(range(q), repeat=n)
 

@@ -23,7 +23,7 @@ from ldlab import (
     random_code,
     rank_of,
 )
-from ldlab.codes import _coset_tally, _span_list, span_payloads
+from ldlab.codes import _coset_tally, _span_list, span_in_ball, span_payloads
 
 import oracles
 
@@ -201,6 +201,72 @@ def test_span_list_matches_tuple_enumeration_in_order(q):
             assert code.codeword_payloads() == got
         if rows:
             assert span_payloads(vectors) == set(got)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_span_in_ball_matches_brute_distinct_count(q):
+    """span_in_ball gives the number of distinct span members and of those
+    in the ball, as a set of digit tuples does: on full-rank rows, which
+    it counts on the span's block, and on a repeated row, a zero row and
+    a dependent row, whose combinations repeat members."""
+    f = field_new(q)
+    tables = field_tables(q)
+    rng = random.Random(q * 11)
+    n = 5
+    x, y = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(2))
+    dependent = oracles.tuple_add(x, y, tables[0])
+    cases = [[x], [x, y], [x, x], [x, (0,) * n, y], [(0,) * n],
+             [x, y, dependent], [y, x, y, (0,) * n]]
+    for rows in cases:
+        span = set(oracles.span_in_message_order(rows, q, n, *tables))
+        vectors = [VecQ.from_digits(f, r) for r in rows]
+        assert len(span) == q ** rank_of(vectors)
+        for radius in range(-1, n + 2):
+            assert span_in_ball(vectors, radius) == (
+                len(span), oracles.brute_in_ball(span, radius)), (rows, radius)
+
+
+@pytest.mark.parametrize("q,n,ell", [(2, 20, 14), (3, 12, 9), (5, 8, 6),
+                                     (16, 6, 4)])
+def test_span_in_ball_counts_spans_above_one_slice(q, n, ell):
+    """Full-rank spans of 4096 members and more, counted on the block in
+    several slices, against digit tuples of span_payloads counted one by
+    one."""
+    f = field_new(q)
+    rng = random.Random(q + n)
+    while True:
+        vectors = [VecQ.from_digits(f, [rng.randrange(q) for _ in range(n)])
+                   for _ in range(ell)]
+        if rank_of(vectors) == ell:
+            break
+    tuples = [VecQ(f, n, x).digits() for x in span_payloads(vectors)]
+    assert len(tuples) == q ** ell >= 4096
+    for radius in (-1, 0, n // 3, n // 2, n - 1, n):
+        assert span_in_ball(vectors, radius) == (
+            len(tuples), oracles.brute_in_ball(tuples, radius))
+
+
+@pytest.mark.parametrize("q,n", [(2, 65), (3, 33), (16, 17)])
+def test_span_in_ball_with_zero_top_digits(q, n):
+    """Rows whose last digit is 0 fit slots narrower than n digits; the
+    block count takes the digits past the slot as 0."""
+    f = field_new(q)
+    rng = random.Random(n)
+    rows = [tuple(rng.randrange(q) for _ in range(n - 1)) + (0,)
+            for _ in range(3)]
+    span = set(oracles.span_in_message_order(rows, q, n, *field_tables(q)))
+    vectors = [VecQ.from_digits(f, r) for r in rows]
+    for radius in (-1, 0, n // 4, n // 2, n - 2, n - 1, n):
+        assert span_in_ball(vectors, radius) == (
+            len(span), oracles.brute_in_ball(span, radius))
+
+
+def test_span_in_ball_refuses_as_span_payloads():
+    f = field_new(2)
+    with pytest.raises(ParameterError):
+        span_in_ball([], 1)
+    with pytest.raises(ResourceBudgetError):
+        span_in_ball([VecQ.from_digits(f, [1] * 30) for _ in range(30)], 1)
 
 
 def assert_tally_matches_oracle(q: int, rows: list[tuple[int, ...]], n: int,

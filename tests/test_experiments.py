@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ldlab import (
     BallSampleConfig,
+    BallSpec,
     PairSumConfig,
     ParameterError,
     ResourceBudgetError,
     SpanTrialConfig,
     SweepConfig,
     check_ld_exact,
+    derive_stream,
     exact_pair_sum_probability,
     format_code,
     pair_sum_count_closed_form,
@@ -26,6 +29,7 @@ from ldlab import (
     run_pair_sum_experiment,
     run_rate_sweep,
     run_span_experiment,
+    sample_ball_uniform,
 )
 from ldlab import experiments
 from ldlab.experiments import (_chunk_ranges, _clamp_workers,
@@ -149,6 +153,27 @@ def test_span_experiment_summary():
     record = summary.as_record()
     assert record["schema_version"] == 1
     assert record["kind"] == "span-summary"
+
+
+@pytest.mark.parametrize("q,n,ell", [(2, 3, 5), (3, 3, 5), (5, 2, 3), (9, 2, 3)])
+def test_span_trials_on_deficient_rank_match_brute_counts(q, n, ell):
+    """With l > n every span repeats members.  Each trial's in-ball count
+    equals a set of digit tuples' count, recomputed from the trial's
+    stream, and no trial fails the rank check |span| = q^rank."""
+    config = SpanTrialConfig(n=n, p=Fraction(2, 3), q=q, ell=ell, trials=30,
+                             seed=7)
+    summary = run_span_experiment(config)
+    spec = BallSpec.from_p(q, n, config.p)
+    tables = (oracles.extension_field_tables(3, 2, (2, 2, 1)) if q == 9
+              else oracles.prime_field_tables(q))
+    expected = Counter()
+    for t in range(config.trials):
+        rng = derive_stream(config.seed, "span", t)
+        rows = [sample_ball_uniform(spec, rng).digits() for _ in range(ell)]
+        span = set(oracles.span_in_message_order(rows, q, n, *tables))
+        expected[oracles.brute_in_ball(span, spec.radius)] += 1
+    assert summary.histogram == dict(sorted(expected.items()))
+    assert summary.rank_check_failures == 0
 
 
 def test_span_tail_counting_uses_the_threshold():

@@ -371,6 +371,140 @@ def test_payloads_in_ball_matches_payload_weight(q):
     assert gfq.payloads_in_ball(f, n, [], 0) == 0
 
 
+COUNT_LENGTHS = (1, 2, 5, 21, 31, 32, 33, 64)
+
+
+def count_cases(q, n, rng):
+    """Digit tuples for the count tests: sparse and dense random ones, 0,
+    all q - 1, and a tuple whose only nonzero digit is the last."""
+    sparse = [tuple(rng.randrange(1, q) if rng.random() < 0.2 else 0
+                    for _ in range(n)) for _ in range(60)]
+    dense = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(60)]
+    return sparse + dense + [(0,) * n, (q - 1,) * n, (0,) * (n - 1) + (1,)]
+
+
+def assert_counts_match_oracle(q, n, tuples, radii):
+    """payloads_in_ball, and block_in_ball on the span enumerator's slot
+    width, equal the per-member oracle at every radius."""
+    f = field_new(q)
+    b = f.bits_per_digit
+    payloads = [pack(q, t) for t in tuples]
+    width = gfq.slot_width(b, n * b)
+    block = gfq.pack_slots(payloads, width)
+    for radius in radii:
+        want = oracles.brute_in_ball(tuples, radius)
+        assert gfq.payloads_in_ball(f, n, payloads, radius) == want, (q, n, radius)
+        assert gfq.block_in_ball(f, n, block, width, len(payloads),
+                                 radius) == want, (q, n, width, radius)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_counts_match_per_member_oracle(q):
+    """Both ball counts agree with counting digit tuples one by one, at
+    every radius from -1 to n + 2, on empty batches, and on batches above
+    _BATCH payloads, which the block count takes in slices."""
+    rng = random.Random(q * 31)
+    for n in COUNT_LENGTHS:
+        tuples = count_cases(q, n, rng)
+        assert_counts_match_oracle(q, n, tuples, range(-1, n + 3))
+        assert_counts_match_oracle(q, n, [], range(-1, n + 3))
+    for n in (5, 33, 64):
+        tuples = count_cases(q, n, rng)
+        many = (tuples * (gfq._BATCH // len(tuples) + 2))[:gfq._BATCH + 7]
+        assert_counts_match_oracle(q, n, many, (-1, 0, 1, n // 3, n - 1, n))
+
+
+def test_block_count_stays_inside_each_slot():
+    """Slots whose digit count is not a power of two: the tree's last
+    unpaired count sits next to the following slot, so a mask that reads
+    past it would add that slot's count.  q = 5 at n = 5 in 16-bit slots
+    and at n = 21 in 64- and 72-bit slots; q = 3 at n = 33 in 72-bit
+    slots; q = 2 at n = 72 in 72-bit slots; q = 16 at n = 21 in 88-bit
+    slots.  The slots after each one hold all q - 1, so a count that
+    leaks in shows."""
+    rng = random.Random(5)
+    for q, n, width in ((5, 5, 16), (5, 21, 64), (5, 21, 72), (3, 33, 72),
+                        (2, 72, 72), (16, 21, 88)):
+        f = field_new(q)
+        full = (q - 1,) * n
+        tuples = []
+        for _ in range(40):
+            tuples += [tuple(rng.randrange(q) for _ in range(n)), full]
+        block = gfq.pack_slots([pack(q, t) for t in tuples], width)
+        for radius in range(-1, n + 2):
+            assert gfq.block_in_ball(f, n, block, width, len(tuples), radius) \
+                == oracles.brute_in_ball(tuples, radius), (q, n, width, radius)
+
+
+def test_count_clamps_radius_above_n():
+    """A radius above n counts every payload: a bias of 2^m - 1 - radius
+    would go negative there."""
+    f3 = field_new(3)
+    assert gfq.payloads_in_ball(f3, 4, [0, 1, 5, 0xff], 10) == 4
+    assert gfq.payloads_in_ball(f3, 4, [0, 1, 5, 0xff], 4) == 4
+    assert gfq.payloads_in_ball(f3, 4, [0, 1, 5, 0xff], -1) == 0
+    block = gfq.pack_slots([0, 1, 5, 0xff], 8)
+    assert [gfq.block_in_ball(f3, 4, block, 8, 4, r) for r in range(-2, 7)] \
+        == [0, 0, 1, 2, 3, 3, 4, 4, 4]
+
+
+def test_block_count_caches_masks_for_one_slice():
+    """The masks cover at most _BATCH slots of up to 64 bits, whatever
+    the size of the block counted."""
+    f = field_new(3)
+    tuples = count_cases(3, 32, random.Random(2)) * 300
+    block = gfq.pack_slots([pack(3, t) for t in tuples], 64)
+    assert len(tuples) > 4 * gfq._BATCH
+    assert gfq.block_in_ball(f, 32, block, 64, len(tuples), 8) \
+        == oracles.brute_in_ball(tuples, 8)
+    for b, n, width in [(2, 32, 64), (4, 64, 256)]:
+        _, levels, ones, slots = gfq._count_masks(b, n, width)
+        assert slots <= gfq._BATCH and slots * width <= gfq._BATCH * 64
+        assert max(m.bit_length() for _, even, odd in levels
+                   for m in (even, odd)) <= slots * width
+
+
+@pytest.mark.parametrize("q", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64])
+def test_negation_matches_tuple_arithmetic(q, n):
+    """payload_scale(q - 1, .) and -VecQ equal entrywise negation of
+    digit tuples, for random vectors, zero, all q - 1 and vectors whose
+    top digits are 0."""
+    f = field_new(q)
+    add, _ = oracle_tables(q)
+    rng = random.Random(q * 100 + n)
+    cases = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(200)]
+    cases += [(0,) * n, (q - 1,) * n, (1,) + (0,) * (n - 1)]
+    cases += [tuple(rng.randrange(q) for _ in range(k)) + (0,) * (n - k)
+              for k in range(n + 1)]
+    for u in cases:
+        want = oracles.tuple_neg(u, q, add)
+        assert unpack(q, n, payload_scale(f, q - 1, pack(q, u))) == want
+        assert (-VecQ.from_digits(f, u)).digits() == want
+
+
+def test_only_prime_fields_negate_on_flags(monkeypatch):
+    """Prime q > 2 negates through the digit flags; q = 4, 8, 9 and 16
+    keep their paths (-1 = 1 in characteristic 2, the digit loop for
+    q = 9), and stay exact with the flag fold taken away."""
+
+    def refuse(*args):
+        raise AssertionError("digit flags used")
+
+    monkeypatch.setattr(gfq, "_digit_flags", refuse)
+    rng = random.Random(4)
+    for q in (4, 8, 9, 16):
+        f = field_new(q)
+        add, mul = oracle_tables(q)
+        u = tuple(rng.randrange(q) for _ in range(20))
+        assert (-VecQ.from_digits(f, u)).digits() == oracles.tuple_neg(u, q, add)
+        assert unpack(q, 20, payload_scale(f, q - 1, pack(q, u))) \
+            == tuple(mul[(q - 1, d)] for d in u)
+    for q in (3, 5, 7, 11, 13):
+        with pytest.raises(AssertionError, match="digit flags used"):
+            -VecQ.from_digits(field_new(q), [1, 2])
+
+
 def test_vectors_from_different_fields_do_not_mix():
     u = VecQ.from_digits(field_new(2), [1, 0])
     v = VecQ.from_digits(field_new(3), [1, 0])
