@@ -9,9 +9,11 @@ l points of B(0, floor(p n)) as `span-exp` does at seed 12345
 (`derive_stream(12345, "span", t)`, then `sample_ball_uniform` l times).
 The parts of a trial are timed one by one on those points:
 
-- span:  `codes._span_list` of the points' payloads, every q^l member;
+- span:  `codes._span_block` of the points' payloads, every q^l member
+  in one packed block, and `gfq.unpack_slots` of it;
 - set:   `set(...)` of those members, the distinct span;
-- count: `gfq.payloads_in_ball` of the distinct span;
+- count: `gfq.block_in_ball` of the block, divided by the q^l / |S| slots
+  each distinct member fills, as `codes.span_in_ball` counts;
 - rank:  `gfq.rank_of` of the points;
 - trial: `experiments._span_chunk` of the same trials, which is the
   whole trial as `span-exp` runs it, sampling included.
@@ -41,9 +43,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
-from ldlab.codes import _span_list  # noqa: E402
+from ldlab.codes import _span_block  # noqa: E402
 from ldlab.experiments import SpanTrialConfig, _span_chunk  # noqa: E402
-from ldlab.gfq import field_new, payloads_in_ball, rank_of  # noqa: E402
+from ldlab.gfq import (block_in_ball, field_new, rank_of,  # noqa: E402
+                       unpack_slots)
 from ldlab.hamming import BallSpec, sample_ball_uniform  # noqa: E402
 from ldlab.seeding import derive_stream  # noqa: E402
 
@@ -52,7 +55,7 @@ SEED = 12345
 # (q, n, l, p, trials).  (3, 32, 6) is the span-q3 trial; the q = 2,
 # n = 8, l = 10 row has rank below l, so its spans hold duplicates;
 # (5, 20, 8) is the 390,625-member memory row; every row from 4096
-# members up fills one or more blocks of gfq._BATCH = 4096 slots.
+# members up fills one or more slices of gfq._BATCH = 4096 slots.
 ROWS = ((2, 64, 12, "1/4", 4), (2, 8, 10, "1/4", 10), (3, 32, 6, "1/4", 40),
         (3, 20, 9, "1/5", 4), (5, 20, 6, "1/4", 4), (5, 20, 8, "1/4", 1),
         (9, 12, 4, "1/4", 4), (16, 10, 3, "1/5", 10))
@@ -74,18 +77,20 @@ def row(q: int, n: int, ell: int, p: str, trials: int, repeats: int) -> dict:
         pairs = []
         for vecs in points:
             t0 = time.perf_counter()
-            members = _span_list(field, [v.payload for v in vecs])
+            block, width, total = _span_block(field, [v.payload for v in vecs])
+            members = unpack_slots(block, width, total)
             t1 = time.perf_counter()
             distinct = set(members)
             t2 = time.perf_counter()
-            count = payloads_in_ball(field, n, distinct, spec.radius)
+            count = block_in_ball(field, n, block, width, total,
+                                  spec.radius) // (total // len(distinct))
             t3 = time.perf_counter()
             rank_of(vecs)
             t4 = time.perf_counter()
             for part, dt in zip(PARTS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                 spent[part] += dt
             pairs.append((len(distinct), count))
-            del members, distinct
+            del block, members, distinct
         t0 = time.perf_counter()
         chunk = _span_chunk(config, 0, trials)
         spent["trial"] = time.perf_counter() - t0

@@ -213,6 +213,8 @@ def _radius_from_args(args) -> tuple[int, Fraction]:
     if (args.r is None) == (args.p is None):
         raise ParameterError("exactly one of --r and --p is required")
     if args.r is not None:
+        if args.n < 1:
+            raise ParameterError(f"length n={args.n} must be >= 1")
         if args.r < 0 or args.r > args.n:
             raise ParameterError(f"radius r={args.r} outside [0, {args.n}]")
         return args.r, Fraction(args.r, args.n)

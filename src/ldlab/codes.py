@@ -12,10 +12,17 @@ the one ball enumerator, run on the labels of a * e_i (see
 kept as the exhaustive oracle.  Every checker counts distinct codewords,
 also for rank-deficient generators.
 
+`full` and the Monte Carlo checker count the codewords within the
+radius of a center x with one `gfq.block_in_ball` on the packed q^k
+encodings m·G, x XORed into every slot of n digits: d(x, c) is the
+weight of x ^ c for every q.  m -> m·G is linear with q^(k - rank)
+messages in its kernel, so each distinct codeword fills exactly
+q^(k - rank) slots, and the slot count divided by that is exact.
+
 One enumerator, `_span_block`, lists both a code's q^k encodings and the
 span that `span-exp` counts.  It adds a whole block of span members per
 (row, scalar) with `gfq.slots_add`, for every q; `span_in_ball` counts
-the span's members in the ball on that block.
+the span's members in the ball on that block, by the same division.
 
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
@@ -27,12 +34,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, block_in_ball, echelon,
-                  field_new, payload_add, payload_reduce, payload_scale,
-                  payloads_in_ball, rank_of, slot_ones, slot_width, slots_add,
+                  field_new, pack_slots, payload_add, payload_reduce,
+                  payload_scale, rank_of, slot_ones, slot_width, slots_add,
                   unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       ball_walk, check_sample_budget, radius_of,
@@ -172,8 +179,8 @@ def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     counted over distinct members; refusals as `span_payloads`.
 
     The block that lists the q^l combinations is counted as it stands
-    (`gfq.block_in_ball`), and that count holds when they are all
-    distinct; otherwise the distinct members are counted.  The block is
+    (`gfq.block_in_ball`).  Each distinct member fills q^l / |S| of its
+    slots, so dividing by that gives the distinct count.  The block is
     counted before the set is built and dropped, so it does not add to
     the set's peak memory.
     """
@@ -183,10 +190,8 @@ def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     members = unpack_slots(block, width, count)
     in_ball = block_in_ball(f, n, block, width, count, radius)
     del block
-    distinct = set(members)
-    if len(distinct) == count:
-        return count, in_ball
-    return len(distinct), payloads_in_ball(f, n, distinct, radius)
+    size = len(set(members))
+    return size, in_ball // (count // size)
 
 
 @dataclass(frozen=True)
@@ -244,14 +249,23 @@ def _coset_tally(code: Code, radius: int) -> dict[int, int]:
     return Counter(chain.from_iterable(ball_walk(f, steps, radius)))
 
 
-def _count_within(field: FieldTable, n: int, radius: int, x: int,
-                  cws: Sequence[int]) -> int:
-    """Number of the (distinct) codeword payloads cws within radius of x.
+def _codeword_counter(code: Code,
+                      radius: int) -> tuple[list[int], Callable[[int], int]]:
+    """The distinct codewords in message order, and a function that counts
+    them within `radius` of a center payload x on their packed encodings
+    (see the module docstring)."""
+    f, n = code.field, code.n
+    encodings = code.codeword_payloads()
+    cws = list(dict.fromkeys(encodings))
+    total, repeats = len(encodings), len(encodings) // len(cws)
+    width = slot_width(f.bits_per_digit, n * f.bits_per_digit)
+    block, ones = pack_slots(encodings, width), slot_ones(width, total)
 
-    d(x, c) is the weight of x ^ c for every q (see `payload_distance`),
-    so one batch count covers all codewords.
-    """
-    return payloads_in_ball(field, n, [x ^ cw for cw in cws], radius)
+    def count(x: int) -> int:
+        return block_in_ball(f, n, block ^ x * ones, width, total,
+                             radius) // repeats
+
+    return cws, count
 
 
 def check_ld_exact(code: Code, p: RadiusParam, L: int,
@@ -289,15 +303,10 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
         raise ResourceBudgetError(
             f"full scan q^n * |C| = {centers} * {size} exceeds budget "
             f"{ENUMERATION_BUDGET}; try check_ld_montecarlo")
-    cws = list(dict.fromkeys(code.codeword_payloads()))
-    l_max = -1
-    witness = 0
-    for x in all_payloads(field, n):
-        cnt = _count_within(field, n, radius, x, cws)
-        if cnt > l_max:
-            l_max = cnt
-            witness = x
-    return LdVerdict(q, n, code.k, radius, L, l_max,
+    _, count = _codeword_counter(code, radius)
+    # max returns the first maximum: the lowest-payload center of the top count
+    witness = max(all_payloads(field, n), key=count)
+    return LdVerdict(q, n, code.k, radius, L, count(witness),
                      VecQ(field, n, witness), centers, True, "full")
 
 
@@ -350,7 +359,7 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
     radius = radius_of(p, n)
     spec = BallSpec.from_p(q, n, as_fraction(p))
     check_sample_budget(spec)
-    cws = list(dict.fromkeys(code.codeword_payloads()))
+    cws, count = _codeword_counter(code, radius)
     histogram: dict[int, int] = {}
     max_count = -1
     witness = 0
@@ -358,7 +367,7 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
         seed_cw = cws[rng.randrange(len(cws))]
         noise = sample_ball_uniform(spec, rng)
         x = payload_add(field, seed_cw, noise.payload)
-        cnt = _count_within(field, n, radius, x, cws)
+        cnt = count(x)
         histogram[cnt] = histogram.get(cnt, 0) + 1
         if cnt > max_count:
             max_count = cnt

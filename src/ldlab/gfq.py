@@ -20,11 +20,11 @@ after construction.  Coordinate indices in public APIs (supports,
 shattering sets) are 1-based.
 
 The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
-`payloads_in_ball`, `block_in_ball`, `payload_distance`, `echelon`,
-`payload_reduce`) are the single implementation of field arithmetic on
-packed vectors: `VecQ` methods, `rank_of` and the other modules wrap
-them, and no other module reads the field tables.  `payload_add` picks
-its kernel by q: XOR for characteristic 2 (q = 2, 4, 8, 16), SWAR lanes
+`block_in_ball`, `payload_distance`, `echelon`, `payload_reduce`) are
+the single implementation of field arithmetic on packed vectors: `VecQ`
+methods, `rank_of` and the other modules wrap them, and no other module
+reads the field tables.  `payload_add` picks its kernel by q: XOR for
+characteristic 2 (q = 2, 4, 8, 16), SWAR lanes
 for odd prime q (3, 5, 7, 11, 13; one integer add across every digit,
 see `_lane_masks`), and a digit loop over the addition table for q = 9,
 whose digits are not independent mod-p lanes.  The SWAR masks are kept
@@ -44,9 +44,9 @@ blocks through it.  `block_in_ball` counts the slots of a block that
 lie in a Hamming ball around 0: it OR-folds every digit onto a flag
 (`_digit_flags`, which `payload_weight` shares), sums the flags per slot
 in a tree of masked adds, and finds the slots over the radius with one
-biased add and one `bit_count`.  `payloads_in_ball`, the batch form of
-`payload_weight`, packs its payloads into such blocks; at q = 2 it takes
-one `bit_count` per payload, which costs less than the packing.  No
+biased add and one `bit_count`.  It is the one batch count: the span
+trial and the list-decoding checkers in `codes` count their packed
+blocks with it, and nothing counts a ball payload by payload.  No
 other module reads a field's characteristic or degree either, so every
 choice of kernel by q is made here.
 """
@@ -57,7 +57,6 @@ import math
 import sys
 from array import array
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
@@ -217,8 +216,8 @@ def slot_ones(width: int, count: int) -> int:
 # array / memoryview format of an unsigned slot of each machine width
 _SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
-# payloads_in_ball packs at most this many payloads into one block, so a
-# large batch costs no more than a few blocks of this size at a time
+# block_in_ball, the one batch count, counts a block at most this many
+# slots at a time, so its masks and temporaries stay this size
 _BATCH = 4096
 
 
@@ -498,29 +497,6 @@ def payload_weight(field: FieldTable, n: int, x: int) -> int:
     if b == 1:
         return x.bit_count()
     return _digit_flags(b, x, _ones_mask(b, n)).bit_count()
-
-
-def payloads_in_ball(field: FieldTable, n: int, payloads: Iterable[int],
-                     radius: int) -> int:
-    """Number of payloads of F_q^n with at most `radius` nonzero digits.
-
-    The batch form of `payload_weight`: for q > 2 the payloads are
-    packed, up to _BATCH at a time, into one block of 8-, 16-, 32- or
-    64-bit slots (wider ones past 64 bits) and counted with
-    `block_in_ball`.
-    """
-    b = field.bits_per_digit
-    if b == 1:
-        # packing costs more than one bit_count per payload
-        return sum(1 for x in payloads if x.bit_count() <= radius)
-    need = n * b
-    width = next((w for w in _SLOT_CODES if w >= need), None) or slot_width(b, need)
-    it = iter(payloads)
-    count = 0
-    while batch := list(islice(it, _BATCH)):
-        count += block_in_ball(field, n, pack_slots(batch, width), width,
-                               len(batch), radius)
-    return count
 
 
 def block_in_ball(field: FieldTable, n: int, block: int, width: int,

@@ -249,6 +249,31 @@ def brute_list_decode_l_max(
     return best
 
 
+def replay_ld_montecarlo(rows: Sequence[Digits], q: int, n: int, r: int,
+                         trials: int, rng: random.Random, add: dict,
+                         mul: dict) -> tuple[dict[int, int], int, Digits]:
+    """The Monte Carlo list-size check replayed on digit tuples:
+    (histogram, max count, witness center).
+
+    The distinct codewords are kept in message order.  Each trial draws
+    a codeword by rng.randrange over them, adds noise drawn as
+    `stdlib_ball_digits` draws it, and counts the codewords within r of
+    the sum one by one; the witness is the first center of the largest
+    count.
+    """
+    codewords = list(dict.fromkeys(span_in_message_order(rows, q, n, add, mul)))
+    histogram: dict[int, int] = {}
+    best, witness = -1, (0,) * n
+    for _ in range(trials):
+        seed = codewords[rng.randrange(len(codewords))]
+        center = tuple_add(seed, stdlib_ball_digits(n, r, q, rng), add)
+        count = sum(1 for w in codewords if brute_distance(center, w) <= r)
+        histogram[count] = histogram.get(count, 0) + 1
+        if count > best:
+            best, witness = count, center
+    return histogram, best, witness
+
+
 def brute_ball(n: int, r: int, q: int) -> list[Digits]:
     """Every tuple of F_q^n with at most r nonzero digits."""
     out = []

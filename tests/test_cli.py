@@ -87,6 +87,9 @@ def test_invalid_parameters_exit_2(capsys):
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "-1"]),
         ("n=", sweep + ["--eps", "1/10", "--n", "0"]),
         ("n=", sweep + ["--eps", "1/10", "--n", "-3"]),
+        ("n=", ["ball-volume", "--n", "0", "--r", "0", "--q", "2"]),
+        ("n=", ["sample-ball", "--n", "0", "--r", "0", "--q", "2",
+                "--count", "1"]),
         ("c_threshold", span + ["--n", "8", "--p", "1/4", "--trials", "3",
                                 "--c-threshold", "0"]),
         ("c_threshold", span + ["--n", "8", "--p", "1/4", "--trials", "3",

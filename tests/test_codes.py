@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ldlab import (
     Code,
@@ -403,8 +403,12 @@ def small_codes(draw):
     return code, Fraction(draw(st.integers(0, n)), n)
 
 
+# Generator 10000 over F_3 packs into fewer bits than a center of F_3^5:
+# codewords counted in slots sized to the rows lose the center's top
+# digits, and at radius 0 the full scan then read L_max 2 for the true 1.
 @settings(max_examples=60, deadline=None)
 @given(small_codes())
+@example((parse_code("3 5 1\n10000\n"), Fraction(0)))
 def test_exact_modes_match_brute_oracle_on_distinct_codewords(case):
     code, p = case
     syndrome = check_ld_exact(code, p, 1, mode="syndrome")
@@ -493,6 +497,40 @@ def test_montecarlo_histogram_on_repetition_code():
     assert mc.histogram == {1: 300}
     assert mc.max_count == 1
     assert mc.witness_center is not None
+
+
+def montecarlo_cases(q: int) -> list[Code]:
+    """Codes for the Monte Carlo replay at q: a random full-rank code, a
+    generator whose last row repeats the first, k = 0, and, at q = 3,
+    the generator 10000, whose packed row is shorter than a center."""
+    rng = random.Random(700 + q)
+    n = 7 if q <= 3 else 5
+    f = field_new(q)
+    full = random_code(n, 2, q, full_rank=True, rng=rng)
+    first, second = full.generator
+    cases = [full,
+             Code(f, n, 3, (first, second, first), full_rank=False),
+             Code(f, n, 0, (), full_rank=True)]
+    if q == 3:
+        cases.append(parse_code("3 5 1\n10000\n"))
+    return cases
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_montecarlo_matches_tuple_replay(q):
+    """check_ld_montecarlo reports the histogram, maximum and witness of
+    the same draws replayed on digit tuples (`oracles.replay_ld_montecarlo`)
+    at two radii per code."""
+    add, mul = field_tables(q)
+    for code in montecarlo_cases(q):
+        rows = [row.digits() for row in code.generator]
+        for p in (Fraction(1, code.n), Fraction(2, 5)):
+            mc = check_ld_montecarlo(code, p, 150, random.Random(q))
+            radius = radius_of(p, code.n)
+            want = oracles.replay_ld_montecarlo(
+                rows, q, code.n, radius, 150, random.Random(q), add, mul)
+            got = (mc.histogram, mc.max_count, mc.witness_center.digits())
+            assert got == want, (str(code.generator), p)
 
 
 def test_montecarlo_budget_refusal():

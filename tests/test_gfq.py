@@ -345,13 +345,20 @@ def test_short_add_after_long_uses_short_masks(monkeypatch):
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_payloads_in_ball_matches_payload_weight(q):
-    """The batch count equals one payload_weight call per payload, at
-    every radius, for lengths that fill 8- to 64-bit slots exactly, fall
-    just short of them or exceed 64 bits, for an iterator input, and for
-    more payloads than fit in one packed block."""
+    """The batch count of payloads in a ball, `block_in_ball` on slots of
+    n digits, equals one payload_weight call per payload, at every
+    radius, for lengths that fill 8- to 64-bit slots exactly, fall just
+    short of them or exceed 64 bits, for more payloads than one slice of
+    the count holds, and for an empty block."""
     f = field_new(q)
     rng = random.Random(q + 100)
     b = f.bits_per_digit
+
+    def in_ball(n, payloads, radius):
+        width = gfq.slot_width(b, n * b)
+        return gfq.block_in_ball(f, n, gfq.pack_slots(payloads, width), width,
+                                 len(payloads), radius)
+
     for n in sorted({1, 2, 3, 8 // b, 16 // b, 32 // b, 64 // b, 64 // b + 1,
                      21, 40}):
         n = max(n, 1)
@@ -360,15 +367,13 @@ def test_payloads_in_ball_matches_payload_weight(q):
         payloads += [0, pack(q, (q - 1,) * n)]
         for radius in range(n + 1):
             expected = sum(payload_weight(f, n, x) <= radius for x in payloads)
-            assert gfq.payloads_in_ball(f, n, payloads, radius) == expected
-        assert gfq.payloads_in_ball(f, n, iter(set(payloads)), n // 2) == sum(
-            payload_weight(f, n, x) <= n // 2 for x in set(payloads))
+            assert in_ball(n, payloads, radius) == expected
     n = 64 // b
     many = [pack(q, [rng.randrange(q) for _ in range(n)])
             for _ in range(gfq._BATCH + 5)]
-    assert gfq.payloads_in_ball(f, n, many, n // 2) == sum(
+    assert in_ball(n, many, n // 2) == sum(
         payload_weight(f, n, x) <= n // 2 for x in many)
-    assert gfq.payloads_in_ball(f, n, [], 0) == 0
+    assert in_ball(n, [], 0) == 0
 
 
 COUNT_LENGTHS = (1, 2, 5, 21, 31, 32, 33, 64)
@@ -384,8 +389,8 @@ def count_cases(q, n, rng):
 
 
 def assert_counts_match_oracle(q, n, tuples, radii):
-    """payloads_in_ball, and block_in_ball on the span enumerator's slot
-    width, equal the per-member oracle at every radius."""
+    """block_in_ball on slots of n digits equals the per-member oracle at
+    every radius."""
     f = field_new(q)
     b = f.bits_per_digit
     payloads = [pack(q, t) for t in tuples]
@@ -393,16 +398,15 @@ def assert_counts_match_oracle(q, n, tuples, radii):
     block = gfq.pack_slots(payloads, width)
     for radius in radii:
         want = oracles.brute_in_ball(tuples, radius)
-        assert gfq.payloads_in_ball(f, n, payloads, radius) == want, (q, n, radius)
         assert gfq.block_in_ball(f, n, block, width, len(payloads),
                                  radius) == want, (q, n, width, radius)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_counts_match_per_member_oracle(q):
-    """Both ball counts agree with counting digit tuples one by one, at
-    every radius from -1 to n + 2, on empty batches, and on batches above
-    _BATCH payloads, which the block count takes in slices."""
+    """The block count agrees with counting digit tuples one by one, at
+    every radius from -1 to n + 2, on empty blocks, and on blocks above
+    _BATCH slots, which it takes in slices."""
     rng = random.Random(q * 31)
     for n in COUNT_LENGTHS:
         tuples = count_cases(q, n, rng)
@@ -440,12 +444,9 @@ def test_count_clamps_radius_above_n():
     """A radius above n counts every payload: a bias of 2^m - 1 - radius
     would go negative there."""
     f3 = field_new(3)
-    assert gfq.payloads_in_ball(f3, 4, [0, 1, 5, 0xff], 10) == 4
-    assert gfq.payloads_in_ball(f3, 4, [0, 1, 5, 0xff], 4) == 4
-    assert gfq.payloads_in_ball(f3, 4, [0, 1, 5, 0xff], -1) == 0
     block = gfq.pack_slots([0, 1, 5, 0xff], 8)
-    assert [gfq.block_in_ball(f3, 4, block, 8, 4, r) for r in range(-2, 7)] \
-        == [0, 0, 1, 2, 3, 3, 4, 4, 4]
+    assert [gfq.block_in_ball(f3, 4, block, 8, 4, r) for r in range(-2, 11)] \
+        == [0, 0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4]
 
 
 def test_block_count_caches_masks_for_one_slice():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -24,7 +25,8 @@ from ldlab import (
     radius_of,
     sample_ball_uniform,
 )
-from ldlab.hamming import as_fraction, check_sample_budget, uniform_payload
+from ldlab.hamming import (as_fraction, ball_walk, check_sample_budget,
+                           uniform_payload)
 
 import oracles
 
@@ -279,6 +281,28 @@ def test_ball_points_enumerates_exactly_the_ball(q, n, radii):
             if oracles.brute_distance(t, center.digits()) <= r
         }
         assert set(points) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_ball_walk_restricted_to_some_positions(q):
+    """ball_walk with an empty step list at some positions lists each
+    point of B(0, r) that is zero there exactly once: the walk of the
+    sub-ball on the other positions, for r up to 4 and for none, some
+    and all of the six positions free."""
+    f = field_new(q)
+    n, b = 6, f.bits_per_digit
+    ball = [t for t in itertools.product(range(q), repeat=n)
+            if oracles.brute_weight(t) <= 4]
+    for free in (set(), {5}, {1, 4}, {0, 2, 3, 5}, set(range(n))):
+        steps = [[a << (i * b) for a in range(1, q)] if i in free else []
+                 for i in range(n)]
+        inside = [t for t in ball
+                  if all(t[i] == 0 for i in range(n) if i not in free)]
+        for r in range(5):
+            walked = [x for chunk in ball_walk(f, steps, r) for x in chunk]
+            want = [VecQ.from_digits(f, t).payload
+                    for t in inside if oracles.brute_weight(t) <= r]
+            assert sorted(walked) == sorted(want), (sorted(free), r)
 
 
 def test_ball_points_translation_invariance():

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports or unused private functions in ldlab,
 no module but gfq reads the field tables, characteristic or degree, no
 process pool and no fork outside `experiments`, importing the package
-builds no field or mask cache and no CLI parser, and `ldlab.__all__`
-names only what the package defines.
+builds no field or mask cache and no CLI parser, `ldlab.__all__`
+names only what the package defines, and every ldlab name that the
+benchmark and the bench scripts reach still exists.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -12,6 +13,7 @@ import whose line carries ``# noqa: F401`` is a deliberate re-export.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 import ldlab
 
 SOURCES = sorted(Path(ldlab.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _used_names(tree: ast.Module) -> set[str]:
@@ -116,6 +119,36 @@ def test_public_api_resolves():
     namespace: dict = {}
     exec("from ldlab import *", namespace)
     assert set(ldlab.__all__) <= set(namespace)
+
+
+def _resolves(module: str, dotted: str) -> bool:
+    """Whether module (imported) has the attribute path `dotted`."""
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_benchmark_and_bench_names_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps
+    (`perfbench/spans.py` TARGETS) and every ldlab name that a file in
+    `perfbench/` or `bench/` imports exists, so deleting or renaming one
+    breaks this test and not only a script run by hand.  The files are
+    read as text, not imported."""
+    spans = ast.parse((REPO / "perfbench" / "spans.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in spans.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    wanted = [(module, attr) for _, module, attr in targets]
+    for path in sorted([*REPO.glob("perfbench/*.py"), *REPO.glob("bench/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.partition(".")[0] == "ldlab"):
+                wanted += [(node.module, alias.name) for alias in node.names]
+    assert len(wanted) > len(targets) > 0
+    assert [pair for pair in wanted if not _resolves(*pair)] == []
 
 
 def test_import_builds_no_field_or_mask_cache():
