@@ -10,10 +10,11 @@ l points of B(0, floor(p n)) as `span-exp` does at seed 12345
 The parts of a trial are timed one by one on those points:
 
 - span:  `codes._span_block` of the points' payloads, every q^l member
-  in one packed block, and `gfq.unpack_slots` of it;
-- set:   `set(...)` of those members, the distinct span;
-- count: `gfq.block_in_ball` of the block, divided by the q^l / |S| slots
-  each distinct member fills, as `codes.span_in_ball` counts;
+  in one packed block;
+- zeros: `gfq.block_in_ball` of the block at radius 0, the slots each
+  distinct member fills, so that q^l / zeros is the distinct count;
+- count: `gfq.block_in_ball` of the block at the ball's radius, divided
+  by zeros, as `codes.span_in_ball` counts;
 - rank:  `gfq.rank_of` of the points;
 - trial: `experiments._span_chunk` of the same trials, which is the
   whole trial as `span-exp` runs it, sampling included.
@@ -23,7 +24,8 @@ the repeats of its milliseconds per trial, the peak memory one untimed
 trial allocates above what was live before it (tracemalloc, so Python
 objects and not the allocator's slack), the number of span members per
 trial, and a SHA-256 of the (distinct size, in-ball count) pair of every
-trial.  It asserts that the trial path counts what the parts count.  The
+trial.  It asserts that the trial path counts what the parts count,
+that q^l / zeros is q^rank, and that no trial fails its rank check.  The
 script uses only names an older checkout also has, so a copy of it runs
 unchanged against one.
 """
@@ -45,8 +47,7 @@ sys.path[:0] = [str(ROOT / "src")]
 
 from ldlab.codes import _span_block  # noqa: E402
 from ldlab.experiments import SpanTrialConfig, _span_chunk  # noqa: E402
-from ldlab.gfq import (block_in_ball, field_new, rank_of,  # noqa: E402
-                       unpack_slots)
+from ldlab.gfq import block_in_ball, field_new, rank_of  # noqa: E402
 from ldlab.hamming import BallSpec, sample_ball_uniform  # noqa: E402
 from ldlab.seeding import derive_stream  # noqa: E402
 
@@ -59,7 +60,7 @@ SEED = 12345
 ROWS = ((2, 64, 12, "1/4", 4), (2, 8, 10, "1/4", 10), (3, 32, 6, "1/4", 40),
         (3, 20, 9, "1/5", 4), (5, 20, 6, "1/4", 4), (5, 20, 8, "1/4", 1),
         (9, 12, 4, "1/4", 4), (16, 10, 3, "1/5", 10))
-PARTS = ("span", "set", "count", "rank", "trial")
+PARTS = ("span", "zeros", "count", "rank", "trial")
 
 
 def row(q: int, n: int, ell: int, p: str, trials: int, repeats: int) -> dict:
@@ -78,23 +79,23 @@ def row(q: int, n: int, ell: int, p: str, trials: int, repeats: int) -> dict:
         for vecs in points:
             t0 = time.perf_counter()
             block, width, total = _span_block(field, [v.payload for v in vecs])
-            members = unpack_slots(block, width, total)
             t1 = time.perf_counter()
-            distinct = set(members)
+            zeros = block_in_ball(field, n, block, width, total, 0)
             t2 = time.perf_counter()
             count = block_in_ball(field, n, block, width, total,
-                                  spec.radius) // (total // len(distinct))
+                                  spec.radius) // zeros
             t3 = time.perf_counter()
-            rank_of(vecs)
+            rank = rank_of(vecs)
             t4 = time.perf_counter()
             for part, dt in zip(PARTS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                 spent[part] += dt
-            pairs.append((len(distinct), count))
-            del block, members, distinct
+            assert total // zeros == q ** rank
+            pairs.append((total // zeros, count))
+            del block
         t0 = time.perf_counter()
         chunk = _span_chunk(config, 0, trials)
         spent["trial"] = time.perf_counter() - t0
-        assert [count for count, _ in chunk] == [c for _, c in pairs]
+        assert chunk == [(count, False) for _, count in pairs]
         for part in PARTS:
             times[part].append(spent[part] * 1e3 / trials)
     tracemalloc.start()

@@ -22,7 +22,8 @@ q^(k - rank) slots, and the slot count divided by that is exact.
 One enumerator, `_span_block`, lists both a code's q^k encodings and the
 span that `span-exp` counts.  It adds a whole block of span members per
 (row, scalar) with `gfq.slots_add`, for every q; `span_in_ball` counts
-the span's members in the ball on that block, by the same division.
+the span's members, and those in the ball, on that block alone: each
+member fills as many slots as 0 does, so it divides by the zero slots.
 
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
@@ -178,20 +179,17 @@ def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     """(|S|, |S ∩ B(0, radius)|) for the span S of the vectors, both
     counted over distinct members; refusals as `span_payloads`.
 
-    The block that lists the q^l combinations is counted as it stands
-    (`gfq.block_in_ball`).  Each distinct member fills q^l / |S| of its
-    slots, so dividing by that gives the distinct count.  The block is
-    counted before the set is built and dropped, so it does not add to
-    the set's peak memory.
+    Both are counted on the block that lists the q^l combinations, as it
+    stands (`gfq.block_in_ball`).  a -> sum a_i v_i is linear, so every
+    member of S fills as many slots as 0 does: the zero slots, counted at
+    radius 0.  Dividing the slot counts by that gives the distinct ones.
     """
     f, rows = _span_rows(vectors)
     n = vectors[0].n
     block, width, count = _span_block(f, rows)
-    members = unpack_slots(block, width, count)
-    in_ball = block_in_ball(f, n, block, width, count, radius)
-    del block
-    size = len(set(members))
-    return size, in_ball // (count // size)
+    zeros = block_in_ball(f, n, block, width, count, 0)
+    return (count // zeros,
+            block_in_ball(f, n, block, width, count, radius) // zeros)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ per power-of-two width class of the operands, so a short add never pays
 for masks built for a longer one.  `payload_scale` negates for prime q
 without a digit loop: -x is q * flags - x, flags marking the nonzero
 digits, and no digit borrows since each is below q.  At q = 3 every
-scalar is 0, 1 or -1, so `echelon` and `payload_reduce` scale there
-without a digit loop; other scalars, and q = 4, 8, 9, 16, keep it.
+scalar is 0, 1 or -1, so `rank_of`, `echelon` and `payload_reduce`
+scale there without a digit loop; other scalars, and q = 4, 8, 9, 16,
+keep it.
 
 XOR and SWAR add integers of any width, so they also act on a block:
 many payloads side by side in fixed-width slots (`slot_width`,
@@ -650,22 +651,22 @@ def echelon(field: FieldTable, payloads: Iterable[int]) -> list[tuple[int, int]]
 
 
 def rank_of(vectors: Iterable[VecQ]) -> int:
-    """Rank of the given vectors as rows of a matrix over their field."""
+    """Rank of the given vectors as rows of a matrix over their field, by
+    forward elimination: each row loses its leading digit to the kept row
+    of that pivot (leading digit 1) until it is 0 or its pivot is new."""
     vecs = list(vectors)
     if not vecs:
         return 0
     field = vecs[0].field
     for v in vecs[1:]:
         vecs[0]._check_mate(v)
-    if field.q == 2:
-        rank = 0
-        basis: list[int] = []
-        for v in vecs:
-            x = v.payload
-            for b in basis:
-                x = min(x, x ^ b)
-            if x:
-                basis.append(x)
-                rank += 1
-        return rank
-    return len(echelon(field, [v.payload for v in vecs]))
+    b = field.bits_per_digit
+    pivots: dict[int, int] = {}
+    for v in vecs:
+        y = v.payload
+        while y and (col := (y.bit_length() - 1) // b) in pivots:
+            y = payload_add(field, y, payload_scale(
+                field, field.neg_table[y >> (col * b)], pivots[col]))
+        if y:
+            pivots[col] = payload_scale(field, field.inv_table[y >> (col * b)], y)
+    return len(pivots)

@@ -24,6 +24,7 @@ from ldlab import (
     rank_of,
 )
 from ldlab.codes import _coset_tally, _span_list, span_in_ball, span_payloads
+from ldlab.gfq import _BATCH
 
 import oracles
 
@@ -244,6 +245,32 @@ def test_span_in_ball_counts_spans_above_one_slice(q, n, ell):
     for radius in (-1, 0, n // 3, n // 2, n - 1, n):
         assert span_in_ball(vectors, radius) == (
             len(tuples), oracles.brute_in_ball(tuples, radius))
+
+
+@pytest.mark.parametrize("q,n,ell", [(2, 20, 14), (3, 12, 9)])
+def test_span_in_ball_divides_by_zero_slots_across_slices(q, n, ell):
+    """A span whose last row repeats an earlier one: every member fills q
+    slots of a block of several _BATCH slices, zero among them, and
+    span_in_ball divides both slot counts by that.  The first row has
+    weight 1, so the slots within radius 1 are more than the zero slots.
+    Checked against the digit tuples of every combination, in message
+    order."""
+    f = field_new(q)
+    rng = random.Random(n * ell)
+    unit = [0] * n
+    unit[rng.randrange(n)] = rng.randrange(1, q)
+    rows = [tuple(unit)] + [tuple(rng.randrange(q) for _ in range(n))
+                            for _ in range(ell - 2)]
+    rows.append(rows[rng.randrange(ell - 1)])
+    vectors = [VecQ.from_digits(f, r) for r in rows]
+    assert rank_of(vectors) == ell - 1
+    combos = oracles.span_in_message_order(rows, q, n, *field_tables(q))
+    assert len(combos) == q ** ell > 2 * _BATCH
+    assert combos.count((0,) * n) == q
+    span = set(combos)
+    for radius in (-1, 0, 1, n // 4, n // 2, n):
+        assert span_in_ball(vectors, radius) == (
+            len(span), oracles.brute_in_ball(span, radius)), radius
 
 
 @pytest.mark.parametrize("q,n", [(2, 65), (3, 33), (16, 17)])

@@ -537,7 +537,9 @@ def test_all_vectors_enumerates_whole_space_in_counting_order(q, n):
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_rank_matches_independent_elimination(q):
     """rank_of and the echelon basis agree with Gaussian elimination over
-    oracle-built tables; the basis is in fully reduced echelon form."""
+    oracle-built tables; the basis is in fully reduced echelon form.  The
+    edge cases run at n = 1 to 65 digits, across machine words and SWAR
+    widths."""
     add, mul = oracle_tables(q)
     f = field_new(q)
     rng = random.Random(2026)
@@ -557,6 +559,41 @@ def test_rank_matches_independent_elimination(q):
             assert digits[col] == 1
             assert all(digits[c] == 0 for c in pivots - {col})
             assert max(i for i, d in enumerate(digits) if d) == col
+    for n in (1, 31, 32, 33, 64, 65):
+        for rows in _rank_edge_cases(q, n, rng, add, mul):
+            vectors = [VecQ.from_digits(f, row) for row in rows]
+            rank = oracles.brute_rank(rows, q, add, mul)
+            assert rank_of(vectors) == rank, (n, rows)
+            assert len(echelon(f, [v.payload for v in vectors])) == rank
+
+
+def _rank_edge_cases(q, n, rng, add, mul):
+    """Row lists of n digits at the edges of forward elimination: more rows
+    than n, a repeated, a zero and a dependent row, leading digits other
+    than 1 (also at one pivot column, so that a row is reduced by a
+    leading digit d != 1), and rows whose leading digit sits below n."""
+    def rand(top):
+        """Random digits below `top`, a nonzero leading digit at `top`."""
+        return (tuple(rng.randrange(q) for _ in range(top))
+                + (rng.randrange(1, q),) + (0,) * (n - 1 - top))
+
+    def scaled(a, row):
+        return tuple(mul[(a, d)] for d in row)
+
+    x, y = rand(n - 1), rand(rng.randrange(n))
+    zero = (0,) * n
+    # a x + c y + a z with a = q - 1, not 1 for q > 2: reducing it steps
+    # through leading digits other than 1
+    a, c = q - 1, rng.randrange(1, q)
+    z = rand(n // 2)
+    dependent = oracles.tuple_add(
+        oracles.tuple_add(scaled(a, x), scaled(c, y), add), scaled(a, z), add)
+    lead = [rand(n - 1) for _ in range(3)]
+    lead = [scaled(a, row) if row[-1] == 1 else row for row in lead]
+    return [[x], [zero], [x, x], [x, zero, y, dependent, z],
+            [dependent, z, y, x], [scaled(a, x), x, y, scaled(c, y)],
+            lead, [rand(rng.randrange(n)) for _ in range(n + 2)],
+            [rand(n - 1) for _ in range(n + 1)]]
 
 
 def test_rank_known_values():
