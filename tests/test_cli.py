@@ -98,6 +98,10 @@ def test_invalid_parameters_exit_2(capsys):
         ("{exact,mc}", ["check-ld", "bogus"]),
         ("{find,verify,oracle}", ["chain"]),
         ("{find,verify}", ["shatter"]),
+        ("--workers", span + ["--n", "8", "--p", "1/4", "--trials", "3",
+                              "--workers", "0"]),
+        ("--workers", span + ["--n", "8", "--p", "1/4", "--trials", "3",
+                              "--workers", "-2"]),
         ("--translate", ["chain", "oracle", "--set", "S.vs", "--c", "2",
                          "--translate", "0000", "--best-translate"]),
     ]:
