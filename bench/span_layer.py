@@ -14,8 +14,10 @@ The parts of a trial are timed one by one on those points:
 - zeros: `gfq.block_in_ball` of the block at radius 0, the slots each
   distinct member fills, so that q^l / zeros is the distinct count;
 - count: `gfq.block_in_ball` of the block at the ball's radius, divided
-  by zeros, as `codes.span_in_ball` counts;
+  by zeros;
 - rank:  `gfq.rank_of` of the points;
+- span_in_ball: `codes.span_in_ball` of the points at the ball's radius,
+  as `experiments._span_chunk` calls it: the span block and both counts;
 - trial: `experiments._span_chunk` of the same trials, which is the
   whole trial as `span-exp` runs it, sampling included.
 
@@ -24,10 +26,10 @@ the repeats of its milliseconds per trial, the peak memory one untimed
 trial allocates above what was live before it (tracemalloc, so Python
 objects and not the allocator's slack), the number of span members per
 trial, and a SHA-256 of the (distinct size, in-ball count) pair of every
-trial.  It asserts that the trial path counts what the parts count,
-that q^l / zeros is q^rank, and that no trial fails its rank check.  The
-script uses only names an older checkout also has, so a copy of it runs
-unchanged against one.
+trial.  It asserts that `span_in_ball` and the trial path count what the
+parts count, that q^l / zeros is q^rank, and that no trial fails its
+rank check.  The script uses only names an older checkout also has, so a
+copy of it runs unchanged against one.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
-from ldlab.codes import _span_block  # noqa: E402
+from ldlab.codes import _span_block, span_in_ball  # noqa: E402
 from ldlab.experiments import SpanTrialConfig, _span_chunk  # noqa: E402
 from ldlab.gfq import block_in_ball, field_new, rank_of  # noqa: E402
 from ldlab.hamming import BallSpec, sample_ball_uniform  # noqa: E402
@@ -60,7 +62,7 @@ SEED = 12345
 ROWS = ((2, 64, 12, "1/4", 4), (2, 8, 10, "1/4", 10), (3, 32, 6, "1/4", 40),
         (3, 20, 9, "1/5", 4), (5, 20, 6, "1/4", 4), (5, 20, 8, "1/4", 1),
         (9, 12, 4, "1/4", 4), (16, 10, 3, "1/5", 10))
-PARTS = ("span", "zeros", "count", "rank", "trial")
+PARTS = ("span", "zeros", "count", "rank", "span_in_ball", "trial")
 
 
 def row(q: int, n: int, ell: int, p: str, trials: int, repeats: int) -> dict:
@@ -87,9 +89,13 @@ def row(q: int, n: int, ell: int, p: str, trials: int, repeats: int) -> dict:
             t3 = time.perf_counter()
             rank = rank_of(vecs)
             t4 = time.perf_counter()
-            for part, dt in zip(PARTS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            both = span_in_ball(vecs, spec.radius)
+            t5 = time.perf_counter()
+            for part, dt in zip(PARTS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3,
+                                        t5 - t4)):
                 spent[part] += dt
             assert total // zeros == q ** rank
+            assert both == (total // zeros, count)
             pairs.append((total // zeros, count))
             del block
         t0 = time.perf_counter()

@@ -136,6 +136,17 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ParameterError(f"bad integer list {text!r}") from None
 
 
+def _parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
     return tuple(as_fraction(x) for x in text.split(",") if x.strip())
 
@@ -400,7 +411,7 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_parse_workers, default=1,
                    help="parallel workers; results are independent of N")
 
 

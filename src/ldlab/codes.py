@@ -13,7 +13,7 @@ kept as the exhaustive oracle.  Every checker counts distinct codewords,
 also for rank-deficient generators.
 
 `full` and the Monte Carlo checker count the codewords within the
-radius of a center x with one `gfq.block_in_ball` on the packed q^k
+radius of a center x with one `gfq.block_in_balls` on the packed q^k
 encodings m·G, x XORed into every slot of n digits: d(x, c) is the
 weight of x ^ c for every q.  m -> m·G is linear with q^(k - rank)
 messages in its kernel, so each distinct codeword fills exactly
@@ -23,7 +23,8 @@ One enumerator, `_span_block`, lists both a code's q^k encodings and the
 span that `span-exp` counts.  It adds a whole block of span members per
 (row, scalar) with `gfq.slots_add`, for every q; `span_in_ball` counts
 the span's members, and those in the ball, on that block alone: each
-member fills as many slots as 0 does, so it divides by the zero slots.
+member fills as many slots as 0 does, so it divides by the zero slots,
+which one pass of the block counts together with the in-ball slots.
 
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
@@ -38,7 +39,7 @@ from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import (FieldTable, VecQ, all_payloads, block_in_ball, echelon,
+from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
                   field_new, pack_slots, payload_add, payload_reduce,
                   payload_scale, rank_of, slot_ones, slot_width, slots_add,
                   unpack_slots)
@@ -180,16 +181,17 @@ def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     counted over distinct members; refusals as `span_payloads`.
 
     Both are counted on the block that lists the q^l combinations, as it
-    stands (`gfq.block_in_ball`).  a -> sum a_i v_i is linear, so every
-    member of S fills as many slots as 0 does: the zero slots, counted at
-    radius 0.  Dividing the slot counts by that gives the distinct ones.
+    stands.  a -> sum a_i v_i is linear, so every member of S fills as
+    many slots as 0 does: the zero slots, the count at radius 0.
+    Dividing the slot counts by that gives the distinct ones.  One
+    `gfq.block_in_balls` call at radii (0, radius) counts the zero slots
+    and the in-ball slots from one tree of digit flags.
     """
     f, rows = _span_rows(vectors)
     n = vectors[0].n
     block, width, count = _span_block(f, rows)
-    zeros = block_in_ball(f, n, block, width, count, 0)
-    return (count // zeros,
-            block_in_ball(f, n, block, width, count, radius) // zeros)
+    zeros, inside = block_in_balls(f, n, block, width, count, (0, radius))
+    return count // zeros, inside // zeros
 
 
 @dataclass(frozen=True)
@@ -258,10 +260,11 @@ def _codeword_counter(code: Code,
     total, repeats = len(encodings), len(encodings) // len(cws)
     width = slot_width(f.bits_per_digit, n * f.bits_per_digit)
     block, ones = pack_slots(encodings, width), slot_ones(width, total)
+    radii = (radius,)
 
     def count(x: int) -> int:
-        return block_in_ball(f, n, block ^ x * ones, width, total,
-                             radius) // repeats
+        return block_in_balls(f, n, block ^ x * ones, width, total,
+                              radii)[0] // repeats
 
     return cws, count
 

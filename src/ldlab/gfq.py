@@ -20,7 +20,7 @@ after construction.  Coordinate indices in public APIs (supports,
 shattering sets) are 1-based.
 
 The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
-`block_in_ball`, `payload_distance`, `echelon`, `payload_reduce`) are
+`block_in_balls`, `payload_distance`, `echelon`, `payload_reduce`) are
 the single implementation of field arithmetic on packed vectors: `VecQ`
 methods, `rank_of` and the other modules wrap them, and no other module
 reads the field tables.  `payload_add` picks its kernel by q: XOR for
@@ -41,13 +41,15 @@ many payloads side by side in fixed-width slots (`slot_width`,
 `slot_ones`, `pack_slots`, `unpack_slots`).  `slots_add` adds one step
 to every slot of a block, with one such add, or slot by slot for q = 9;
 the span enumerator in `codes` and the ball walk in `hamming` add whole
-blocks through it.  `block_in_ball` counts the slots of a block that
-lie in a Hamming ball around 0: it OR-folds every digit onto a flag
-(`_digit_flags`, which `payload_weight` shares), sums the flags per slot
-in a tree of masked adds, and finds the slots over the radius with one
-biased add and one `bit_count`.  It is the one batch count: the span
-trial and the list-decoding checkers in `codes` count their packed
-blocks with it, and nothing counts a ball payload by payload.  No
+blocks through it.  `block_in_balls` counts the slots of a block that
+lie in Hamming balls around 0, one count per radius asked: it OR-folds
+every digit onto a flag (`_digit_flags`, which `payload_weight` shares)
+and sums the flags per slot in a tree of masked adds, once per slice of
+the block, then finds the slots over each radius with one biased add
+and one `bit_count`; `block_in_ball` is that call at one radius.  It is
+the one batch count: the span trial and the list-decoding checkers in
+`codes` count their packed blocks with it, and nothing counts a ball
+payload by payload.  No
 other module reads a field's characteristic or degree either, so every
 choice of kernel by q is made here.
 """
@@ -217,7 +219,7 @@ def slot_ones(width: int, count: int) -> int:
 # array / memoryview format of an unsigned slot of each machine width
 _SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
-# block_in_ball, the one batch count, counts a block at most this many
+# block_in_balls, the one batch count, counts a block at most this many
 # slots at a time, so its masks and temporaries stay this size
 _BATCH = 4096
 
@@ -502,27 +504,35 @@ def payload_weight(field: FieldTable, n: int, x: int) -> int:
 
 def block_in_ball(field: FieldTable, n: int, block: int, width: int,
                   count: int, radius: int) -> int:
-    """Number of the count slots of a block (slot j in bits [j*width,
-    (j+1)*width), width a multiple of 8) whose payload of F_q^n has at
-    most `radius` nonzero digits; digits past the slot width count as 0.
+    """`block_in_balls` at the one radius: the number of the count slots
+    of a block whose payload lies in B(0, radius)."""
+    return block_in_balls(field, n, block, width, count, (radius,))[0]
+
+
+def block_in_balls(field: FieldTable, n: int, block: int, width: int,
+                   count: int, radii: Sequence[int]) -> tuple[int, ...]:
+    """For each of the radii, in their order, the number of the count
+    slots of a block (slot j in bits [j*width, (j+1)*width), width a
+    multiple of 8) whose payload of F_q^n has at most that many nonzero
+    digits; digits past the slot width count as 0.
 
     The digit flags of every slot are summed in a tree of masked adds
     (`_count_masks`), which leaves each slot's weight in its low bits.
     Adding 2^m - 1 - radius to every slot, m the bit length of n, then
     carries into bit m exactly in the slots whose weight exceeds the
-    radius, and one `bit_count` counts them.  A block of more slots than
-    the masks cover is counted in slices, read from one byte copy of it,
-    so the masks and the tree's temporaries stay slice-sized.
+    radius, and one `bit_count` counts them: the tree is built once and
+    each radius costs one biased add.  A radius below 0 counts no slot
+    and one of n or more every slot; neither takes an add.  A block of more
+    slots than the masks cover is counted in slices, read from one byte
+    copy of it, so the masks and the tree's temporaries stay slice-sized.
     """
     b = field.bits_per_digit
     n = min(n, width // b)
-    if radius < 0:
-        return 0
-    if radius >= n:
-        return count
-    flag_ones, levels, ones, slots = _count_masks(b, n, width)
     m = n.bit_length()
-    bias = (1 << m) - 1 - radius
+    counts = []
+    for r in radii:
+        counts.append(0 if r < 0 else count)
+    flag_ones, levels, ones, slots = _count_masks(b, n, width)
     if count > slots:
         data = memoryview(block.to_bytes(count * width // 8, sys.byteorder))
         step = slots * width // 8
@@ -530,14 +540,18 @@ def block_in_ball(field: FieldTable, n: int, block: int, width: int,
                  for i in range(0, len(data), step))
     else:
         parts = (block,)
-    over = 0
     for left, x in zip(range(count, 0, -slots), parts):
         x = _digit_flags(b, x, flag_ones)
         for shift, even, odd in levels:
             x = (x & even) + ((x >> shift) & odd)
-        here = ones >> (max(0, slots - left) * width)
-        over += ((x + bias * here) >> m & ones).bit_count()
-    return count - over
+        here = ones if left >= slots else ones >> (slots - left) * width
+        i = 0
+        for r in radii:
+            if 0 <= r < n:
+                bias = (1 << m) - 1 - r
+                counts[i] -= ((x + bias * here) >> m & ones).bit_count()
+            i += 1
+    return tuple(counts)
 
 
 @lru_cache(maxsize=8)

@@ -46,6 +46,7 @@ from ldlab import (
 )
 
 import oracles
+from conftest import set_time_limit
 
 SEED = 12345
 
@@ -105,7 +106,11 @@ def baseline(name: str):
 
 
 class gate:
-    """Times a criterion body and prints its pass/fail line uncaptured."""
+    """Times a criterion body and prints its pass/fail line uncaptured.
+
+    The test's time limit (see conftest) becomes the budget, counted from
+    the start of the body, so a body that never ends fails at its budget.
+    """
 
     def __init__(self, capsys, number: int, description: str, budget: float):
         self.capsys = capsys
@@ -114,6 +119,7 @@ class gate:
         self.budget = budget
 
     def __enter__(self):
+        set_time_limit(self.budget)
         self.start = time.perf_counter()
         return self
 

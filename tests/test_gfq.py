@@ -390,16 +390,18 @@ def count_cases(q, n, rng):
 
 def assert_counts_match_oracle(q, n, tuples, radii):
     """block_in_ball on slots of n digits equals the per-member oracle at
-    every radius."""
+    every radius, and so does one block_in_balls call over all of them."""
     f = field_new(q)
     b = f.bits_per_digit
     payloads = [pack(q, t) for t in tuples]
     width = gfq.slot_width(b, n * b)
     block = gfq.pack_slots(payloads, width)
-    for radius in radii:
-        want = oracles.brute_in_ball(tuples, radius)
+    want = [oracles.brute_in_ball(tuples, radius) for radius in radii]
+    for radius, expected in zip(radii, want):
         assert gfq.block_in_ball(f, n, block, width, len(payloads),
-                                 radius) == want, (q, n, width, radius)
+                                 radius) == expected, (q, n, width, radius)
+    assert gfq.block_in_balls(f, n, block, width, len(payloads),
+                              tuple(radii)) == tuple(want), (q, n, width)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
@@ -421,7 +423,7 @@ def test_counts_match_per_member_oracle(q):
 def test_block_count_stays_inside_each_slot():
     """Slots whose digit count is not a power of two: the tree's last
     unpaired count sits next to the following slot, so a mask that reads
-    past it would add that slot's count.  q = 5 at n = 5 in 16-bit slots
+    past it would add that slot's count, at one radius or at many.  q = 5 at n = 5 in 16-bit slots
     and at n = 21 in 64- and 72-bit slots; q = 3 at n = 33 in 72-bit
     slots; q = 2 at n = 72 in 72-bit slots; q = 16 at n = 21 in 88-bit
     slots.  The slots after each one hold all q - 1, so a count that
@@ -435,9 +437,48 @@ def test_block_count_stays_inside_each_slot():
         for _ in range(40):
             tuples += [tuple(rng.randrange(q) for _ in range(n)), full]
         block = gfq.pack_slots([pack(q, t) for t in tuples], width)
-        for radius in range(-1, n + 2):
+        radii = tuple(range(-1, n + 2))
+        want = tuple(oracles.brute_in_ball(tuples, r) for r in radii)
+        for radius, expected in zip(radii, want):
             assert gfq.block_in_ball(f, n, block, width, len(tuples), radius) \
-                == oracles.brute_in_ball(tuples, radius), (q, n, width, radius)
+                == expected, (q, n, width, radius)
+        assert gfq.block_in_balls(f, n, block, width, len(tuples), radii) \
+            == want, (q, n, width)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_multi_radius_count_takes_radii_in_any_order(q):
+    """block_in_balls answers each radius in the order asked: unsorted,
+    repeated, below 0 and at or above n side by side, and an empty
+    tuple, on one slice and on a block above _BATCH slots."""
+    rng = random.Random(q * 7)
+    n = 9
+    f = field_new(q)
+    width = gfq.slot_width(f.bits_per_digit, n * f.bits_per_digit)
+    for tuples in (count_cases(q, n, rng),
+                   count_cases(q, n, rng) * (gfq._BATCH // 60)):
+        block = gfq.pack_slots([pack(q, t) for t in tuples], width)
+        for radii in ((5, 1, 3), (2, 2, 0, 2), (-1, n, 4, n + 3, -5, 0),
+                      (n - 1, -1, n, 0, n - 1), (n + 1, 3), (-2,), ()):
+            assert gfq.block_in_balls(f, n, block, width, len(tuples), radii) \
+                == tuple(oracles.brute_in_ball(tuples, r) for r in radii), \
+                (q, len(tuples), radii)
+
+
+def test_count_reads_only_the_first_count_slots():
+    """Slots of a one-slice block from `count` on are not counted, at any
+    radius of one call: they hold all q - 1, so a bias added to them
+    carries at every radius below n."""
+    rng = random.Random(11)
+    for q, n in ((2, 16), (3, 7), (16, 5)):
+        f = field_new(q)
+        width = gfq.slot_width(f.bits_per_digit, n * f.bits_per_digit)
+        tuples = count_cases(q, n, rng)[:20]
+        block = gfq.pack_slots([pack(q, t) for t in tuples]
+                               + [pack(q, (q - 1,) * n)] * 5, width)
+        radii = tuple(range(-1, n + 2))
+        assert gfq.block_in_balls(f, n, block, width, len(tuples), radii) \
+            == tuple(oracles.brute_in_ball(tuples, r) for r in radii), q
 
 
 def test_count_clamps_radius_above_n():
@@ -447,6 +488,8 @@ def test_count_clamps_radius_above_n():
     block = gfq.pack_slots([0, 1, 5, 0xff], 8)
     assert [gfq.block_in_ball(f3, 4, block, 8, 4, r) for r in range(-2, 11)] \
         == [0, 0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4]
+    assert gfq.block_in_balls(f3, 4, block, 8, 4, range(10, -3, -1)) \
+        == (4, 4, 4, 4, 4, 4, 4, 3, 3, 2, 1, 0, 0)
 
 
 def test_block_count_caches_masks_for_one_slice():
