@@ -49,9 +49,8 @@ the block, then finds the slots over each radius with one biased add
 and one `bit_count`; `block_in_ball` is that call at one radius.  It is
 the one batch count: the span trial and the list-decoding checkers in
 `codes` count their packed blocks with it, and nothing counts a ball
-payload by payload.  No
-other module reads a field's characteristic or degree either, so every
-choice of kernel by q is made here.
+payload by payload.  No other module reads a field's characteristic or
+degree either, so every choice of kernel by q is made here.
 """
 
 from __future__ import annotations
@@ -522,9 +521,10 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
     carries into bit m exactly in the slots whose weight exceeds the
     radius, and one `bit_count` counts them: the tree is built once and
     each radius costs one biased add.  A radius below 0 counts no slot
-    and one of n or more every slot; neither takes an add.  A block of more
-    slots than the masks cover is counted in slices, read from one byte
-    copy of it, so the masks and the tree's temporaries stay slice-sized.
+    and one of n or more every slot; neither takes an add.  A block of
+    more slots than the masks cover is counted in slices, read from one
+    byte copy of it, so the masks and the tree's temporaries stay
+    slice-sized.
     """
     b = field.bits_per_digit
     n = min(n, width // b)
@@ -545,7 +545,7 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
         for shift, even, odd in levels:
             x = (x & even) + ((x >> shift) & odd)
         here = ones if left >= slots else ones >> (slots - left) * width
-        i = 0
+        i = 0  # by hand: enumerate slows one-radius calls on small blocks
         for r in radii:
             if 0 <= r < n:
                 bias = (1 << m) - 1 - r
