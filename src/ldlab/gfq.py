@@ -541,7 +541,8 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
     else:
         parts = (block,)
     for left, x in zip(range(count, 0, -slots), parts):
-        x = _digit_flags(b, x, flag_ones)
+        # a one-bit digit is its own flag
+        x = x & flag_ones if b == 1 else _digit_flags(b, x, flag_ones)
         for shift, even, odd in levels:
             x = (x & even) + ((x >> shift) & odd)
         here = ones if left >= slots else ones >> (slots - left) * width
