@@ -423,11 +423,11 @@ def test_counts_match_per_member_oracle(q):
 def test_block_count_stays_inside_each_slot():
     """Slots whose digit count is not a power of two: the tree's last
     unpaired count sits next to the following slot, so a mask that reads
-    past it would add that slot's count, at one radius or at many.  q = 5 at n = 5 in 16-bit slots
-    and at n = 21 in 64- and 72-bit slots; q = 3 at n = 33 in 72-bit
-    slots; q = 2 at n = 72 in 72-bit slots; q = 16 at n = 21 in 88-bit
-    slots.  The slots after each one hold all q - 1, so a count that
-    leaks in shows."""
+    past it would add that slot's count, at one radius or at many.  q = 5
+    at n = 5 in 16-bit slots and at n = 21 in 64- and 72-bit slots; q = 3
+    at n = 33 in 72-bit slots; q = 2 at n = 72 in 72-bit slots; q = 16 at
+    n = 21 in 88-bit slots.  The slots after each one hold all q - 1, so
+    a count that leaks in shows."""
     rng = random.Random(5)
     for q, n, width in ((5, 5, 16), (5, 21, 64), (5, 21, 72), (3, 33, 72),
                         (2, 72, 72), (16, 21, 88)):
