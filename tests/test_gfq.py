@@ -466,14 +466,16 @@ def test_multi_radius_count_takes_radii_in_any_order(q):
 
 
 def test_count_reads_only_the_first_count_slots():
-    """Slots of a one-slice block from `count` on are not counted, at any
-    radius of one call: they hold all q - 1, so a bias added to them
-    carries at every radius below n."""
+    """Slots of a block from `count` on are not counted, at any radius of
+    one call: they hold all q - 1, so a bias added to them carries at
+    every radius below n.  Blocks of one slice, and blocks of 4106
+    one-byte slots at a count of 4101, which takes two slices."""
     rng = random.Random(11)
-    for q, n in ((2, 16), (3, 7), (16, 5)):
+    for q, n, count in ((2, 16, 20), (3, 7, 20), (16, 5, 20),
+                        (2, 8, gfq._BATCH + 5), (3, 4, gfq._BATCH + 5)):
         f = field_new(q)
         width = gfq.slot_width(f.bits_per_digit, n * f.bits_per_digit)
-        tuples = count_cases(q, n, rng)[:20]
+        tuples = (count_cases(q, n, rng) * (count // 123 + 1))[:count]
         block = gfq.pack_slots([pack(q, t) for t in tuples]
                                + [pack(q, (q - 1,) * n)] * 5, width)
         radii = tuple(range(-1, n + 2))
