@@ -24,33 +24,35 @@ The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
 the single implementation of field arithmetic on packed vectors: `VecQ`
 methods, `rank_of` and the other modules wrap them, and no other module
 reads the field tables.  `payload_add` picks its kernel by q: XOR for
-characteristic 2 (q = 2, 4, 8, 16), SWAR lanes
-for odd prime q (3, 5, 7, 11, 13; one integer add across every digit,
+characteristic 2 (q = 2, 4, 8, 16), six AND/OR/XOR operations on the two
+bit planes of every digit for q = 3 (see `_plane_mask`), SWAR lanes for
+the other odd primes (5, 7, 11, 13; one integer add across every digit,
 see `_lane_masks`), and a digit loop over the addition table for q = 9,
-whose digits are not independent mod-p lanes.  The SWAR masks are kept
-per power-of-two width class of the operands, so a short add never pays
-for masks built for a longer one.  `payload_scale` negates for prime q
-without a digit loop: -x is q * flags - x, flags marking the nonzero
-digits, and no digit borrows since each is below q.  At q = 3 every
-scalar is 0, 1 or -1, so `rank_of`, `echelon` and `payload_reduce`
+whose digits are not independent mod-p lanes.  The plane and lane masks
+are kept per power-of-two width class of the operands, so a short add
+never pays for masks built for a longer one.  `payload_scale` negates
+for prime q without a digit loop: -x is q * flags - x, flags marking the
+nonzero digits, and no digit borrows since each is below q.  At q = 3
+every scalar is 0, 1 or -1, so `rank_of`, `echelon` and `payload_reduce`
 scale there without a digit loop; other scalars, and q = 4, 8, 9, 16,
 keep it.
 
-XOR and SWAR add integers of any width, so they also act on a block:
-many payloads side by side in fixed-width slots (`slot_width`,
-`slot_ones`, `pack_slots`, `unpack_slots`).  `slots_add` adds one step
-to every slot of a block, with one such add, or slot by slot for q = 9;
-the span enumerator in `codes` and the ball walk in `hamming` add whole
-blocks through it.  `block_in_balls` counts the slots of a block that
-lie in Hamming balls around 0, one count per radius asked: it OR-folds
-every digit onto a flag (`_digit_flags`, which `payload_weight` shares)
-and sums the flags per slot in a tree of masked adds, once per slice of
-the block, then finds the slots over each radius with one biased add
-and one `bit_count`; `block_in_ball` is that call at one radius.  It is
-the one batch count: the span trial and the list-decoding checkers in
-`codes` count their packed blocks with it, and nothing counts a ball
-payload by payload.  No other module reads a field's characteristic or
-degree either, so every choice of kernel by q is made here.
+XOR, the bit planes and SWAR add integers of any width, so they also act
+on a block: many payloads side by side in fixed-width slots
+(`slot_width`, `slot_ones`, `pack_slots`, `unpack_slots`).  `slots_add`
+adds one step to every slot of a block, with one such add, or slot by
+slot for q = 9; the span enumerator in `codes` and the ball walk in
+`hamming` add whole blocks through it.  `block_in_balls` counts the
+slots of a block that lie in Hamming balls around 0, one count per
+radius asked: it OR-folds every digit onto a flag (`_digit_flags`, which
+`payload_weight` shares) and sums the flags per slot in a tree of masked
+adds, once per slice of the block, then finds the slots over each radius
+with one biased add and one `bit_count`; `block_in_ball` is that call at
+one radius.  It is the one batch count: the span trial and the
+list-decoding checkers in `codes` count their packed blocks with it, and
+nothing counts a ball payload by payload.  No other module reads a
+field's characteristic or degree either, so every choice of kernel by q
+is made here.
 """
 
 from __future__ import annotations
@@ -266,11 +268,12 @@ def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
 
 def slots_add(field: FieldTable, block: int, step: int, width: int,
               count: int, ones: int | None = None) -> int:
-    """The block with `step` added to each of its count slots: one XOR or
-    SWAR `payload_add` of step in every slot.  q = 9 goes slot by slot,
-    since its table loop over a whole block would be quadratic.  A caller
-    that adds several steps to blocks of one size passes their
-    `slot_ones(width, count)` as `ones`, which is then built once."""
+    """The block with `step` added to each of its count slots: one XOR,
+    bit-plane or SWAR `payload_add` of step in every slot.  q = 9 goes
+    slot by slot, since its table loop over a whole block would be
+    quadratic.  A caller that adds several steps to blocks of one size
+    passes their `slot_ones(width, count)` as `ones`, which is then built
+    once."""
     if field.characteristic == 2 or field.degree == 1:
         if ones is None:
             ones = slot_ones(width, count)
@@ -279,13 +282,27 @@ def slots_add(field: FieldTable, block: int, step: int, width: int,
                        for x in unpack_slots(block, width, count)), width)
 
 
-# (q, k) -> (even, bias, low) for the odd prime-q branch of payload_add,
+# (q, k) -> (even, bias, low) for the SWAR lane branch of payload_add
+# (q = 5, 7, 11, 13), and k -> the plane mask of its q = 3 branch, each
 # covering payloads below 2**(2**k); filled on first use, never at import.
 # Classes above _LANE_CACHE_MAX_K are built per call and not kept: their
-# masks cost a few big-int operations against the add's twenty, and kept
-# they would hold memory in proportion to the largest block ever added.
+# masks cost a few big-int operations against the add's six to twenty,
+# and kept they would hold memory in proportion to the largest block ever
+# added.
 _LANE_MASKS: dict[tuple[int, int], tuple[int, int, int]] = {}
+_PLANE_MASKS: dict[int, int] = {}
 _LANE_CACHE_MAX_K = 16
+
+
+def _plane_mask(k: int) -> int:
+    """Bit 2i set for every digit i of an F_3 payload below 2**(2**k): the
+    low bit plane in place, and the high one after a shift right by 1."""
+    bits = 2 * -(-(1 << k) // 2)
+    # not _ones_mask, whose cache would keep the classes not kept here
+    ones = ((1 << bits) - 1) // 3
+    if k <= _LANE_CACHE_MAX_K:
+        _PLANE_MASKS[k] = ones
+    return ones
 
 
 def _lane_masks(q: int, b: int, k: int) -> tuple[int, int, int]:
@@ -436,9 +453,19 @@ def payload_add(field: FieldTable, x: int, y: int) -> int:
     """Coordinatewise sum of two packed payloads (hot-loop form)."""
     if field.characteristic == 2:
         return x ^ y
+    q = field.q
+    if q == 3:
+        # Digits 0, 1, 2 are 00, 01, 10: add on the low and high bit
+        # planes with six logic operations (Kawahara, Aoki and Takagi,
+        # Pairing 2008).
+        k = ((x | y).bit_length() - 1).bit_length()
+        ones = _PLANE_MASKS.get(k) or _plane_mask(k)
+        xl, xh = x & ones, (x >> 1) & ones
+        yl, yh = y & ones, (y >> 1) & ones
+        t = (xl | yh) ^ (xh | yl)
+        return ((xh | yh) ^ t) | (((xl | yl) ^ t) << 1)
     b = field.bits_per_digit
     if field.degree == 1:
-        q = field.q
         k = ((x | y).bit_length() - 1).bit_length()
         even, bias, low = _LANE_MASKS.get((q, k)) or _lane_masks(q, b, k)
         # Each lane sum is < 2q; subtract q where adding the bias carried.
@@ -523,8 +550,8 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
     each radius costs one biased add.  A radius below 0 counts no slot
     and one of n or more every slot; neither takes an add.  A block of
     more slots than the masks cover is counted in slices, read from one
-    byte copy of it, so the masks and the tree's temporaries stay
-    slice-sized.
+    byte copy of its first count slots, so the masks and the tree's
+    temporaries stay slice-sized.
     """
     b = field.bits_per_digit
     n = min(n, width // b)
@@ -534,7 +561,10 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
         counts.append(0 if r < 0 else count)
     flag_ones, levels, ones, slots = _count_masks(b, n, width)
     if count > slots:
-        data = memoryview(block.to_bytes(count * width // 8, sys.byteorder))
+        bits = count * width
+        if block.bit_length() > bits:  # slots past count: not in the copy
+            block &= (1 << bits) - 1
+        data = memoryview(block.to_bytes(bits // 8, sys.byteorder))
         step = slots * width // 8
         parts = (int.from_bytes(data[i:i + step], sys.byteorder)
                  for i in range(0, len(data), step))

@@ -6,7 +6,10 @@ seconds before each test and disarms it after.  When it goes off, the
 handler raises TimeLimitExceeded, a BaseException, so no `except
 Exception` in the code under test swallows it and Hypothesis does not
 replay the stuck example.  A test may re-arm the timer with
-`set_time_limit`: each acceptance criterion sets its own budget.
+`set_time_limit`: each acceptance criterion sets its own budget.  Once
+MAX_TIMED_OUT tests have failed on their limit the run stops, since a
+defect that hangs many tests would otherwise hold the suite for the sum
+of their limits.
 
 Only the pytest process is ever timed.  A fork child keeps no timer of
 its parent, and the handler ignores the signal in any process but the
@@ -25,7 +28,12 @@ import pytest
 # about 6 s on a 2-core machine.
 TIME_LIMIT_S = 120.0
 
+MAX_TIMED_OUT = 3
+
+pytest_plugins = ["pytester"]
+
 _PID = os.getpid()
+_TIMED_OUT = pytest.StashKey[int]()
 
 
 class TimeLimitExceeded(BaseException):
@@ -54,3 +62,16 @@ def _time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = yield
+    excinfo = call.excinfo
+    if excinfo is not None and excinfo.errisinstance(TimeLimitExceeded):
+        stash = item.session.stash
+        stash[_TIMED_OUT] = timed_out = stash.get(_TIMED_OUT, 0) + 1
+        if timed_out >= MAX_TIMED_OUT:
+            item.session.shouldstop = (
+                f"stopping after {timed_out} tests failed on their time limit")
+    return report

@@ -272,8 +272,9 @@ def test_add_matches_oracle_on_every_pair_at_n2(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64])
 def test_swar_add_matches_oracle(q, n):
-    """The SWAR lanes of odd prime q agree with digit-tuple addition on
-    random pairs, zero operands, and operands whose top digits are 0."""
+    """The SWAR lanes of odd prime q, and the bit planes of q = 3, agree
+    with digit-tuple addition on random pairs, zero operands, and
+    operands whose top digits are 0."""
     rng = random.Random(q * 1000 + n)
 
     def rand(length):
@@ -300,7 +301,7 @@ def test_swar_masks_grow_for_longer_payloads(monkeypatch):
     widest class kept in the cache."""
     monkeypatch.setattr(gfq, "_LANE_MASKS", {})
     lengths = (64, 3, 200, 64, 20000, 3)
-    for q in (3, 5, 7, 11, 13):
+    for q in (5, 7, 11, 13):
         rng = random.Random(q)
         b = field_new(q).bits_per_digit
         for n in lengths:
@@ -315,7 +316,29 @@ def test_swar_masks_grow_for_longer_payloads(monkeypatch):
         lane = 2 * field_new(q).bits_per_digit
         assert k <= gfq._LANE_CACHE_MAX_K
         assert max(m.bit_length() for m in masks) <= (1 << k) + lane
-    assert {q for q, _ in gfq._LANE_MASKS} == {3, 5, 7, 11, 13}
+    assert {q for q, _ in gfq._LANE_MASKS} == {5, 7, 11, 13}
+
+
+def test_plane_masks_grow_for_longer_payloads(monkeypatch):
+    """The q = 3 counterpart: each width class gets a plane mask of its
+    own width, bit 2i for every digit it covers; results stay exact
+    before and after longer payloads arrive, also past the widest class
+    kept in the cache, and the classes above it are not kept."""
+    monkeypatch.setattr(gfq, "_PLANE_MASKS", {})
+    lengths = (64, 3, 200, 64, 40000, 3)
+    rng = random.Random(3)
+    for n in lengths:
+        pairs = [(tuple(rng.randrange(3) for _ in range(n)),
+                  tuple(rng.randrange(3) for _ in range(n)))
+                 for _ in range(50 if n < 1000 else 2)]
+        assert_add_matches_oracle(3, pairs + [((2,) * n, (2,) * n)])
+    assert width_class(40000 * 2) > gfq._LANE_CACHE_MAX_K
+    for n in lengths:
+        k = width_class(n * 2)
+        assert (k in gfq._PLANE_MASKS) == (k <= gfq._LANE_CACHE_MAX_K)
+    for k, mask in gfq._PLANE_MASKS.items():
+        assert k <= gfq._LANE_CACHE_MAX_K
+        assert mask == pack(3, (1,) * -(-(1 << k) // 2))
 
 
 def test_short_add_after_long_uses_short_masks(monkeypatch):
@@ -331,7 +354,7 @@ def test_short_add_after_long_uses_short_masks(monkeypatch):
             return found
 
     monkeypatch.setattr(gfq, "_LANE_MASKS", Recording())
-    for q in (3, 5, 7, 11, 13):
+    for q in (5, 7, 11, 13):
         f = field_new(q)
         long_payload = pack(q, (q - 1,) * 16000)
         payload_add(f, long_payload, long_payload)
@@ -341,6 +364,85 @@ def test_short_add_after_long_uses_short_masks(monkeypatch):
             assert unpack(q, 32, payload_add(f, x, y)) == (1,) * 32
         assert looked_up
         assert max(m.bit_length() for m in looked_up[-1]) <= 2 * 32 * f.bits_per_digit
+
+
+def test_short_q3_add_after_long_uses_short_masks(monkeypatch):
+    """The q = 3 counterpart: after one long add, a short add looks up
+    the plane mask of its own width class."""
+    looked_up = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            if found is not None:
+                looked_up.append(found)
+            return found
+
+    monkeypatch.setattr(gfq, "_PLANE_MASKS", Recording())
+    f = field_new(3)
+    long_payload = pack(3, (2,) * 16000)
+    payload_add(f, long_payload, long_payload)
+    x, y = pack(3, (2,) * 32), pack(3, (2,) * 32)
+    looked_up.clear()
+    for _ in range(2):
+        assert unpack(3, 32, payload_add(f, x, y)) == (1,) * 32
+    assert looked_up
+    assert looked_up[-1].bit_length() <= 2 * 32 * f.bits_per_digit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65,
+                               20000])
+def test_plane_add_matches_oracle_on_every_digit_pair(n):
+    """The q = 3 bit-plane add agrees with digit-tuple addition with every
+    digit pair at every position, at lengths on each side of the width
+    class edges: constant operands, and operands whose digits (i + s) % 3
+    and (2i + t) % 3 put each pair at each position next to other pairs.
+    Also random pairs, pairs of unequal length (the shorter one's top
+    digits 0), and zero operands."""
+    rng = random.Random(n)
+
+    def rand(length):
+        return tuple(rng.randrange(3) for _ in range(length)) + (0,) * (n - length)
+
+    zero = (0,) * n
+    pairs = [((a,) * n, (b,) * n) for a in range(3) for b in range(3)]
+    pairs += [(tuple((i + s) % 3 for i in range(n)),
+               tuple((2 * i + t) % 3 for i in range(n)))
+              for s in range(3) for t in range(3)]
+    pairs += [(rand(n), rand(n)) for _ in range(5)]
+    for _ in range(5):
+        short = rand(rng.randrange(n))
+        pairs += [(rand(n), short), (short, rand(n))]
+    pairs += [(zero, zero), (zero, rand(n)), (rand(n), zero)]
+    assert_add_matches_oracle(3, pairs)
+
+
+def test_q3_add_reads_no_lane_mask(monkeypatch):
+    """q = 3 adds on its planes alone: no add of any width class, block
+    step, vector sum or rank reads, fills or builds a SWAR lane mask."""
+    class Untouchable(dict):
+        def get(self, *args):
+            raise AssertionError("q = 3 read the lane masks")
+        __getitem__ = __contains__ = __setitem__ = get
+
+    def no_lanes(*args):
+        raise AssertionError("q = 3 built lane masks")
+
+    monkeypatch.setattr(gfq, "_LANE_MASKS", Untouchable())
+    monkeypatch.setattr(gfq, "_lane_masks", no_lanes)
+    f = field_new(3)
+    rng = random.Random(33)
+    for n in (1, 3, 32, 33, 20000, 40000):
+        u, v = (tuple(rng.randrange(3) for _ in range(n)) for _ in range(2))
+        assert_add_matches_oracle(3, [(u, v)])
+    width = gfq.slot_width(2, 12)
+    block = gfq.pack_slots([pack(3, (1, 2, 0, 2, 1, 1))] * 729, width)
+    assert gfq.unpack_slots(gfq.slots_add(f, block, pack(3, (2,) * 6), width,
+                                          729), width, 729)[0] \
+        == pack(3, (0, 1, 2, 1, 0, 0))
+    vecs = [VecQ.from_digits(f, (1, 2, 0)), VecQ.from_digits(f, (2, 1, 1))]
+    assert (vecs[0] + vecs[1]).digits() == (0, 0, 1)
+    assert rank_of(vecs + [vecs[0] + vecs[1]]) == 2
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)

@@ -152,8 +152,9 @@ def test_benchmark_and_bench_names_resolve():
 
 
 def test_import_builds_no_field_or_mask_cache():
-    """Importing ldlab and its CLI builds no field table, lru_cache entry or
-    SWAR lane mask in gfq; all of that is built on first use.  Checked in
+    """Importing ldlab and its CLI builds no field table, lru_cache entry,
+    SWAR lane mask or bit-plane mask in gfq; all of that is built on first
+    use.  Checked in
     a fresh interpreter, since this test process has used them already."""
     probe = (
         "import ldlab, ldlab.cli\n"
@@ -163,6 +164,7 @@ def test_import_builds_no_field_or_mask_cache():
         "assert 'field_new' in caches, caches\n"
         "assert set(caches.values()) == {0}, caches\n"
         "assert gfq._LANE_MASKS == {}, gfq._LANE_MASKS\n"
+        "assert gfq._PLANE_MASKS == {}, gfq._PLANE_MASKS\n"
     )
     run_fresh(probe)
 
