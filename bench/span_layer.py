@@ -11,10 +11,11 @@ The parts of a trial are timed one by one on those points:
 
 - span:  `codes._span_block` of the points' payloads, every q^l member
   in one packed block;
-- zeros: `gfq.block_in_ball` of the block at radius 0, the slots each
-  distinct member fills, so that q^l / zeros is the distinct count;
-- count: `gfq.block_in_ball` of the block at the ball's radius, divided
-  by zeros;
+- zeros: `gfq.block_in_balls` of the block at radius 0 alone, the
+  slots each distinct member fills, so that q^l / zeros is the distinct
+  count;
+- count: `gfq.block_in_balls` of the block at the ball's radius alone,
+  divided by zeros;
 - rank:  `gfq.rank_of` of the points;
 - span_in_ball: `codes.span_in_ball` of the points at the ball's radius,
   as `experiments._span_chunk` calls it: the span block and both counts;
@@ -28,8 +29,10 @@ objects and not the allocator's slack), the number of span members per
 trial, and a SHA-256 of the (distinct size, in-ball count) pair of every
 trial.  It asserts that `span_in_ball` and the trial path count what the
 parts count, that q^l / zeros is q^rank, and that no trial fails its
-rank check.  The script uses only names an older checkout also has, so a
-copy of it runs unchanged against one.
+rank check.  It calls `_span_block(field, n, payloads)`, whose slots
+hold n digits each; a checkout whose `_span_block` takes no n (before
+the codeword checkers counted the span block as built) needs a copy of
+the script without that argument.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ sys.path[:0] = [str(ROOT / "src")]
 
 from ldlab.codes import _span_block, span_in_ball  # noqa: E402
 from ldlab.experiments import SpanTrialConfig, _span_chunk  # noqa: E402
-from ldlab.gfq import block_in_ball, field_new, rank_of  # noqa: E402
+from ldlab.gfq import block_in_balls, field_new, rank_of  # noqa: E402
 from ldlab.hamming import BallSpec, sample_ball_uniform  # noqa: E402
 from ldlab.seeding import derive_stream  # noqa: E402
 
@@ -80,12 +83,13 @@ def row(q: int, n: int, ell: int, p: str, trials: int, repeats: int) -> dict:
         pairs = []
         for vecs in points:
             t0 = time.perf_counter()
-            block, width, total = _span_block(field, [v.payload for v in vecs])
+            block, width, total = _span_block(field, n,
+                                              [v.payload for v in vecs])
             t1 = time.perf_counter()
-            zeros = block_in_ball(field, n, block, width, total, 0)
+            zeros = block_in_balls(field, n, block, width, total, (0,))[0]
             t2 = time.perf_counter()
-            count = block_in_ball(field, n, block, width, total,
-                                  spec.radius) // zeros
+            count = block_in_balls(field, n, block, width, total,
+                                   (spec.radius,))[0] // zeros
             t3 = time.perf_counter()
             rank = rank_of(vecs)
             t4 = time.perf_counter()

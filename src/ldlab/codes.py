@@ -7,24 +7,23 @@ default strategy is a coset tally: |B(x, radius) ∩ C| depends only on
 the coset x + C, and equals the number of ball points e ∈ B(0, radius)
 in that coset, so labelling every point of B(0, radius) by its coset
 tallies every center at once.  The labels come from `hamming.ball_walk`,
-the one ball enumerator, run on the labels of a * e_i (see
+the one ball enumerator, run on the labels of a * e_i, which reduce
+against the forward `gfq.echelon` basis that `rank_of` also counts (see
 `_coset_tally`).  The "full" mode scans every center of F_q^n and is
 kept as the exhaustive oracle.  Every checker counts distinct codewords,
 also for rank-deficient generators.
 
-`full` and the Monte Carlo checker count the codewords within the
-radius of a center x with one `gfq.block_in_balls` on the packed q^k
-encodings m·G, x XORed into every slot of n digits: d(x, c) is the
-weight of x ^ c for every q.  m -> m·G is linear with q^(k - rank)
-messages in its kernel, so each distinct codeword fills exactly
-q^(k - rank) slots, and the slot count divided by that is exact.
-
 One enumerator, `_span_block`, lists both a code's q^k encodings and the
-span that `span-exp` counts.  It adds a whole block of span members per
-(row, scalar) with `gfq.slots_add`, for every q; `span_in_ball` counts
-the span's members, and those in the ball, on that block alone: each
-member fills as many slots as 0 does, so it divides by the zero slots,
-which one pass of the block counts together with the in-ball slots.
+span that `span-exp` counts, in one layout: slot j holds message j's
+member in n digits.  It adds a whole block of span members per (row,
+scalar) with `gfq.slots_add`, for every q.  Every count reads the block
+as it stands.  The map from messages to members is linear, so every member
+fills as many slots as 0 does, and a slot count divided by the zero
+slots counts distinct members.  `span_in_ball` counts the span's
+members, and those in the ball, with one `gfq.block_in_balls` pass.
+`full` and the Monte Carlo checker count the codewords within the
+radius of a center x with one `gfq.block_in_balls` on the code's block,
+x XORed into every slot: d(x, c) is the weight of x ^ c for every q.
 
 Enumeration budgets are hard guards (ResourceBudgetError), never silent
 truncations.
@@ -40,9 +39,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
-                  field_new, pack_slots, payload_add, payload_reduce,
-                  payload_scale, rank_of, slot_ones, slot_width, slots_add,
-                  unpack_slots)
+                  field_new, payload_add, payload_reduce, payload_scale,
+                  rank_of, slot_ones, slot_width, slots_add, unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       ball_walk, check_sample_budget, radius_of,
                       sample_ball_uniform, uniform_payload)
@@ -97,8 +95,8 @@ class Code:
 
         Duplicates appear when the generator is rank-deficient.
         """
-        return list(_span_list(self.field,
-                               [row.payload for row in self.generator]))
+        return list(unpack_slots(*_span_block(
+            self.field, self.n, [row.payload for row in self.generator])))
 
 
 def random_code(n: int, k: int, q: int, full_rank: bool,
@@ -118,23 +116,22 @@ def random_code(n: int, k: int, q: int, full_rank: bool,
             return Code(field, n, k, rows, full_rank)
 
 
-def _span_block(field: FieldTable,
+def _span_block(field: FieldTable, n: int,
                 payloads: Sequence[int]) -> tuple[int, int, int]:
-    """(block, width, count): every combination sum a_i x_i in slot j of
-    a packed block for message j, in base-q order (a_1 least
-    significant); duplicates are kept.
+    """(block, width, count): every combination sum a_i x_i of the
+    payloads of F_q^n in slot j of a packed block for message j, in
+    base-q order (a_1 least significant); duplicates are kept.
 
     The members found so far sit in one packed block, member j in slot j
-    (see `gfq.slot_width`).  Row x then appends the q^i members base + a x
-    for each scalar a = 1 .. q - 1 in turn, each part with a single
-    `gfq.slots_add` to the part before it, so a span of q^l members takes
-    l (q - 1) block adds; the row's q - 1 adds share one `gfq.slot_ones`.
-    The step added to every slot is (a - (a - 1)) x: x itself for prime
-    q, one small `payload_scale` otherwise.
+    of n digits (see `gfq.slot_width`).  Row x then appends the q^i
+    members base + a x for each scalar a = 1 .. q - 1 in turn, each part
+    with a single `gfq.slots_add` to the part before it, so a span of q^l
+    members takes l (q - 1) block adds; the row's q - 1 adds share one
+    `gfq.slot_ones`.  The step added to every slot is (a - (a - 1)) x: x
+    itself for prime q, one small `payload_scale` otherwise.
     """
     q = field.q
-    width = slot_width(field.bits_per_digit,
-                       max((x.bit_length() for x in payloads), default=0))
+    width = slot_width(field.bits_per_digit, n * field.bits_per_digit)
     block, count = 0, 1
     for x in payloads:
         part, shift = block, count * width
@@ -147,14 +144,9 @@ def _span_block(field: FieldTable,
     return block, width, count
 
 
-def _span_list(field: FieldTable, payloads: Sequence[int]) -> Sequence[int]:
-    """The members of `_span_block`, in message order."""
-    return unpack_slots(*_span_block(field, payloads))
-
-
-def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, list[int]]:
-    """The field and payloads of a span's generators, refused when empty,
-    mismatched or over the q^l <= 2^24 budget."""
+def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, int, list[int]]:
+    """The field, length and payloads of a span's generators, refused
+    when empty, mismatched or over the q^l <= 2^24 budget."""
     if not vectors:
         raise ParameterError("a span needs at least one vector")
     f = vectors[0].field
@@ -164,7 +156,7 @@ def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, list[int]]:
         raise ResourceBudgetError(
             f"span enumeration q^l = {f.q}^{len(vectors)} exceeds budget "
             f"{ENUMERATION_BUDGET}")
-    return f, [v.payload for v in vectors]
+    return f, vectors[0].n, [v.payload for v in vectors]
 
 
 def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
@@ -173,7 +165,7 @@ def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
     Size is q^rank of the input.  Budget: q^l <= 2^24.  An empty list
     names no field, so it is refused.
     """
-    return set(_span_list(*_span_rows(vectors)))
+    return set(unpack_slots(*_span_block(*_span_rows(vectors))))
 
 
 def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
@@ -187,9 +179,8 @@ def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     `gfq.block_in_balls` call at radii (0, radius) counts the zero slots
     and the in-ball slots from one tree of digit flags.
     """
-    f, rows = _span_rows(vectors)
-    n = vectors[0].n
-    block, width, count = _span_block(f, rows)
+    f, n, rows = _span_rows(vectors)
+    block, width, count = _span_block(f, n, rows)
     zeros, inside = block_in_balls(f, n, block, width, count, (0, radius))
     return count // zeros, inside // zeros
 
@@ -234,39 +225,39 @@ class LdVerdict:
 def _coset_tally(code: Code, radius: int) -> dict[int, int]:
     """Coset label -> number of points of B(0, radius) in that coset.
 
-    The label of y is y reduced against the echelon basis: the member of
-    y + C that is zero at every pivot.  Any other member differs from it
-    by a nonzero codeword, whose highest nonzero coordinate is a pivot,
-    so the label is the lowest-payload member of its coset.  Reduction
-    is linear, so the labels of B(0, radius) are the sums that
-    `ball_walk` makes of the labels of a * e_i, a chunk at a time.
+    The label of y is y reduced against the `echelon` basis from the
+    highest pivot down (`payload_reduce`): the member of y + C that is
+    zero at every pivot.  Any other member differs from it by a
+    nonzero codeword, whose highest nonzero coordinate is a pivot, so
+    the label is the lowest-payload member of its coset.  Reduction is
+    linear, so the labels of B(0, radius) are the sums that `ball_walk`
+    makes of the labels of a * e_i, a chunk at a time.
     """
     f = code.field
     b = f.bits_per_digit
-    basis = echelon(f, [row.payload for row in code.generator])
+    basis = sorted(echelon(f, [row.payload for row in code.generator]).items(),
+                   reverse=True)
     steps = [[payload_reduce(f, basis, a << (i * b)) for a in range(1, f.q)]
              for i in range(code.n)]
     return Counter(chain.from_iterable(ball_walk(f, steps, radius)))
 
 
-def _codeword_counter(code: Code,
-                      radius: int) -> tuple[list[int], Callable[[int], int]]:
-    """The distinct codewords in message order, and a function that counts
-    them within `radius` of a center payload x on their packed encodings
-    (see the module docstring)."""
+def _codeword_counter(code: Code, radius: int) -> Callable[[int], int]:
+    """A function that counts the distinct codewords within `radius` of a
+    center payload x on the code's `_span_block` (see the module
+    docstring)."""
     f, n = code.field, code.n
-    encodings = code.codeword_payloads()
-    cws = list(dict.fromkeys(encodings))
-    total, repeats = len(encodings), len(encodings) // len(cws)
-    width = slot_width(f.bits_per_digit, n * f.bits_per_digit)
-    block, ones = pack_slots(encodings, width), slot_ones(width, total)
+    block, width, total = _span_block(
+        f, n, [row.payload for row in code.generator])
+    ones = slot_ones(width, total)
+    zeros = block_in_balls(f, n, block, width, total, (0,))[0]
     radii = (radius,)
 
     def count(x: int) -> int:
         return block_in_balls(f, n, block ^ x * ones, width, total,
-                              radii)[0] // repeats
+                              radii)[0] // zeros
 
-    return cws, count
+    return count
 
 
 def check_ld_exact(code: Code, p: RadiusParam, L: int,
@@ -304,7 +295,7 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
         raise ResourceBudgetError(
             f"full scan q^n * |C| = {centers} * {size} exceeds budget "
             f"{ENUMERATION_BUDGET}; try check_ld_montecarlo")
-    _, count = _codeword_counter(code, radius)
+    count = _codeword_counter(code, radius)
     # max returns the first maximum: the lowest-payload center of the top count
     witness = max(all_payloads(field, n), key=count)
     return LdVerdict(q, n, code.k, radius, L, count(witness),
@@ -360,7 +351,8 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
     radius = radius_of(p, n)
     spec = BallSpec.from_p(q, n, as_fraction(p))
     check_sample_budget(spec)
-    cws, count = _codeword_counter(code, radius)
+    cws = list(dict.fromkeys(code.codeword_payloads()))
+    count = _codeword_counter(code, radius)
     histogram: dict[int, int] = {}
     max_count = -1
     witness = 0

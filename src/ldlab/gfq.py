@@ -33,22 +33,23 @@ are kept per power-of-two width class of the operands, so a short add
 never pays for masks built for a longer one.  `payload_scale` negates
 for prime q without a digit loop: -x is q * flags - x, flags marking the
 nonzero digits, and no digit borrows since each is below q.  At q = 3
-every scalar is 0, 1 or -1, so `rank_of`, `echelon` and `payload_reduce`
-scale there without a digit loop; other scalars, and q = 4, 8, 9, 16,
-keep it.
+every scalar is 0, 1 or -1, so `echelon` (the one elimination, behind
+`rank_of` and the coset labels in `codes`) and `payload_reduce` scale
+there without a digit loop; other scalars, and q = 4, 8, 9, 16, keep
+it.
 
 XOR, the bit planes and SWAR add integers of any width, so they also act
-on a block: many payloads side by side in fixed-width slots
-(`slot_width`, `slot_ones`, `pack_slots`, `unpack_slots`).  `slots_add`
-adds one step to every slot of a block, with one such add, or slot by
-slot for q = 9; the span enumerator in `codes` and the ball walk in
-`hamming` add whole blocks through it.  `block_in_balls` counts the
-slots of a block that lie in Hamming balls around 0, one count per
-radius asked: it OR-folds every digit onto a flag (`_digit_flags`, which
-`payload_weight` shares) and sums the flags per slot in a tree of masked
-adds, once per slice of the block, then finds the slots over each radius
-with one biased add and one `bit_count`; `block_in_ball` is that call at
-one radius.  It is the one batch count: the span trial and the
+on a block: many payloads of F_q^n side by side in fixed-width slots,
+each wide enough for n digits (`slot_width`, `slot_ones`, `pack_slots`,
+`unpack_slots`).  `slots_add` adds one step to every slot of a block,
+with one such add, or slot by slot for q = 9; the span enumerator in
+`codes` and the ball walk in `hamming` add whole blocks through it.
+`block_in_balls` counts the slots of a block that lie in Hamming balls
+around 0, one count per radius asked: it OR-folds every digit onto a
+flag (`_digit_flags`, which `payload_weight` shares) and sums the flags
+per slot in a tree of masked adds, once per slice of the block, then
+finds the slots over each radius with one biased add and one
+`bit_count`.  It is the one batch count: the span trial and the
 list-decoding checkers in `codes` count their packed blocks with it, and
 nothing counts a ball payload by payload.  No other module reads a
 field's characteristic or degree either, so every choice of kernel by q
@@ -228,12 +229,15 @@ _BATCH = 4096
 def slot_width(b: int, bits: int) -> int:
     """Slot width for a block of payloads below 2**bits, digits b bits wide.
 
-    A block holds payload j in bits [j*width, (j+1)*width).  The width is
-    a multiple of b, so every digit of the block sits on a digit boundary
-    and the payload kernels act on all slots at once.  It is the first of
-    8, 16, 32 and 64 that is such a multiple and wide enough, so that
-    `unpack_slots` is one `memoryview.cast`; failing that (b = 3, or more
-    than 64 bits) the smallest wide enough multiple of both b and 8.
+    Every block in ldlab holds vectors of F_q^n and asks for bits = n*b:
+    n digits per slot, whatever the payloads in it, so blocks of one n
+    share their width.  A block holds payload j in bits [j*width,
+    (j+1)*width).  The width is a multiple of b, so every digit of the
+    block sits on a digit boundary and the payload kernels act on all
+    slots at once.  It is the first of 8, 16, 32 and 64 that is such a
+    multiple and wide enough, so that `unpack_slots` is one
+    `memoryview.cast`; failing that (b = 3, or more than 64 bits) the
+    smallest wide enough multiple of both b and 8.
     """
     need = max(b, -(-bits // b) * b)
     for width in _SLOT_CODES:
@@ -528,13 +532,6 @@ def payload_weight(field: FieldTable, n: int, x: int) -> int:
     return _digit_flags(b, x, _ones_mask(b, n)).bit_count()
 
 
-def block_in_ball(field: FieldTable, n: int, block: int, width: int,
-                  count: int, radius: int) -> int:
-    """`block_in_balls` at the one radius: the number of the count slots
-    of a block whose payload lies in B(0, radius)."""
-    return block_in_balls(field, n, block, width, count, (radius,))[0]
-
-
 def block_in_balls(field: FieldTable, n: int, block: int, width: int,
                    count: int, radii: Sequence[int]) -> tuple[int, ...]:
     """For each of the radii, in their order, the number of the count
@@ -661,7 +658,9 @@ def payload_reduce(field: FieldTable, basis: Sequence[tuple[int, int]],
                    y: int) -> int:
     """y minus the combination of `basis` rows that zeroes y at every pivot.
 
-    `basis` is a list of (pivot, payload) as returned by :func:`echelon`.
+    `basis` lists the (pivot, row) items of an :func:`echelon` basis from
+    the highest pivot down.  A row's digits lie at or below its pivot, so
+    a pivot cleared stays clear.
     """
     b = field.bits_per_digit
     mask = (1 << b) - 1
@@ -672,46 +671,32 @@ def payload_reduce(field: FieldTable, basis: Sequence[tuple[int, int]],
     return y
 
 
-def echelon(field: FieldTable, payloads: Iterable[int]) -> list[tuple[int, int]]:
-    """Fully reduced echelon basis of the span of packed rows, as (pivot, payload).
+def echelon(field: FieldTable, payloads: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the span of packed rows, as {pivot: row}, by
+    forward elimination: each row loses its leading digit to the kept row
+    of that pivot until it is 0 or its pivot is new.
 
-    Each row's pivot is its highest nonzero coordinate and its digit
-    there is 1; every row is zero at the other rows' pivots.  This form
-    is unique for the span.  Dependent rows reduce to zero and drop, so
-    the basis length is the rank.
+    A kept row's pivot is its highest nonzero coordinate, and its digit
+    there is 1.  Dependent rows reduce to zero and drop, so the basis
+    length is the rank.
     """
     b = field.bits_per_digit
-    basis: list[tuple[int, int]] = []
+    basis: dict[int, int] = {}
     for y in payloads:
-        y = payload_reduce(field, basis, y)
-        if not y:
-            continue
-        # y is zero at every pivot, so its highest coordinate is a new one.
-        col = (y.bit_length() - 1) // b
-        y = payload_scale(field, field.inv_table[y >> (col * b)], y)
-        pivot = [(col, y)]
-        basis = [(c, payload_reduce(field, pivot, row)) for c, row in basis]
-        basis.append((col, y))
+        while y and (col := (y.bit_length() - 1) // b) in basis:
+            y = payload_add(field, y, payload_scale(
+                field, field.neg_table[y >> (col * b)], basis[col]))
+        if y:
+            basis[col] = payload_scale(field, field.inv_table[y >> (col * b)], y)
     return basis
 
 
 def rank_of(vectors: Iterable[VecQ]) -> int:
-    """Rank of the given vectors as rows of a matrix over their field, by
-    forward elimination: each row loses its leading digit to the kept row
-    of that pivot (leading digit 1) until it is 0 or its pivot is new."""
+    """Rank of the given vectors as rows of a matrix over their field: the
+    length of their `echelon` basis."""
     vecs = list(vectors)
     if not vecs:
         return 0
-    field = vecs[0].field
     for v in vecs[1:]:
         vecs[0]._check_mate(v)
-    b = field.bits_per_digit
-    pivots: dict[int, int] = {}
-    for v in vecs:
-        y = v.payload
-        while y and (col := (y.bit_length() - 1) // b) in pivots:
-            y = payload_add(field, y, payload_scale(
-                field, field.neg_table[y >> (col * b)], pivots[col]))
-        if y:
-            pivots[col] = payload_scale(field, field.inv_table[y >> (col * b)], y)
-    return len(pivots)
+    return len(echelon(vecs[0].field, [v.payload for v in vecs]))

@@ -32,3 +32,19 @@ def test_span_layer_rows_run(q, n, ell, p, trials):
     assert out["q_n_l_p"] == [q, n, ell, p]
     assert out["members"] == q ** ell
     assert len(out["sha256"]) == 64
+
+
+@pytest.mark.parametrize("q,n,k,r,digest", [
+    (2, 18, 5, 3,
+     "baf68052efe547e227a47c5f9eef00ad7948bbbbee16144642f78c0388d20e40"),
+    (3, 16, 5, 2,
+     "59931f023efcd8c23dabbd0b5bad89716ff8fa711ab49b34e4251b1b747e73b4")])
+def test_tally_layer_rows_keep_their_digests(q, n, k, r, digest):
+    """The tally harness's two smallest rows run once and print the
+    SHA-256 of their sorted tallies recorded in `BENCH_13.json`, which
+    pins every coset label and count of those codes byte for byte."""
+    tally_layer = _load("tally_layer")
+    assert (q, n, k, r) in tally_layer.ROWS
+    out = tally_layer.row(q, n, k, r, repeats=1)
+    assert out["q_n_k_r"] == [q, n, k, r]
+    assert out["sha256"] == digest

@@ -23,8 +23,8 @@ from ldlab import (
     random_code,
     rank_of,
 )
-from ldlab.codes import _coset_tally, _span_list, span_in_ball, span_payloads
-from ldlab.gfq import _BATCH
+from ldlab.codes import _coset_tally, _span_block, span_in_ball, span_payloads
+from ldlab.gfq import _BATCH, unpack_slots
 
 import oracles
 
@@ -174,11 +174,11 @@ def rows_ending_at(q, bits, rng):
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_span_list_matches_tuple_enumeration_in_order(q):
-    """_span_list and codeword_payloads list sum a_i x_i in base-q message
-    order, as digit-tuple arithmetic does.  The row bit lengths sit at the
-    edges of 8-, 16-, 32- and 64-bit slots (for b = 3 no slot width is a
-    power of two), and the inputs include zero rows, dependent rows and
-    k = 0."""
+    """The slots of _span_block, and codeword_payloads, list sum a_i x_i in
+    base-q message order, as digit-tuple arithmetic does.  The lengths n
+    sit at the edges of 8-, 16-, 32- and 64-bit slots (for b = 3 no slot
+    width is a power of two), and the inputs include zero rows,
+    dependent rows and k = 0."""
     f = field_new(q)
     tables = field_tables(q)
     rng = random.Random(q * 7)
@@ -195,7 +195,8 @@ def test_span_list_matches_tuple_enumeration_in_order(q):
         rows = [tuple(r) for r in rows]
         expected = oracles.span_in_message_order(rows, q, n, *tables)
         vectors = tuple(VecQ.from_digits(f, r) for r in rows)
-        got = list(_span_list(f, [v.payload for v in vectors]))
+        payloads = [v.payload for v in vectors]
+        got = list(unpack_slots(*_span_block(f, n, payloads)))
         assert [VecQ(f, n, x).digits() for x in got] == expected, (n, rows)
         if len(rows) <= n:
             code = Code(f, n, len(rows), vectors, rank_of(vectors) == len(rows))

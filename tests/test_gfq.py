@@ -447,8 +447,8 @@ def test_q3_add_reads_no_lane_mask(monkeypatch):
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_payloads_in_ball_matches_payload_weight(q):
-    """The batch count of payloads in a ball, `block_in_ball` on slots of
-    n digits, equals one payload_weight call per payload, at every
+    """The batch count of payloads in a ball, `block_in_balls` at one
+    radius on slots of n digits, equals one payload_weight call per payload, at every
     radius, for lengths that fill 8- to 64-bit slots exactly, fall just
     short of them or exceed 64 bits, for more payloads than one slice of
     the count holds, and for an empty block."""
@@ -458,8 +458,8 @@ def test_payloads_in_ball_matches_payload_weight(q):
 
     def in_ball(n, payloads, radius):
         width = gfq.slot_width(b, n * b)
-        return gfq.block_in_ball(f, n, gfq.pack_slots(payloads, width), width,
-                                 len(payloads), radius)
+        return gfq.block_in_balls(f, n, gfq.pack_slots(payloads, width),
+                                  width, len(payloads), (radius,))[0]
 
     for n in sorted({1, 2, 3, 8 // b, 16 // b, 32 // b, 64 // b, 64 // b + 1,
                      21, 40}):
@@ -491,8 +491,8 @@ def count_cases(q, n, rng):
 
 
 def assert_counts_match_oracle(q, n, tuples, radii):
-    """block_in_ball on slots of n digits equals the per-member oracle at
-    every radius, and so does one block_in_balls call over all of them."""
+    """block_in_balls on slots of n digits equals the per-member oracle
+    at every radius, one radius a call and all of them in one call."""
     f = field_new(q)
     b = f.bits_per_digit
     payloads = [pack(q, t) for t in tuples]
@@ -500,8 +500,9 @@ def assert_counts_match_oracle(q, n, tuples, radii):
     block = gfq.pack_slots(payloads, width)
     want = [oracles.brute_in_ball(tuples, radius) for radius in radii]
     for radius, expected in zip(radii, want):
-        assert gfq.block_in_ball(f, n, block, width, len(payloads),
-                                 radius) == expected, (q, n, width, radius)
+        assert gfq.block_in_balls(f, n, block, width, len(payloads),
+                                  (radius,)) == (expected,), \
+            (q, n, width, radius)
     assert gfq.block_in_balls(f, n, block, width, len(payloads),
                               tuple(radii)) == tuple(want), (q, n, width)
 
@@ -542,8 +543,9 @@ def test_block_count_stays_inside_each_slot():
         radii = tuple(range(-1, n + 2))
         want = tuple(oracles.brute_in_ball(tuples, r) for r in radii)
         for radius, expected in zip(radii, want):
-            assert gfq.block_in_ball(f, n, block, width, len(tuples), radius) \
-                == expected, (q, n, width, radius)
+            assert gfq.block_in_balls(f, n, block, width, len(tuples),
+                                      (radius,)) == (expected,), \
+                (q, n, width, radius)
         assert gfq.block_in_balls(f, n, block, width, len(tuples), radii) \
             == want, (q, n, width)
 
@@ -590,8 +592,8 @@ def test_count_clamps_radius_above_n():
     would go negative there."""
     f3 = field_new(3)
     block = gfq.pack_slots([0, 1, 5, 0xff], 8)
-    assert [gfq.block_in_ball(f3, 4, block, 8, 4, r) for r in range(-2, 11)] \
-        == [0, 0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4]
+    assert [gfq.block_in_balls(f3, 4, block, 8, 4, (r,))[0]
+            for r in range(-2, 11)] == [0, 0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4]
     assert gfq.block_in_balls(f3, 4, block, 8, 4, range(10, -3, -1)) \
         == (4, 4, 4, 4, 4, 4, 4, 3, 3, 2, 1, 0, 0)
 
@@ -603,8 +605,8 @@ def test_block_count_caches_masks_for_one_slice():
     tuples = count_cases(3, 32, random.Random(2)) * 300
     block = gfq.pack_slots([pack(3, t) for t in tuples], 64)
     assert len(tuples) > 4 * gfq._BATCH
-    assert gfq.block_in_ball(f, 32, block, 64, len(tuples), 8) \
-        == oracles.brute_in_ball(tuples, 8)
+    assert gfq.block_in_balls(f, 32, block, 64, len(tuples), (8,)) \
+        == (oracles.brute_in_ball(tuples, 8),)
     for b, n, width in [(2, 32, 64), (4, 64, 256)]:
         _, levels, ones, slots = gfq._count_masks(b, n, width)
         assert slots <= gfq._BATCH and slots * width <= gfq._BATCH * 64
@@ -684,9 +686,10 @@ def test_all_vectors_enumerates_whole_space_in_counting_order(q, n):
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_rank_matches_independent_elimination(q):
     """rank_of and the echelon basis agree with Gaussian elimination over
-    oracle-built tables; the basis is in fully reduced echelon form.  The
-    edge cases run at n = 1 to 65 digits, across machine words and SWAR
-    widths."""
+    oracle-built tables.  The basis is in forward echelon form: each
+    row's pivot is its highest nonzero digit and that digit is 1, and
+    its rows are independent and span the given rows.  The edge cases run
+    at n = 1 to 65 digits, across machine words and SWAR widths."""
     add, mul = oracle_tables(q)
     f = field_new(q)
     rng = random.Random(2026)
@@ -699,12 +702,11 @@ def test_rank_matches_independent_elimination(q):
         assert rank_of(vectors) == rank
         basis = echelon(f, [v.payload for v in vectors])
         assert len(basis) == rank
-        basis_rows = [VecQ(f, n, payload).digits() for _, payload in basis]
+        basis_rows = [VecQ(f, n, row).digits() for row in basis.values()]
+        assert oracles.brute_rank(basis_rows, q, add, mul) == rank
         assert oracles.brute_rank(rows + basis_rows, q, add, mul) == rank
-        pivots = {col for col, _ in basis}
-        for (col, _), digits in zip(basis, basis_rows):
+        for col, digits in zip(basis, basis_rows):
             assert digits[col] == 1
-            assert all(digits[c] == 0 for c in pivots - {col})
             assert max(i for i, d in enumerate(digits) if d) == col
     for n in (1, 31, 32, 33, 64, 65):
         for rows in _rank_edge_cases(q, n, rng, add, mul):
