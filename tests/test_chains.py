@@ -154,6 +154,15 @@ def test_shatter_verify_spec_anchors():
     assert not shatter_verify([VecQ.zero(f, 3)], [1], 2)
 
 
+def test_shatter_verify_refuses_mismatched_members():
+    """Every member is shape-checked, not only the first one's q: here
+    the F_3 member would otherwise avoid the pattern 1 at coordinate 1."""
+    S = [VecQ.from_string(field_new(2), "011"),
+         VecQ.from_string(field_new(3), "222")]
+    with pytest.raises(ParameterError):
+        shatter_verify(S, [1], 2)
+
+
 def test_witness_validate_rejects_tampering():
     S = list(all_vectors(field_new(2), 3))
     witness = shatter_find(S, 2)
@@ -423,6 +432,13 @@ def test_vector_set_serialization_round_trip():
             parsed = parse_vector_set(text)
             assert set(parsed) == set(S)
             assert parsed == sorted(parsed, key=str)
+
+
+def test_format_vector_set_refuses_mismatched_lengths():
+    """format_vector_set writes no file that parse_vector_set refuses."""
+    f = field_new(2)
+    with pytest.raises(ParameterError):
+        format_vector_set([VecQ.from_string(f, "011"), VecQ.from_string(f, "10")])
 
 
 def test_parse_vector_set_rejects_malformed_input():
