@@ -44,7 +44,8 @@ from typing import Callable, Iterable, Sequence
 
 from .codes import read_header
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import FieldTable, VecQ, all_vectors, field_new, payload_weight
+from .gfq import (FieldTable, VecQ, all_vectors, field_new, payload_weight,
+                   shape_of)
 
 ORACLE_DIM_BUDGET = 20
 TRANSLATE_SCAN_BUDGET = 2 ** 16
@@ -98,12 +99,7 @@ def _reversal(ell: int, b: int) -> Callable[[int], int]:
 def _lex_keys(S: Iterable[VecQ]) -> tuple[FieldTable, int, list[int]]:
     """Field, length and the ascending distinct lex keys of a nonempty set."""
     vecs = list(S)
-    if not vecs:
-        raise ParameterError("vector set must be nonempty")
-    first = vecs[0]
-    for v in vecs[1:]:
-        first._check_mate(v)
-    field, ell = first.field, first.n
+    field, ell = shape_of(vecs)
     reverse = _reversal(ell, field.bits_per_digit)
     return field, ell, sorted({reverse(v.payload) for v in vecs})
 
@@ -132,13 +128,12 @@ def shatter_verify(S: Iterable[VecQ], U: Iterable[int], q: int) -> bool:
     members = list(S)
     if not members:
         return False
-    ell = members[0].n
+    field, ell = shape_of(members)
     cols = sorted(set(U))
     if any(j < 1 or j > ell for j in cols):
         raise ParameterError(f"U={cols} not within [1, {ell}]")
-    if members[0].field.q != q:
-        raise ParameterError(
-            f"q={q} does not match vector field q={members[0].field.q}")
+    if field.q != q:
+        raise ParameterError(f"q={q} does not match vector field q={field.q}")
     restrictions = {tuple(v.digit(j - 1) for j in cols) for v in members}
     for u in itertools.product(range(q), repeat=len(cols)):
         if not any(all(ri != ui for ri, ui in zip(r, u)) for r in restrictions):
@@ -261,9 +256,9 @@ def chain_verify(translate_w: VecQ, members: Sequence[VecQ], c: int) -> bool:
     translation by w (vacuously true for the empty chain)."""
     if c < 1:
         raise ParameterError(f"freshness threshold c={c} must be >= 1")
+    shape_of((translate_w, *members))
     covered: frozenset[int] = frozenset()
     for v in members:
-        translate_w._check_mate(v)
         supp = (v + translate_w).support()
         if len(supp - covered) < c:
             return False
@@ -348,9 +343,7 @@ def longest_chain_oracle(T: Iterable[VecQ], c: int) -> int:
     vecs = list(T)
     if not vecs:
         return 0
-    ell = vecs[0].n
-    for v in vecs[1:]:
-        vecs[0]._check_mate(v)
+    _, ell = shape_of(vecs)
     if ell > ORACLE_DIM_BUDGET:
         raise ResourceBudgetError(
             f"oracle dimension l={ell} exceeds budget {ORACLE_DIM_BUDGET}")
@@ -380,10 +373,7 @@ def oracle_best_translate(S: Iterable[VecQ], c: int) -> tuple[int, VecQ]:
     """Scan all q^l translates w, reporting (max oracle length, first w
     attaining it in payload order).  Budget q^l <= 2^16."""
     vecs = list(S)
-    if not vecs:
-        raise ParameterError("vector set must be nonempty")
-    field = vecs[0].field
-    ell = vecs[0].n
+    field, ell = shape_of(vecs)
     if field.q ** ell > TRANSLATE_SCAN_BUDGET:
         raise ResourceBudgetError(
             f"translate scan q^l = {field.q ** ell} exceeds budget "
@@ -404,9 +394,8 @@ def format_vector_set(vectors: Iterable[VecQ]) -> str:
     """Text format: header `q ell`, then one digit string per line,
     sorted."""
     vecs = sorted(vectors, key=lambda v: v.digits())
-    if not vecs:
-        raise ParameterError("vector set must be nonempty")
-    lines = [f"{vecs[0].field.q} {vecs[0].n}"]
+    field, ell = shape_of(vecs)
+    lines = [f"{field.q} {ell}"]
     lines.extend(str(v) for v in vecs)
     return "\n".join(lines) + "\n"
 

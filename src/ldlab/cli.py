@@ -324,15 +324,20 @@ def _cmd_rate_sweep(args, argv):
     return _emit(args, argv, [record], table=(header, rows))
 
 
+def _read_vector_set(path: str) -> tuple[set[VecQ], int, int]:
+    """The distinct vectors of a vector-set file, with their q and length."""
+    vectors = parse_vector_set(_read_text(path))
+    return set(vectors), vectors[0].field.q, vectors[0].n
+
+
 def _cmd_chain(args, argv):
     if args.action == "find":
-        vectors = parse_vector_set(_read_text(args.set))
-        q = vectors[0].field.q
-        chain = chain_find(set(vectors), args.c, q)
-        bound = chain_length_bound(len(set(vectors)), chain.ell, args.c, q)
+        S, q, _ = _read_vector_set(args.set)
+        chain = chain_find(S, args.c, q)
+        bound = chain_length_bound(len(S), chain.ell, args.c, q)
         record = {
             "kind": "chain-find", "q": q, "ell": chain.ell, "c": args.c,
-            "set_size": len(set(vectors)), "d": chain.d, "bound": bound,
+            "set_size": len(S), "d": chain.d, "bound": bound,
             "meets_bound": bound <= 0 or chain.d >= math.ceil(bound),
             "valid": chain.verify(),
             "translate": str(chain.translate_w),
@@ -347,45 +352,42 @@ def _cmd_chain(args, argv):
         table = (["q", "ell", "c", "d", "valid"],
                  [[chain.q, chain.ell, chain.c, chain.d, valid]])
         return _emit(args, argv, [record], table=table)
-    vectors = parse_vector_set(_read_text(args.set))
-    field = vectors[0].field
+    S, q, ell = _read_vector_set(args.set)
     if args.best_translate:
-        d, w = oracle_best_translate(set(vectors), args.c)
-        record = {"kind": "chain-oracle", "q": field.q, "ell": vectors[0].n,
+        d, w = oracle_best_translate(S, args.c)
+        record = {"kind": "chain-oracle", "q": q, "ell": ell,
                   "c": args.c, "longest": d, "best_translate": str(w)}
     else:
-        T = list(set(vectors))
+        T = list(S)
         applied = None
         if args.translate is not None:
-            w = VecQ.from_string(field, args.translate)
+            w = VecQ.from_string(T[0].field, args.translate)
             T = [v + w for v in T]
             applied = str(w)
         d = longest_chain_oracle(T, args.c)
-        record = {"kind": "chain-oracle", "q": field.q, "ell": vectors[0].n,
+        record = {"kind": "chain-oracle", "q": q, "ell": ell,
                   "c": args.c, "longest": d, "translate": applied}
     table = (list(record.keys())[1:], [list(record.values())[1:]])
     return _emit(args, argv, [record], table=table)
 
 
 def _cmd_shatter(args, argv):
-    vectors = parse_vector_set(_read_text(args.set))
-    q = vectors[0].field.q
-    ell = vectors[0].n
+    S, q, ell = _read_vector_set(args.set)
     if args.action == "find":
-        witness = shatter_find(set(vectors), args.c)
+        witness = shatter_find(S, args.c)
         threshold = shatter_threshold(ell, args.c, q)
         if witness is None:
             record = {"kind": "shatter-find", "q": q, "ell": ell,
-                      "c": args.c, "set_size": len(set(vectors)),
+                      "c": args.c, "set_size": len(S),
                       "threshold": threshold, "found": False}
             return _emit(args, argv, [record], artifact="no witness found\n")
         record = {"kind": "shatter-find", "q": q, "ell": ell, "c": args.c,
-                  "set_size": len(set(vectors)), "threshold": threshold,
+                  "set_size": len(S), "threshold": threshold,
                   "found": True, "U": sorted(witness.U),
-                  "valid": shatter_verify(set(vectors), witness.U, q)}
+                  "valid": shatter_verify(S, witness.U, q)}
         return _emit(args, argv, [record], artifact=format_witness(witness))
     U = _parse_int_list(args.u)
-    valid = shatter_verify(set(vectors), U, q)
+    valid = shatter_verify(S, U, q)
     record = {"kind": "shatter-verify", "q": q, "ell": ell,
               "U": sorted(set(U)), "valid": valid}
     table = (["q", "ell", "U", "valid"],

@@ -40,7 +40,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import ParameterError, ResourceBudgetError
 from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
                   field_new, payload_add, payload_reduce, payload_scale,
-                  rank_of, slot_ones, slot_width, slots_add, unpack_slots)
+                  rank_of, shape_of, slot_ones, slot_width, slots_add,
+                  unpack_slots)
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       ball_walk, check_sample_budget, radius_of,
                       sample_ball_uniform, uniform_payload)
@@ -147,16 +148,12 @@ def _span_block(field: FieldTable, n: int,
 def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, int, list[int]]:
     """The field, length and payloads of a span's generators, refused
     when empty, mismatched or over the q^l <= 2^24 budget."""
-    if not vectors:
-        raise ParameterError("a span needs at least one vector")
-    f = vectors[0].field
-    for v in vectors[1:]:
-        vectors[0]._check_mate(v)
+    f, n = shape_of(vectors)
     if f.q ** len(vectors) > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
             f"span enumeration q^l = {f.q}^{len(vectors)} exceeds budget "
             f"{ENUMERATION_BUDGET}")
-    return f, vectors[0].n, [v.payload for v in vectors]
+    return f, n, [v.payload for v in vectors]
 
 
 def span_payloads(vectors: Sequence[VecQ]) -> set[int]:

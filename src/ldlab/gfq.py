@@ -691,12 +691,21 @@ def echelon(field: FieldTable, payloads: Iterable[int]) -> dict[int, int]:
     return basis
 
 
+def shape_of(vectors: Sequence[VecQ]) -> tuple[FieldTable, int]:
+    """Field and length of a nonempty list of vectors, each checked
+    against the first; `ParameterError` when empty or mismatched."""
+    if not vectors:
+        raise ParameterError("vector set must be nonempty")
+    first = vectors[0]
+    for v in vectors:
+        first._check_mate(v)
+    return first.field, first.n
+
+
 def rank_of(vectors: Iterable[VecQ]) -> int:
     """Rank of the given vectors as rows of a matrix over their field: the
     length of their `echelon` basis."""
     vecs = list(vectors)
     if not vecs:
         return 0
-    for v in vecs[1:]:
-        vecs[0]._check_mate(v)
-    return len(echelon(vecs[0].field, [v.payload for v in vecs]))
+    return len(echelon(shape_of(vecs)[0], [v.payload for v in vecs]))

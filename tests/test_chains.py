@@ -441,6 +441,18 @@ def test_format_vector_set_refuses_mismatched_lengths():
         format_vector_set([VecQ.from_string(f, "011"), VecQ.from_string(f, "10")])
 
 
+def test_empty_vector_lists():
+    """An empty list names no field: the oracle, shatter_verify and
+    chain_verify answer for it, and the rest refuse it."""
+    assert longest_chain_oracle([], 1) == 0
+    assert shatter_verify([], [1], 2) is False
+    assert chain_verify(VecQ.zero(field_new(2), 3), [], 1)
+    for call in (lambda: format_vector_set([]), lambda: chain_find([], 1, 2),
+                 lambda: oracle_best_translate([], 1)):
+        with pytest.raises(ParameterError):
+            call()
+
+
 def test_parse_vector_set_rejects_malformed_input():
     for text in ["", "2\n", "2 3\n12\n", "2 3\n120\n", "6 3\n000\n"]:
         with pytest.raises(ParameterError):
