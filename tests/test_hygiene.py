@@ -3,7 +3,7 @@ no module but gfq reads the field tables, characteristic or degree, no
 process pool and no fork outside `experiments`, importing the package
 builds no field or mask cache and no CLI parser, `ldlab.__all__`
 names only what the package defines, and every ldlab name that the
-benchmark and the bench scripts reach still exists.
+benchmark and the layer harness `bench/layers.py` reach still exists.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -134,9 +134,9 @@ def _resolves(module: str, dotted: str) -> bool:
 def test_benchmark_and_bench_names_resolve():
     """Every (module, attribute) the benchmark's tracer wraps
     (`perfbench/spans.py` TARGETS) and every ldlab name that a file in
-    `perfbench/` or `bench/` imports exists, so deleting or renaming one
-    breaks this test and not only a script run by hand.  The files are
-    read as text, not imported."""
+    `perfbench/` or `bench/layers.py` imports exists, so deleting or
+    renaming one breaks this test and not only a script run by hand.  The
+    files are read as text, not imported."""
     spans = ast.parse((REPO / "perfbench" / "spans.py").read_text())
     targets = next(ast.literal_eval(node.value) for node in spans.body
                    if isinstance(node, ast.Assign)
