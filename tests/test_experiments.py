@@ -54,6 +54,21 @@ def test_exact_pair_sum_budget_refusal():
         exact_pair_sum_probability(14, Fraction(6, 14), 2)
 
 
+@pytest.mark.parametrize("n,p,q,center_payload", [
+    (4, Fraction(1, 4), 2, 1 << 10),   # a digit past n = 4
+    (4, Fraction(1, 4), 2, 1 << 4),
+    (4, Fraction(1, 4), 2, -1),
+    (3, Fraction(1, 3), 3, 3),         # digit 3 is not in F_3
+    (3, Fraction(1, 3), 3, 1 << 6),    # q = 3 packs 2 bits per digit
+    (3, Fraction(1, 3), 3, 3 << 4),
+])
+def test_exact_pair_sum_refuses_non_vector_center(n, p, q, center_payload):
+    """A center payload that is no vector of F_q^n is refused, not read as
+    some other vector."""
+    with pytest.raises(ParameterError):
+        exact_pair_sum_probability(n, p, q, center_payload)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_exact_pair_sum_matches_brute_enumeration(q):
     add, _ = oracles.prime_field_tables(q)
