@@ -453,6 +453,24 @@ def test_empty_vector_lists():
             call()
 
 
+def test_non_vector_members_are_parameter_errors():
+    """Sets whose members are not VecQs are refused with ParameterError by
+    every finder, checker and formatter, including format_vector_set's
+    sort."""
+    w = VecQ.zero(field_new(2), 2)
+    for call in (lambda: format_vector_set(["01"]),
+                 lambda: format_vector_set([1, 2]),
+                 lambda: shatter_find([1, 2], 1),
+                 lambda: shatter_verify([1, 2], [1], 2),
+                 lambda: chain_find([1, 2], 1, 2),
+                 lambda: chain_verify(1, [], 1),
+                 lambda: chain_verify(w, ["01"], 1),
+                 lambda: longest_chain_oracle([1, 2], 1),
+                 lambda: oracle_best_translate([1, 2], 1)):
+        with pytest.raises(ParameterError, match="expected VecQ"):
+            call()
+
+
 def test_parse_vector_set_rejects_malformed_input():
     for text in ["", "2\n", "2 3\n12\n", "2 3\n120\n", "6 3\n000\n"]:
         with pytest.raises(ParameterError):

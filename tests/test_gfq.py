@@ -755,6 +755,16 @@ def test_rank_known_values():
     assert rank_of([VecQ.zero(f, 3)]) == 0
 
 
+@pytest.mark.parametrize("vectors", [[1, 2], ["011"], [None, VecQ.zero(field_new(2), 3)]])
+def test_non_vector_members_are_parameter_errors(vectors):
+    """A list whose first member is not a VecQ is refused with
+    ParameterError by the shape check and by rank_of."""
+    with pytest.raises(ParameterError, match="expected VecQ"):
+        gfq.shape_of(vectors)
+    with pytest.raises(ParameterError, match="expected VecQ"):
+        rank_of(vectors)
+
+
 @pytest.mark.parametrize("width", [8, 16, 24, 32, 48, 64, 72, 80, 136])
 def test_pack_slots_inverts_unpack_slots(width):
     """pack_slots puts value j in bits [j*width, (j+1)*width) and
