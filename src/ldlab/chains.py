@@ -392,12 +392,10 @@ def oracle_best_translate(S: Iterable[VecQ], c: int) -> tuple[int, VecQ]:
 
 def format_vector_set(vectors: Iterable[VecQ]) -> str:
     """Text format: header `q ell`, then one digit string per line,
-    sorted."""
-    vecs = sorted(vectors, key=lambda v: v.digits())
+    sorted (string order is digit order, as 0-9 sort before a-f)."""
+    vecs = list(vectors)
     field, ell = shape_of(vecs)
-    lines = [f"{field.q} {ell}"]
-    lines.extend(str(v) for v in vecs)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{field.q} {ell}", *sorted(map(str, vecs))]) + "\n"
 
 
 def parse_vector_set(text: str) -> list[VecQ]:

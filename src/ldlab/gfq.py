@@ -693,10 +693,13 @@ def echelon(field: FieldTable, payloads: Iterable[int]) -> dict[int, int]:
 
 def shape_of(vectors: Sequence[VecQ]) -> tuple[FieldTable, int]:
     """Field and length of a nonempty list of vectors, each checked
-    against the first; `ParameterError` when empty or mismatched."""
+    against the first; `ParameterError` when empty, mismatched or holding
+    a non-vector."""
     if not vectors:
         raise ParameterError("vector set must be nonempty")
     first = vectors[0]
+    if not isinstance(first, VecQ):
+        raise ParameterError(f"expected VecQ, got {type(first).__name__}")
     for v in vectors:
         first._check_mate(v)
     return first.field, first.n
