@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py [--repeats 5] [--layer {span,tally,chains,sampling}]
+    python3 bench/layers.py [--repeats 5] [--layer {span,tally,chains,sampling,pair}]
 
 `CASES` is one table of rows, each tagged with its layer; `--layer` runs
 one layer's rows, and without it every row runs.  A row is split into
@@ -33,6 +33,9 @@ inputs:
   kept in tests/oracles.py (stdlib).  Each side has a digest of its
   outputs as digit strings; they are equal when the library draws the
   same stream, and the exit status is 1 when a row's two differ.
+- pair, (q, n, p).  `experiments.exact_pair_sum_probability` at one
+  center of each weight w = 0 .. n, the first w digits 1.  Digest: the
+  n + 1 probabilities as "a/b" lines.
 
 Each row prints one JSON object: the layer, the row's identifying fields,
 the calls (or trials) per run of a part and the repeats; for each part
@@ -40,7 +43,7 @@ the median and minimum microseconds per call over the timed runs, and the
 peak memory of one more, traced run above what was live before it
 (tracemalloc, so Python objects and not the allocator's slack); then the
 row's counts and SHA-256 digests, whose texts are those recorded in
-BENCH_11, 12, 13 and 18.  The span parts call `_span_block(field, n,
+BENCH_11, 12, 13 and 18 (pair: tests/test_bench.py).  The span parts call `_span_block(field, n,
 payloads)`; a checkout older than that signature, or lacking any name
 imported here, needs an edited copy of this file.
 """
@@ -68,7 +71,8 @@ from ldlab.chains import (chain_find, format_chain,  # noqa: E402
                           oracle_best_translate, shatter_find)
 from ldlab.codes import (_coset_tally, _span_block, random_code,  # noqa: E402
                          span_in_ball)
-from ldlab.experiments import SpanTrialConfig, _span_chunk  # noqa: E402
+from ldlab.experiments import (SpanTrialConfig, _span_chunk,  # noqa: E402
+                               exact_pair_sum_probability)
 from ldlab.gfq import VecQ, block_in_balls, field_new, rank_of  # noqa: E402
 from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
                            uniform_payload)
@@ -114,6 +118,8 @@ CASES = (
       for n in (20, 40, 80)),
     *(Case("sampling", ("random_code", {"q": 2, "n": 18, "k": k}))
       for k in (5, 4, 2)),
+    # (q, n, p), small enough for a brute pair count.
+    Case("pair", (2, 12, "1/4")), Case("pair", (3, 8, "1/4")),
 )
 
 
@@ -258,8 +264,20 @@ def sampling_row(function: str, params: dict) -> Row:
                {"stdlib": draws(stdlib), "ldlab": draws(ldlab)}, finish)
 
 
+def pair_row(q: int, n: int, p: str) -> Row:
+    b = field_new(q).bits_per_digit
+    centers = [sum(1 << i * b for i in range(w)) for w in range(n + 1)]
+
+    def finish(out: dict) -> dict:
+        return {"sha256": sha256("".join(f"{x}\n" for x in out["pair"]))}
+
+    return Row({"q_n_p": [q, n, p]}, n + 1, {
+        "pair": lambda: [exact_pair_sum_probability(n, Fraction(p), q, x)
+                         for x in centers]}, finish)
+
+
 BUILDERS = {"span": span_row, "tally": tally_row, "chains": chains_row,
-            "sampling": sampling_row}
+            "sampling": sampling_row, "pair": pair_row}
 
 
 def time_part(run: Callable[[], object], repeats: int) -> tuple[float, float]:

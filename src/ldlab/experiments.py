@@ -13,8 +13,8 @@ Experiments:
   C * l.
 - pair-sum: estimate Pr[w1 + w2 in B(x, p)] for w1, w2 uniform in
   B(0, p), at x = 0 and at uniformly random x, across an n-grid, and
-  fit the exponential decay rate; exact oracles (closed-form count and
-  brute-force pair enumeration) cover small n.
+  fit the exponential decay rate; the exact probability, at any center,
+  is a sum of Hamming-scheme intersection numbers.
 - rate sweep: at rate 1 - H_q(p) - eps, sample full-rank codes and
   record exact L_max per code plus the failure frequency at candidate
   list size ceil(C / eps).
@@ -35,11 +35,10 @@ from fractions import Fraction
 from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact,
                     histogram_record, random_code, span_in_ball)
 from .errors import ParameterError, ResourceBudgetError
-from .gfq import (VecQ, field_new, payload_add, payload_scale, payload_weight,
-                  rank_of)
-from .hamming import (BallSpec, RadiusParam, as_fraction, ball_points, ball_volume,
-                      check_sample_budget, entropy_q, sample_ball_uniform,
-                      uniform_payload)
+from .gfq import field_new, payload_add, payload_scale, payload_weight, rank_of
+from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
+                      check_sample_budget, entropy_q, intersection_number,
+                      sample_ball_uniform, uniform_payload)
 from .seeding import derive_stream
 
 SCHEMA_VERSION = 1
@@ -379,50 +378,44 @@ def run_pair_sum_experiment(config: PairSumConfig,
         tuple(notes))
 
 
+def _pair_count(n: int, r: int, q: int, w: int) -> int:
+    """Pairs (w1, w2) in B(0, r)^2 with w1 + w2 within r of a center of
+    weight w: over the weight u of the sum s, the s of weight u within r
+    of the center times the pairs summing to one such s.  The first
+    factor vanishes unless |u - w| <= r, the second unless u <= 2r."""
+    return sum(sum(intersection_number(n, q, w, u, t) for t in range(r + 1))
+               * sum(intersection_number(n, q, u, i, j)
+                     for i in range(r + 1) for j in range(r + 1))
+               for u in range(max(0, w - r), min(n, 2 * r, w + r) + 1))
+
+
 def exact_pair_sum_probability(n: int, p: RadiusParam, q: int,
                                center_payload: int = 0) -> Fraction:
-    """Pr[w1 + w2 in B(x, p)] by exhaustive enumeration of ball pairs.
+    """Pr[w1 + w2 in B(x, p)] for w1, w2 uniform in B(0, p), x the vector
+    of F_q^n packed as `center_payload`; an exact rational.
 
-    Exact rational; cost volume^2 (guard volume^2 <= 2^24).
+    The count depends on x only through its weight.  Its pair factors
+    take at most (min(n, 2r) + 1)(r + 1)^3 terms, refused up front past
+    ENUMERATION_BUDGET.
     """
     field = field_new(q)
-    spec = BallSpec.from_p(q, n, p)
-    radius = spec.radius
-    volume = ball_volume(n, radius, q)
-    if volume ** 2 > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"pair enumeration |B(0, {radius})|^2 = {volume}^2 exceeds budget "
-            f"{ENUMERATION_BUDGET}")
-    pts = [v.payload for v in ball_points(field, VecQ(field, n, 0), radius)]
-    neg_x = (-VecQ(field, n, center_payload)).payload
-    count = 0
-    for a in pts:
-        base = payload_add(field, a, neg_x)
-        for bpt in pts:
-            if payload_weight(field, n, payload_add(field, base, bpt)) <= radius:
-                count += 1
-    return Fraction(count, len(pts) ** 2)
+    radius = BallSpec.from_p(q, n, p).radius
+    b = field.bits_per_digit
+    digits = [center_payload >> i * b & (1 << b) - 1 for i in range(n)]
+    if center_payload < 0 or center_payload >> n * b or max(digits) >= q:
+        raise ParameterError(
+            f"center_payload={center_payload} is not a vector of F_{q}^{n}")
+    terms = (min(n, 2 * radius) + 1) * (radius + 1) ** 3
+    if terms > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(f"pair count at n={n}, r={radius} takes "
+                                  f"{terms} terms, over {ENUMERATION_BUDGET}")
+    return Fraction(_pair_count(n, radius, q, n - digits.count(0)),
+                    ball_volume(n, radius, q) ** 2)
 
 
 def pair_sum_count_closed_form(n: int, r: int, q: int) -> int:
-    """Number of pairs (w1, w2) in B(0,r)^2 with w1 + w2 in B(0,r).
-
-    Counts by (weight i of w1, weight j of w2, support overlap s,
-    cancelled overlap positions t): the sum's weight is i + j - s - t,
-    and each non-cancelling overlap position has q-2 value choices.
-    """
-    total = 0
-    for i in range(r + 1):
-        for j in range(r + 1):
-            for s in range(min(i, j) + 1):
-                for t in range(s + 1):
-                    if i + j - s - t > r:
-                        continue
-                    total += (math.comb(n, i) * (q - 1) ** i
-                              * math.comb(i, s) * math.comb(n - i, j - s)
-                              * (q - 1) ** (j - s)
-                              * math.comb(s, t) * (q - 2) ** (s - t))
-    return total
+    """Number of pairs (w1, w2) in B(0,r)^2 with w1 + w2 in B(0,r)."""
+    return _pair_count(n, r, q, 0)
 
 
 # ----------------------------------------------------------- rate sweep

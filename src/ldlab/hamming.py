@@ -5,6 +5,8 @@ Radii are always integers.  A rate-style parameter p enters only through
 so p given as "0.2", "1/5" or the float 0.2 all give radius 2 at n = 10.
 
 Ball volumes are exact integers: |B(r)| = sum_{i<=r} C(n, i) (q-1)^i.
+So are the intersection numbers p^k_ij of the Hamming scheme, which count
+the words of weight i at distance j from a word of weight k.
 `sample_ball_uniform` draws exactly uniformly: the weight class is chosen
 by an integer draw against exact shell sizes, then a uniform support and
 uniform nonzero values.
@@ -112,6 +114,22 @@ def ball_weight_class_sizes(n: int, r: int, q: int) -> list[int]:
 def ball_volume(n: int, r: int, q: int) -> int:
     """Exact number of points of F_q^n within Hamming distance r of a point."""
     return sum(ball_weight_class_sizes(n, r, q))
+
+
+def intersection_number(n: int, q: int, k: int, i: int, j: int) -> int:
+    """Intersection number p^k_ij of the Hamming scheme H(n, q): how many z
+    have weight i and distance j from a fixed y of weight k.
+
+    One sum over a = |supp z minus supp y|: z meets supp y in i - a
+    positions, equals y at e = a + k - j of them and takes one of the
+    q - 2 other nonzero values at the rest.  Zero when no such z exists.
+    """
+    if q < 2 or not 0 <= k <= n:
+        raise ParameterError(f"no vector of weight k={k} in F_{q}^{n}")
+    return sum(math.comb(n - k, a) * (q - 1) ** a * math.comb(k, i - a)
+               * math.comb(i - a, a + k - j) * (q - 2) ** (i + j - k - 2 * a)
+               for a in range(max(0, i - k, j - k),
+                              min(n - k, i, (i + j - k) // 2) + 1))
 
 
 VOLUME_DIGITS_BUDGET = 4000

@@ -75,6 +75,23 @@ def extension_field_tables(
     return add, mul
 
 
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+# (characteristic, degree, irreducible) of each extension field above.
+EXTENSIONS = {
+    4: (2, 2, (1, 1, 1)),
+    8: (2, 3, (1, 1, 0, 1)),
+    9: (3, 2, (2, 2, 1)),
+    16: (2, 4, (1, 1, 0, 0, 1)),
+}
+
+
+def field_tables(q: int) -> tuple[dict, dict]:
+    """(add, mul) tables of F_q for any q in PRIME_POWERS."""
+    if q in EXTENSIONS:
+        return extension_field_tables(*EXTENSIONS[q])
+    return prime_field_tables(q)
+
+
 def brute_weight(t: Digits) -> int:
     return sum(1 for d in t if d)
 

@@ -99,3 +99,14 @@ def test_sampling_layer_rows_draw_the_stdlib_stream(layers, function, params,
     out = _run(layers, "sampling", (function, params))
     assert out["function"] == function
     assert out["stdlib_sha256"] == out["ldlab_sha256"] == digest
+
+
+def test_pair_layer_row_keeps_its_digest(layers):
+    """The pair layer's smaller row prints the digest of its nine exact
+    probabilities, one per center weight, which the brute pair count over
+    B(0, 2)^2 in F_3^8 gave before the count by intersection numbers."""
+    out = _run(layers, "pair", (3, 8, "1/4"))
+    assert out["q_n_p"] == [3, 8, "1/4"]
+    assert out["calls"] == 9
+    assert out["sha256"] == (
+        "00bc2b4f1aa76b3dea5249f988ed1f2cb1ae00dcd41d9141b214bcc968a2c8fe")

@@ -27,14 +27,7 @@ from ldlab.codes import _coset_tally, _span_block, span_in_ball, span_payloads
 from ldlab.gfq import _BATCH, unpack_slots
 
 import oracles
-
-PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-EXTENSIONS = {
-    4: (2, 2, (1, 1, 1)),
-    8: (2, 3, (1, 1, 0, 1)),
-    9: (3, 2, (2, 2, 1)),
-    16: (2, 4, (1, 1, 0, 0, 1)),
-}
+from oracles import PRIME_POWERS, field_tables
 
 
 def identity_code(q: int, n: int, k: int) -> Code:
@@ -55,12 +48,6 @@ def repetition_code(q: int, n: int) -> Code:
 def codeword_vectors(code: Code) -> set[VecQ]:
     """The distinct codewords of `code` as vectors."""
     return {VecQ(code.field, code.n, p) for p in code.codeword_payloads()}
-
-
-def field_tables(q: int) -> tuple[dict, dict]:
-    """Oracle (add, mul) tables of F_q from tuple arithmetic."""
-    return (oracles.extension_field_tables(*EXTENSIONS[q]) if q in EXTENSIONS
-            else oracles.prime_field_tables(q))
 
 
 @pytest.mark.parametrize("q", [2, 3])

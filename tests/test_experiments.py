@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldlab import (
     BallSampleConfig,
@@ -36,6 +37,7 @@ from ldlab.experiments import (_chunk_ranges, _clamp_workers,
                                sweep_candidate_list_size, sweep_dimension)
 
 import oracles
+from oracles import PRIME_POWERS, field_tables
 
 
 def test_exact_pair_sum_anchor():
@@ -44,14 +46,29 @@ def test_exact_pair_sum_anchor():
     assert pair_sum_count_closed_form(4, 1, 2) == 13
 
 
-def test_exact_pair_sum_budget_refusal():
-    """volume^2 pair checks are refused up front when over 2^24."""
-    # |B(0, 7)| in F_2^30 is 2,804,012, so about 7.9e12 pairs.
+def test_exact_pair_sum_budget_refusal(monkeypatch):
+    """The pair count's (min(n, 2r) + 1)(r + 1)^3 terms are refused up
+    front past ENUMERATION_BUDGET = 2^24; bad q, n and p are refused as
+    before, by field_new and BallSpec.from_p."""
+    # The two sizes the old volume^2 <= 2^24 guard refused.  A brute count
+    # gave these: over all 6476^2 ball pairs at n = 14, and at n = 30 over
+    # every w1 of the 2,804,012-point ball for one w1 + w2 of each weight.
+    assert exact_pair_sum_probability(14, Fraction(6, 14), 2) == Fraction(
+        2644727, 5242322)
+    assert exact_pair_sum_probability(30, Fraction(1, 4), 2) == Fraction(
+        72757442933, 982810412018)
+    assert 0 < exact_pair_sum_probability(200, Fraction(1, 4), 2) < 1
+    # 13,398,351 terms at n = 200 and r = 50; 207,090,501 at n = 400 and
+    # r = 100, refused before any intersection number is taken.
+    monkeypatch.setattr(experiments, "intersection_number", None)
     with pytest.raises(ResourceBudgetError):
-        exact_pair_sum_probability(30, Fraction(1, 4), 2)
-    # |B(0, 6)| in F_2^14 is 6476: the volume fits, its square does not.
+        exact_pair_sum_probability(400, Fraction(1, 4), 2)
     with pytest.raises(ResourceBudgetError):
-        exact_pair_sum_probability(14, Fraction(6, 14), 2)
+        exact_pair_sum_probability(400, Fraction(1, 4), 2, 1)
+    for args in ((4, Fraction(1, 4), 6), (0, Fraction(1, 4), 2),
+                 (4, Fraction(5, 4), 2), (4, "x", 2)):
+        with pytest.raises(ParameterError):
+            exact_pair_sum_probability(*args)
 
 
 @pytest.mark.parametrize("n,p,q,center_payload", [
@@ -69,31 +86,49 @@ def test_exact_pair_sum_refuses_non_vector_center(n, p, q, center_payload):
         exact_pair_sum_probability(n, p, q, center_payload)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+# The largest n at which each field's pair-sum tests enumerate F_q^n.
+TINY_N = {2: 6, 3: 4, 4: 3, 5: 3, 7: 2, 8: 2, 9: 2, 11: 2, 13: 2, 16: 2}
+
+
+def _packed(q: int, digits: tuple[int, ...]) -> int:
+    bits = (q - 1).bit_length()
+    return sum(d << (i * bits) for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_exact_pair_sum_matches_brute_enumeration(q):
-    add, _ = oracles.prime_field_tables(q)
-    for n in (3, 4, 5):
-        for r in (1, 2):
-            p = Fraction(r, n)
-            zero = (0,) * n
-            assert exact_pair_sum_probability(
-                n, p, q
-            ) == oracles.brute_pair_sum_probability(n, r, q, zero, add)
-            center = tuple((i + 1) % q for i in range(n))
-            center_payload = 0
-            bits = (q - 1).bit_length()
-            for i, d in enumerate(center):
-                center_payload |= d << (i * bits)
-            assert exact_pair_sum_probability(
-                n, p, q, center_payload=center_payload
-            ) == oracles.brute_pair_sum_probability(n, r, q, center, add)
+    """At every tiny n, every r and every center weight w the exact
+    probability is the brute pair count's; the center of weight w has
+    its nonzero digits, cycling through 1 .. q - 1, last."""
+    add, _ = field_tables(q)
+    for n in range(1, TINY_N[q] + 1):
+        for r in range(n + 1):
+            for w in range(n + 1):
+                center = (0,) * (n - w) + tuple(1 + i % (q - 1) for i in range(w))
+                assert exact_pair_sum_probability(
+                    n, Fraction(r, n), q, _packed(q, center)
+                ) == oracles.brute_pair_sum_probability(n, r, q, center, add)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_pair_sum_matches_brute_enumeration_at_any_center(data):
+    """Any center of F_q^n, q <= 16 and n tiny, at any r."""
+    q = data.draw(st.sampled_from(PRIME_POWERS))
+    n = data.draw(st.integers(1, TINY_N[q]))
+    r = data.draw(st.integers(0, n))
+    center = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=n,
+                                      max_size=n)))
+    assert exact_pair_sum_probability(
+        n, Fraction(r, n), q, _packed(q, center)
+    ) == oracles.brute_pair_sum_probability(n, r, q, center, field_tables(q)[0])
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_closed_form_counts_match_brute_enumeration(q):
-    """The quadruple-sum closed form counts exactly the in-ball pair sums."""
-    add, _ = oracles.prime_field_tables(q)
-    for n in (2, 3, 4):
+    """The center-0 count is exactly the number of in-ball pair sums."""
+    add, _ = field_tables(q)
+    for n in range(1, TINY_N[q] + 1):
         for r in range(n + 1):
             hits, volume = oracles.brute_pair_hits(n, r, q, (0,) * n, add)
             assert pair_sum_count_closed_form(n, r, q) == hits
@@ -179,8 +214,7 @@ def test_span_trials_on_deficient_rank_match_brute_counts(q, n, ell):
                              seed=7)
     summary = run_span_experiment(config)
     spec = BallSpec.from_p(q, n, config.p)
-    tables = (oracles.extension_field_tables(3, 2, (2, 2, 1)) if q == 9
-              else oracles.prime_field_tables(q))
+    tables = field_tables(q)
     expected = Counter()
     for t in range(config.trials):
         rng = derive_stream(config.seed, "span", t)

@@ -20,24 +20,11 @@ from ldlab.gfq import (MAX_Q, all_payloads, echelon, payload_add, payload_distan
                        payload_scale, payload_weight)
 
 import oracles
+from oracles import EXTENSIONS, PRIME_POWERS, field_tables
 
-PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 PRIMES = (2, 3, 5, 7, 11, 13)
-EXTENSIONS = {
-    4: (2, 2, (1, 1, 1)),
-    8: (2, 3, (1, 1, 0, 1)),
-    9: (3, 2, (2, 2, 1)),
-    16: (2, 4, (1, 1, 0, 0, 1)),
-}
 
 fields = st.sampled_from([field_new(q) for q in PRIME_POWERS])
-
-
-def oracle_tables(q):
-    """(add, mul) dicts for F_q built without the library's tables."""
-    if q in EXTENSIONS:
-        return oracles.extension_field_tables(*EXTENSIONS[q])
-    return oracles.prime_field_tables(q)
 
 
 def pack(q, digits):
@@ -54,7 +41,7 @@ def unpack(q, n, payload):
 def assert_add_matches_oracle(q, pairs):
     """payload_add of each packed pair equals the oracle's tuple sum."""
     field = field_new(q)
-    add, _ = oracle_tables(q)
+    add, _ = field_tables(q)
     for u, v in pairs:
         got = payload_add(field, pack(q, u), pack(q, v))
         assert unpack(q, len(u), got) == oracles.tuple_add(u, v, add), (q, u, v)
@@ -232,7 +219,7 @@ def test_payload_helpers_match_vector_ops(fd):
     u = VecQ.from_digits(field, u_digits)
     v = VecQ.from_digits(field, v_digits)
     assert payload_add(field, u.payload, v.payload) == (u + v).payload
-    add, _ = oracle_tables(field.q)
+    add, _ = field_tables(field.q)
     assert (unpack(field.q, len(u), payload_add(field, u.payload, v.payload))
             == oracles.tuple_add(tuple(u_digits), tuple(v_digits), add))
     for a in range(field.q):
@@ -621,7 +608,7 @@ def test_negation_matches_tuple_arithmetic(q, n):
     digit tuples, for random vectors, zero, all q - 1 and vectors whose
     top digits are 0."""
     f = field_new(q)
-    add, _ = oracle_tables(q)
+    add, _ = field_tables(q)
     rng = random.Random(q * 100 + n)
     cases = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(200)]
     cases += [(0,) * n, (q - 1,) * n, (1,) + (0,) * (n - 1)]
@@ -645,7 +632,7 @@ def test_only_prime_fields_negate_on_flags(monkeypatch):
     rng = random.Random(4)
     for q in (4, 8, 9, 16):
         f = field_new(q)
-        add, mul = oracle_tables(q)
+        add, mul = field_tables(q)
         u = tuple(rng.randrange(q) for _ in range(20))
         assert (-VecQ.from_digits(f, u)).digits() == oracles.tuple_neg(u, q, add)
         assert unpack(q, 20, payload_scale(f, q - 1, pack(q, u))) \
@@ -690,7 +677,7 @@ def test_rank_matches_independent_elimination(q):
     row's pivot is its highest nonzero digit and that digit is 1, and
     its rows are independent and span the given rows.  The edge cases run
     at n = 1 to 65 digits, across machine words and SWAR widths."""
-    add, mul = oracle_tables(q)
+    add, mul = field_tables(q)
     f = field_new(q)
     rng = random.Random(2026)
     for _ in range(60):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from ldlab import (
@@ -26,7 +27,7 @@ from ldlab import (
     sample_ball_uniform,
 )
 from ldlab.hamming import (as_fraction, ball_walk, check_sample_budget,
-                           uniform_payload)
+                           intersection_number, uniform_payload)
 
 import oracles
 
@@ -56,6 +57,47 @@ def test_ball_volume_rejects_bad_radii():
     for n, r in [(5, -1), (5, 6), (3, 4), (0, 1)]:
         with pytest.raises(ParameterError):
             ball_volume(n, r, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intersection_numbers_count_the_words(data):
+    """p^k_ij is the number of z in F_q^n with weight i and distance j
+    from y, counted over all of F_q^n, for any y of weight k."""
+    q = data.draw(st.integers(2, 16))
+    n = data.draw(st.integers(1, max(1, int(math.log(4096, q)))))
+    y = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    counts = Counter(
+        (oracles.brute_weight(z),
+         sum(1 for a, b in zip(z, y) if a != b))
+        for z in itertools.product(range(q), repeat=n))
+    k = oracles.brute_weight(y)
+    for i in range(-1, n + 2):
+        for j in range(-1, n + 2):
+            assert intersection_number(n, q, k, i, j) == counts[i, j], (i, j)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16])
+def test_intersection_number_identities(q):
+    """sum_j p^k_ij = |S_i|, |S_k| p^k_ij = |S_i| p^i_kj and
+    p^k_ij = p^k_ji, with |S_i| = C(n, i)(q - 1)^i."""
+    for n in (1, 2, 5, 9, 30):
+        shell = [math.comb(n, i) * (q - 1) ** i for i in range(n + 1)]
+        for k in range(n + 1):
+            for i in range(n + 1):
+                row = [intersection_number(n, q, k, i, j) for j in range(n + 1)]
+                assert sum(row) == shell[i]
+                for j, p_kij in enumerate(row):
+                    assert shell[k] * p_kij == shell[i] * intersection_number(
+                        n, q, i, k, j)
+                    assert p_kij == intersection_number(n, q, k, j, i)
+
+
+def test_intersection_number_refuses_missing_centers():
+    """There is no y of weight k outside [0, n], nor any over q < 2."""
+    for n, q, k in ((3, 2, 4), (3, 2, -1), (3, 1, 0), (-1, 2, 0)):
+        with pytest.raises(ParameterError):
+            intersection_number(n, q, k, 0, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 16])
