@@ -43,9 +43,10 @@ the median and minimum microseconds per call over the timed runs, and the
 peak memory of one more, traced run above what was live before it
 (tracemalloc, so Python objects and not the allocator's slack); then the
 row's counts and SHA-256 digests, whose texts are those recorded in
-BENCH_11, 12, 13 and 18 (pair: tests/test_bench.py).  The span parts call `_span_block(field, n,
-payloads)`; a checkout older than that signature, or lacking any name
-imported here, needs an edited copy of this file.
+BENCH_11, 12, 13 and 18 (the pair digest is pinned in tests/test_bench.py).
+The span parts call `_span_block(field, n, payloads)`; a checkout older
+than that signature, or lacking any name imported here, needs an edited
+copy of this file.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -235,23 +236,30 @@ def uncut_longest_chain(vectors: Iterable[Digits], c: int) -> int:
     return best(0)
 
 
-def brute_pair_hits(n: int, r: int, q: int, center: Digits, add: dict) -> tuple[int, int]:
+@functools.lru_cache(maxsize=None)
+def brute_pair_sums(n: int, r: int, q: int) -> tuple[Counter, int]:
+    """How many pairs of ball points sum to each tuple, pair by pair, and
+    the ball volume."""
+    add, _ = field_tables(q)
+    ball = [t for t in all_tuples(q, n) if brute_weight(t) <= r]
+    return Counter(tuple_add(z1, z2, add) for z1 in ball for z2 in ball), len(ball)
+
+
+def brute_pair_hits(n: int, r: int, q: int, center: Digits) -> tuple[int, int]:
     """Count ball pairs whose sum lands within radius r of the center.
 
     Returns (hits, ball volume); the probability is hits / volume**2.
     """
-    ball = [t for t in all_tuples(q, n) if brute_weight(t) <= r]
-    hits = 0
-    for z1 in ball:
-        for z2 in ball:
-            s = tuple_add(tuple_add(z1, z2, add), center, add)
-            if brute_weight(s) <= r:
-                hits += 1
-    return hits, len(ball)
+    sums, volume = brute_pair_sums(n, r, q)
+    add, _ = field_tables(q)
+    neg = tuple_neg(center, q, add)
+    hits = sum(count for s, count in sums.items()
+               if brute_weight(tuple_add(s, neg, add)) <= r)
+    return hits, volume
 
 
-def brute_pair_sum_probability(n: int, r: int, q: int, center: Digits, add: dict) -> Fraction:
-    hits, volume = brute_pair_hits(n, r, q, center, add)
+def brute_pair_sum_probability(n: int, r: int, q: int, center: Digits) -> Fraction:
+    hits, volume = brute_pair_hits(n, r, q, center)
     return Fraction(hits, volume * volume)
 
 

@@ -103,8 +103,8 @@ def test_sampling_layer_rows_draw_the_stdlib_stream(layers, function, params,
 
 def test_pair_layer_row_keeps_its_digest(layers):
     """The pair layer's smaller row prints the digest of its nine exact
-    probabilities, one per center weight, which the brute pair count over
-    B(0, 2)^2 in F_3^8 gave before the count by intersection numbers."""
+    probabilities, one per center weight; a brute count of every pair of
+    B(0, 2) in F_3^8 gives the same nine."""
     out = _run(layers, "pair", (3, 8, "1/4"))
     assert out["q_n_p"] == [3, 8, "1/4"]
     assert out["calls"] == 9

@@ -87,7 +87,7 @@ def test_exact_pair_sum_refuses_non_vector_center(n, p, q, center_payload):
 
 
 # The largest n at which each field's pair-sum tests enumerate F_q^n.
-TINY_N = {2: 6, 3: 4, 4: 3, 5: 3, 7: 2, 8: 2, 9: 2, 11: 2, 13: 2, 16: 2}
+TINY_N = {2: 7, 3: 5, 4: 4, 5: 4, 7: 3, 8: 3, 9: 2, 11: 2, 13: 2, 16: 2}
 
 
 def _packed(q: int, digits: tuple[int, ...]) -> int:
@@ -100,14 +100,13 @@ def test_exact_pair_sum_matches_brute_enumeration(q):
     """At every tiny n, every r and every center weight w the exact
     probability is the brute pair count's; the center of weight w has
     its nonzero digits, cycling through 1 .. q - 1, last."""
-    add, _ = field_tables(q)
     for n in range(1, TINY_N[q] + 1):
         for r in range(n + 1):
             for w in range(n + 1):
                 center = (0,) * (n - w) + tuple(1 + i % (q - 1) for i in range(w))
                 assert exact_pair_sum_probability(
                     n, Fraction(r, n), q, _packed(q, center)
-                ) == oracles.brute_pair_sum_probability(n, r, q, center, add)
+                ) == oracles.brute_pair_sum_probability(n, r, q, center)
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,16 +120,15 @@ def test_exact_pair_sum_matches_brute_enumeration_at_any_center(data):
                                       max_size=n)))
     assert exact_pair_sum_probability(
         n, Fraction(r, n), q, _packed(q, center)
-    ) == oracles.brute_pair_sum_probability(n, r, q, center, field_tables(q)[0])
+    ) == oracles.brute_pair_sum_probability(n, r, q, center)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_closed_form_counts_match_brute_enumeration(q):
     """The center-0 count is exactly the number of in-ball pair sums."""
-    add, _ = field_tables(q)
     for n in range(1, TINY_N[q] + 1):
         for r in range(n + 1):
-            hits, volume = oracles.brute_pair_hits(n, r, q, (0,) * n, add)
+            hits, volume = oracles.brute_pair_hits(n, r, q, (0,) * n)
             assert pair_sum_count_closed_form(n, r, q) == hits
             assert exact_pair_sum_probability(n, Fraction(r, n), q) == Fraction(
                 hits, volume**2
