@@ -383,6 +383,8 @@ def _pair_count(n: int, r: int, q: int, w: int) -> int:
     weight w: over the weight u of the sum s, the s of weight u within r
     of the center times the pairs summing to one such s.  The first
     factor vanishes unless |u - w| <= r, the second unless u <= 2r."""
+    if n < 0 or q < 2:
+        raise ParameterError(f"no vectors of length n={n} over q={q}")
     return sum(sum(intersection_number(n, q, w, u, t) for t in range(r + 1))
                * sum(intersection_number(n, q, u, i, j)
                      for i in range(r + 1) for j in range(r + 1))

@@ -99,11 +99,14 @@ def _packed(q: int, digits: tuple[int, ...]) -> int:
 def test_exact_pair_sum_matches_brute_enumeration(q):
     """At every tiny n, every r and every center weight w the exact
     probability is the brute pair count's; the center of weight w has
-    its nonzero digits, cycling through 1 .. q - 1, last."""
+    its nonzero digits, cycling through 1 .. q - 1, last.  The center
+    with digit (i + 1) mod q at position i spreads its zeros instead."""
     for n in range(1, TINY_N[q] + 1):
+        spread = tuple((i + 1) % q for i in range(n))
+        centers = [(0,) * (n - w) + tuple(1 + i % (q - 1) for i in range(w))
+                   for w in range(n + 1)] + [spread]
         for r in range(n + 1):
-            for w in range(n + 1):
-                center = (0,) * (n - w) + tuple(1 + i % (q - 1) for i in range(w))
+            for center in centers:
                 assert exact_pair_sum_probability(
                     n, Fraction(r, n), q, _packed(q, center)
                 ) == oracles.brute_pair_sum_probability(n, r, q, center)
@@ -133,6 +136,12 @@ def test_closed_form_counts_match_brute_enumeration(q):
             assert exact_pair_sum_probability(n, Fraction(r, n), q) == Fraction(
                 hits, volume**2
             )
+    # A negative radius counts no pairs, but there is no F_q^n at n < 0
+    # or q < 2, even where the sum over the sum's weight is empty.
+    assert pair_sum_count_closed_form(3, -1, q) == 0
+    for args in ((-1, 0, q), (-1, -1, q), (3, -1, 1), (3, 2, 1), (3, 2, 0)):
+        with pytest.raises(ParameterError):
+            pair_sum_count_closed_form(*args)
 
 
 def test_pair_sum_monte_carlo_tracks_exact_value():
