@@ -91,6 +91,17 @@ def test_random_code_rejects_bad_dimensions():
         random_code(4, -1, 2, full_rank=False, rng=random.Random(0))
 
 
+@pytest.mark.parametrize("row", [
+    1,                                              # not a vector
+    "101",                                          # digits, not a vector
+    VecQ.from_digits(field_new(3), [1, 0, 1]),      # another q
+    VecQ.from_digits(field_new(2), [1, 0, 1, 1]),   # another length
+])
+def test_code_refuses_a_generator_row_of_another_shape(row):
+    with pytest.raises(ParameterError):
+        Code(field_new(2), 3, 1, (row,), True)
+
+
 def test_zero_dimensional_code():
     code = random_code(5, 0, 2, full_rank=True, rng=random.Random(0))
     assert code.size() == 1

@@ -48,8 +48,9 @@ def test_exact_pair_sum_anchor():
 
 def test_exact_pair_sum_budget_refusal(monkeypatch):
     """The pair count's (min(n, 2r) + 1)(r + 1)^3 terms are refused up
-    front past ENUMERATION_BUDGET = 2^24; bad q, n and p are refused as
-    before, by field_new and BallSpec.from_p."""
+    front past ENUMERATION_BUDGET = 2^24, for the probability and the
+    closed form alike; bad q, n and p are refused as before, by
+    field_new and BallSpec.from_p."""
     # The two sizes the old volume^2 <= 2^24 guard refused.  A brute count
     # gave these: over all 6476^2 ball pairs at n = 14, and at n = 30 over
     # every w1 of the 2,804,012-point ball for one w1 + w2 of each weight.
@@ -65,6 +66,8 @@ def test_exact_pair_sum_budget_refusal(monkeypatch):
         exact_pair_sum_probability(400, Fraction(1, 4), 2)
     with pytest.raises(ResourceBudgetError):
         exact_pair_sum_probability(400, Fraction(1, 4), 2, 1)
+    with pytest.raises(ResourceBudgetError):
+        pair_sum_count_closed_form(400, 100, 2)
     for args in ((4, Fraction(1, 4), 6), (0, Fraction(1, 4), 2),
                  (4, Fraction(5, 4), 2), (4, "x", 2)):
         with pytest.raises(ParameterError):
