@@ -43,7 +43,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .codes import read_header
-from .errors import ParameterError, ResourceBudgetError
+from .errors import ParameterError, check_budget
 from .gfq import (FieldTable, VecQ, all_vectors, field_new, payload_weight,
                    shape_of)
 
@@ -344,9 +344,7 @@ def longest_chain_oracle(T: Iterable[VecQ], c: int) -> int:
     if not vecs:
         return 0
     _, ell = shape_of(vecs)
-    if ell > ORACLE_DIM_BUDGET:
-        raise ResourceBudgetError(
-            f"oracle dimension l={ell} exceeds budget {ORACLE_DIM_BUDGET}")
+    check_budget("oracle dimension l", ell, ORACLE_DIM_BUDGET)
     # Masks with fewer than c coordinates never join a chain.
     masks = sorted({m for v in vecs if (m := v.support_mask()).bit_count() >= c})
 
@@ -374,10 +372,7 @@ def oracle_best_translate(S: Iterable[VecQ], c: int) -> tuple[int, VecQ]:
     attaining it in payload order).  Budget q^l <= 2^16."""
     vecs = list(S)
     field, ell = shape_of(vecs)
-    if field.q ** ell > TRANSLATE_SCAN_BUDGET:
-        raise ResourceBudgetError(
-            f"translate scan q^l = {field.q ** ell} exceeds budget "
-            f"{TRANSLATE_SCAN_BUDGET}")
+    check_budget("translate scan q^l", field.q ** ell, TRANSLATE_SCAN_BUDGET)
     best_d = -1
     best_w = None
     for w in all_vectors(field, ell):

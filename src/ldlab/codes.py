@@ -25,8 +25,8 @@ members, and those in the ball, with one `gfq.block_in_balls` pass.
 radius of a center x with one `gfq.block_in_balls` on the code's block,
 x XORed into every slot: d(x, c) is the weight of x ^ c for every q.
 
-Enumeration budgets are hard guards (ResourceBudgetError), never silent
-truncations.
+Enumeration budgets are hard guards (`errors.check_budget`), never
+silent truncations.
 """
 
 from __future__ import annotations
@@ -37,19 +37,17 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParameterError, ResourceBudgetError
+from .errors import ParameterError, check_budget
 from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
                   field_new, payload_add, payload_reduce, payload_scale,
                   rank_of, shape_of, slot_ones, slot_width, slots_add,
                   unpack_slots)
-from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
-                      ball_walk, check_sample_budget, radius_of,
-                      sample_ball_uniform, uniform_payload)
+from .hamming import (BallSpec, RadiusParam, ball_volume, ball_walk,
+                      check_sample_budget, radius_of, sample_ball_uniform,
+                      uniform_payload)
 # ball_points is not walked here; the name stays importable from this
 # module for callers that patch or read ldlab.codes.ball_points.
 from .hamming import ball_points  # noqa: F401
-
-ENUMERATION_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,12 @@ class Code:
         if len(self.generator) != self.k:
             raise ParameterError(
                 f"{len(self.generator)} generator rows for k={self.k}")
-        for row in self.generator:
-            if row.field.q != self.field.q or row.n != self.n:
-                raise ParameterError("generator row has mismatched shape")
+        if self.generator:
+            f, n = shape_of(self.generator)
+            if (f.q, n) != (self.field.q, self.n):
+                raise ParameterError(
+                    f"generator rows over (q={f.q}, n={n}) for a code over "
+                    f"(q={self.field.q}, n={self.n})")
 
     @property
     def q(self) -> int:
@@ -96,8 +97,7 @@ class Code:
 
         Duplicates appear when the generator is rank-deficient.
         """
-        return list(unpack_slots(*_span_block(
-            self.field, self.n, [row.payload for row in self.generator])))
+        return list(unpack_slots(*_code_block(self)))
 
 
 def random_code(n: int, k: int, q: int, full_rank: bool,
@@ -149,10 +149,7 @@ def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, int, list[int]]:
     """The field, length and payloads of a span's generators, refused
     when empty, mismatched or over the q^l <= 2^24 budget."""
     f, n = shape_of(vectors)
-    if f.q ** len(vectors) > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"span enumeration q^l = {f.q}^{len(vectors)} exceeds budget "
-            f"{ENUMERATION_BUDGET}")
+    check_budget("span members q^l", f.q ** len(vectors))
     return f, n, [v.payload for v in vectors]
 
 
@@ -239,13 +236,18 @@ def _coset_tally(code: Code, radius: int) -> dict[int, int]:
     return Counter(chain.from_iterable(ball_walk(f, steps, radius)))
 
 
-def _codeword_counter(code: Code, radius: int) -> Callable[[int], int]:
+def _code_block(code: Code) -> tuple[int, int, int]:
+    """The `_span_block` of the code's q^k encodings, message j in slot j."""
+    return _span_block(code.field, code.n, [row.payload for row in code.generator])
+
+
+def _codeword_counter(code: Code, blocked: tuple[int, int, int],
+                      radius: int) -> Callable[[int], int]:
     """A function that counts the distinct codewords within `radius` of a
-    center payload x on the code's `_span_block` (see the module
-    docstring)."""
+    center payload x on the code's block `blocked` from `_code_block` (see
+    the module docstring)."""
     f, n = code.field, code.n
-    block, width, total = _span_block(
-        f, n, [row.payload for row in code.generator])
+    block, width, total = blocked
     ones = slot_ones(width, total)
     zeros = block_in_balls(f, n, block, width, total, (0,))[0]
     radii = (radius,)
@@ -278,21 +280,15 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
     radius = radius_of(p, n)
     if mode != "full":
         volume = ball_volume(n, radius, q)
-        if volume > ENUMERATION_BUDGET:
-            raise ResourceBudgetError(
-                f"ball walk |B(0, {radius})| = {volume} exceeds budget "
-                f"{ENUMERATION_BUDGET}; try check_ld_montecarlo")
+        check_budget(f"ball walk |B(0, {radius})|", volume)
         tally = _coset_tally(code, radius)
         l_max = max(tally.values())
         witness = min(lab for lab, cnt in tally.items() if cnt == l_max)
         return LdVerdict(q, n, code.k, radius, L, l_max,
                          VecQ(field, n, witness), volume, False, "syndrome")
     centers, size = q ** n, code.size()
-    if centers * size > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"full scan q^n * |C| = {centers} * {size} exceeds budget "
-            f"{ENUMERATION_BUDGET}; try check_ld_montecarlo")
-    count = _codeword_counter(code, radius)
+    check_budget("full scan q^n * |C|", centers * size)
+    count = _codeword_counter(code, _code_block(code), radius)
     # max returns the first maximum: the lowest-payload center of the top count
     witness = max(all_payloads(field, n), key=count)
     return LdVerdict(q, n, code.k, radius, L, count(witness),
@@ -341,15 +337,13 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
         raise ParameterError(f"trials={trials} must be >= 1")
     field = code.field
     q, n = field.q, code.n
-    if trials * q ** code.k > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"trials * q^k = {trials} * {q ** code.k} exceeds budget "
-            f"{ENUMERATION_BUDGET}")
-    radius = radius_of(p, n)
-    spec = BallSpec.from_p(q, n, as_fraction(p))
+    check_budget("trials * q^k", trials * q ** code.k)
+    spec = BallSpec.from_p(q, n, p)
     check_sample_budget(spec)
-    cws = list(dict.fromkeys(code.codeword_payloads()))
-    count = _codeword_counter(code, radius)
+    blocked = _code_block(code)
+    # distinct codewords in message order, so the seed draws stay fixed
+    cws = list(dict.fromkeys(unpack_slots(*blocked)))
+    count = _codeword_counter(code, blocked, spec.radius)
     histogram: dict[int, int] = {}
     max_count = -1
     witness = 0
@@ -362,7 +356,7 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
         if cnt > max_count:
             max_count = cnt
             witness = x
-    return LdSampleDistribution(q, n, code.k, radius, trials, histogram,
+    return LdSampleDistribution(q, n, code.k, spec.radius, trials, histogram,
                                 max_count, VecQ(field, n, witness))
 
 

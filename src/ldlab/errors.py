@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `check_budget`, the one
+place that raises ResourceBudgetError: every exact path asks it before it
+starts work that grows past what a run can hold.
+"""
+
+# Most centers, ball points, span members, trial jobs or pair-count terms
+# that an exact path takes on.
+ENUMERATION_BUDGET = 2 ** 24
 
 
 class ParameterError(ValueError):
@@ -11,3 +18,13 @@ class ResourceBudgetError(RuntimeError):
     Raised instead of silently truncating; callers can retry with a
     Monte Carlo surrogate or smaller parameters.
     """
+
+
+def check_budget(what: str, need: int, budget: int = ENUMERATION_BUDGET) -> None:
+    """ResourceBudgetError "<what> = <need> exceeds the budget of
+    <budget>" when need > budget, the budget written 2^k when it is a
+    power of two."""
+    if need > budget:
+        shown = (f"2^{budget.bit_length() - 1}" if budget.bit_count() == 1
+                 else budget)
+        raise ResourceBudgetError(f"{what} = {need} exceeds the budget of {shown}")

@@ -6,6 +6,9 @@ any worker count, and summaries serialize to stable records (exact
 rationals as "a/b" strings, histograms with sorted keys).  Every runner
 goes through _run_trials, which splits the trials into contiguous
 chunks: the caller runs the first and one forked child runs each other.
+Sizes are refused with `errors.check_budget` before any chunk starts: the
+trial count, a span's q^l, and the pair-count terms of the exact and
+closed-form counts.
 
 Experiments:
 - span: draw l uniform ball points, enumerate their span, count span
@@ -14,7 +17,8 @@ Experiments:
 - pair-sum: estimate Pr[w1 + w2 in B(x, p)] for w1, w2 uniform in
   B(0, p), at x = 0 and at uniformly random x, across an n-grid, and
   fit the exponential decay rate; the exact probability, at any center,
-  is a sum of Hamming-scheme intersection numbers.
+  is a sum of Hamming-scheme intersection numbers.  A trial hits when
+  d(w1 + w2, x) <= r.
 - rate sweep: at rate 1 - H_q(p) - eps, sample full-rank codes and
   record exact L_max per code plus the failure frequency at candidate
   list size ceil(C / eps).
@@ -32,10 +36,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (ENUMERATION_BUDGET, Code, check_ld_exact,
-                    histogram_record, random_code, span_in_ball)
-from .errors import ParameterError, ResourceBudgetError
-from .gfq import field_new, payload_add, payload_scale, payload_weight, rank_of
+from .codes import (Code, check_ld_exact, histogram_record, random_code,
+                    span_in_ball)
+from .errors import ParameterError, check_budget
+from .gfq import field_new, payload_add, payload_distance, rank_of
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       check_sample_budget, entropy_q, intersection_number,
                       sample_ball_uniform, uniform_payload)
@@ -78,10 +82,7 @@ def _run_trials(chunk_fn, config, total: int, workers: int) -> list:
     trials is refused before any chunk starts: it would hold one result
     per trial.
     """
-    if total > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"{total} trial jobs exceed the budget of {ENUMERATION_BUDGET} "
-            "per run")
+    check_budget("trial jobs", total)
     (start, stop), *rest = _chunk_ranges(total, workers)
     children = {}
     try:
@@ -224,10 +225,8 @@ def run_span_experiment(config: SpanTrialConfig, workers: int = 1) -> SpanSummar
         raise ParameterError(f"trials={config.trials} must be >= 1")
     if config.ell < 1:
         raise ParameterError(f"ell={config.ell} must be >= 1")
-    if config.q ** config.ell > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"span budget q^l = {config.q}^{config.ell} exceeds "
-            f"{ENUMERATION_BUDGET}")
+    # the trials' own q^l check, made once before any child is forked
+    check_budget("span members q^l", config.q ** config.ell)
     spec = BallSpec.from_p(config.q, config.n, config.p)
     check_sample_budget(spec)
     results = _run_trials(_span_chunk, config, config.trials, workers)
@@ -320,7 +319,6 @@ def _pair_chunk(config: PairSumConfig, start: int, stop: int) -> list[bool]:
     q = config.q
     field = field_new(q)
     specs = [BallSpec.from_p(q, n, config.p) for n in config.n_values]
-    minus_one = field.neg(1)
     out = []
     for index in range(start, stop):
         t, cell = divmod(index, len(_PAIR_CENTERS) * len(config.n_values))
@@ -330,10 +328,8 @@ def _pair_chunk(config: PairSumConfig, start: int, stop: int) -> list[bool]:
         w1 = sample_ball_uniform(spec, rng)
         w2 = sample_ball_uniform(spec, rng)
         s = payload_add(field, w1.payload, w2.payload)
-        if _PAIR_CENTERS[mi] == "random":
-            x = uniform_payload(field, n, rng)
-            s = payload_add(field, s, payload_scale(field, minus_one, x))
-        out.append(payload_weight(field, n, s) <= spec.radius)
+        x = uniform_payload(field, n, rng) if _PAIR_CENTERS[mi] == "random" else 0
+        out.append(payload_distance(field, n, s, x) <= spec.radius)
     return out
 
 
@@ -385,6 +381,8 @@ def _pair_count(n: int, r: int, q: int, w: int) -> int:
     factor vanishes unless |u - w| <= r, the second unless u <= 2r."""
     if n < 0 or q < 2:
         raise ParameterError(f"no vectors of length n={n} over q={q}")
+    check_budget(f"pair count terms (n={n}, r={r})",
+                 (min(n, 2 * r) + 1) * (r + 1) ** 3)
     return sum(sum(intersection_number(n, q, w, u, t) for t in range(r + 1))
                * sum(intersection_number(n, q, u, i, j)
                      for i in range(r + 1) for j in range(r + 1))
@@ -396,9 +394,9 @@ def exact_pair_sum_probability(n: int, p: RadiusParam, q: int,
     """Pr[w1 + w2 in B(x, p)] for w1, w2 uniform in B(0, p), x the vector
     of F_q^n packed as `center_payload`; an exact rational.
 
-    The count depends on x only through its weight.  Its pair factors
-    take at most (min(n, 2r) + 1)(r + 1)^3 terms, refused up front past
-    ENUMERATION_BUDGET.
+    The count depends on x only through its weight.  `_pair_count`
+    refuses its (min(n, 2r) + 1)(r + 1)^3 terms past ENUMERATION_BUDGET
+    before it sums, here and in the closed form alike.
     """
     field = field_new(q)
     radius = BallSpec.from_p(q, n, p).radius
@@ -407,16 +405,13 @@ def exact_pair_sum_probability(n: int, p: RadiusParam, q: int,
     if center_payload < 0 or center_payload >> n * b or max(digits) >= q:
         raise ParameterError(
             f"center_payload={center_payload} is not a vector of F_{q}^{n}")
-    terms = (min(n, 2 * radius) + 1) * (radius + 1) ** 3
-    if terms > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(f"pair count at n={n}, r={radius} takes "
-                                  f"{terms} terms, over {ENUMERATION_BUDGET}")
     return Fraction(_pair_count(n, radius, q, n - digits.count(0)),
                     ball_volume(n, radius, q) ** 2)
 
 
 def pair_sum_count_closed_form(n: int, r: int, q: int) -> int:
-    """Number of pairs (w1, w2) in B(0,r)^2 with w1 + w2 in B(0,r)."""
+    """Number of pairs (w1, w2) in B(0,r)^2 with w1 + w2 in B(0,r);
+    refused as `exact_pair_sum_probability`."""
     return _pair_count(n, r, q, 0)
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .errors import ParameterError, ResourceBudgetError
+from .errors import ParameterError, check_budget
 from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add,
                   slot_width, slots_add, unpack_slots)
 
@@ -149,10 +149,8 @@ def check_volume_budget(n: int, r: int, q: int) -> None:
     log_shell = (math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
                  + i * math.log(q - 1))
     digits = math.floor((log_shell + math.log(r + 1)) / math.log(10)) + 1
-    if digits > VOLUME_DIGITS_BUDGET:
-        raise ResourceBudgetError(
-            f"ball volume for n={n}, r={r}, q={q} has about {digits} digits "
-            f"over {r + 1} terms, over the budget of {VOLUME_DIGITS_BUDGET}")
+    check_budget(f"decimal digits of |B(r)| (n={n}, r={r}, q={q})", digits,
+                 VOLUME_DIGITS_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -204,11 +202,8 @@ def _sample_tables(n: int, r: int, q: int) -> tuple[list[int], list[bool]]:
     The table holds r + 1 integers of up to n * ceil(log2 q) bits; that
     count is checked against SAMPLE_TABLE_BITS before anything is built.
     """
-    bits = (r + 1) * n * (q - 1).bit_length()
-    if bits > SAMPLE_TABLE_BITS:
-        raise ResourceBudgetError(
-            f"ball sampling table for n={n}, r={r}, q={q} needs {bits} "
-            "bits, over the budget of 2^27 bits")
+    check_budget(f"sampling table bits (n={n}, r={r}, q={q})",
+                 (r + 1) * n * (q - 1).bit_length(), SAMPLE_TABLE_BITS)
     cum = list(itertools.accumulate(ball_weight_class_sizes(n, r, q)))
     pool = [n <= 21 + (4 ** math.ceil(math.log(w * 3, 4)) if w > 5 else 0)
             for w in range(r + 1)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,6 +30,11 @@ REPETITION_CODE = "2 7 1\n1111111\n"
 SMALL_SPACE = "2 4\n" + "".join(
     f"{i >> 3 & 1}{i >> 2 & 1}{i >> 1 & 1}{i & 1}\n" for i in range(16)
 )
+
+
+# The one line every size refusal prints (see errors.check_budget).
+REFUSAL = re.compile(r"ldlab: resource refusal: .+ = \d+ exceeds the budget "
+                     r"of (2\^\d+|\d+)")
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -135,8 +141,8 @@ def test_budget_refusal_exits_3(capsys):
 ])
 def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch):
     """A run of more than 2^24 trials (pair-sum: trials x grid cells) is
-    refused up front; it would otherwise run until killed while holding
-    one result per trial."""
+    refused up front, in the one refusal form; it would otherwise run
+    until killed while holding one result per trial."""
     from ldlab import experiments
 
     def no_work(*args):
@@ -147,7 +153,7 @@ def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch
     assert code == 3
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
+    assert len(lines) == 1 and REFUSAL.fullmatch(lines[0]), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -159,19 +165,32 @@ def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch
      "--trials", "1"],
     ["ball-volume", "--q", "2", "--p", "1/2", "--n", "20000"],
     ["ball-volume", "--q", "2", "--p", "1/2", "--n", "100000000"],
+    # vector-set files: the chain oracle past l = 20, and a translate scan
+    # past q^l = 2^16
+    ["chain", "oracle", "--c", "1", "--set", "2 21\n" + "1" * 21 + "\n"],
+    ["chain", "oracle", "--c", "1", "--best-translate",
+     "--set", "2 17\n" + "1" * 17 + "\n"],
 ])
-def test_oversized_ball_sampling_exits_3_before_drawing(argv):
+def test_oversized_ball_sampling_exits_3_before_drawing(argv, tmp_path):
     """A ball whose exact shell table is too large to build is refused
     before the first draw; at n = 10^8 the table alone would run until
     killed.  A volume too long to print is refused before its shells are
     summed: at n = 20000 printing it raised ValueError (the 4300-digit str
-    limit), at n = 10^8 the sum ran until killed."""
+    limit), at n = 10^8 the sum ran until killed.  The chain oracle and
+    the translate scan refuse before they search.  Every refusal is one
+    line in the one refusal form.  An argument holding a newline is the
+    text of a file, passed by its path."""
+    set_file = tmp_path / "set.txt"
+    for arg in argv:
+        if "\n" in arg:
+            set_file.write_text(arg)
+    argv = [str(set_file) if "\n" in arg else arg for arg in argv]
     result = subprocess.run([sys.executable, "-m", "ldlab", *argv],
                             capture_output=True, text=True, timeout=20)
     assert result.returncode == 3
     assert result.stdout == ""
     lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ldlab: resource refusal: ")
+    assert len(lines) == 1 and REFUSAL.fullmatch(lines[0]), result.stderr
 
 
 def test_long_ball_volume_under_the_budget_still_prints(capsys):

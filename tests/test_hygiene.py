@@ -1,9 +1,10 @@
 """Source hygiene: no unused imports or unused private functions in ldlab,
 no module but gfq reads the field tables, characteristic or degree, no
-process pool and no fork outside `experiments`, importing the package
-builds no field or mask cache and no CLI parser, `ldlab.__all__`
-names only what the package defines, and every ldlab name that the
-benchmark and the layer harness `bench/layers.py` reach still exists.
+size refusal outside `errors.check_budget`, no process pool and no fork
+outside `experiments`, importing the package builds no field or mask cache
+and no CLI parser, `ldlab.__all__` names only what the package defines,
+and every ldlab name that the benchmark and the layer harness
+`bench/layers.py` reach still exists.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in the module (annotations included) or in the module's ``__all__``.  An
@@ -90,6 +91,31 @@ def test_only_gfq_reads_field_tables():
             if name in tables:
                 readers.append(f"{path.name}:{node.lineno} {name}")
     assert readers == []
+
+
+def test_only_check_budget_raises_budget_errors():
+    """Every size refusal goes through `errors.check_budget`, so its
+    message form and the default budget live in one place: no module but
+    errors raises ResourceBudgetError or assigns ENUMERATION_BUDGET."""
+    sites = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                kind, names = "raise", [exc]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                kind, names = "assign", [sub for target in targets
+                                         for sub in ast.walk(target)]
+            else:
+                continue
+            for target in names:
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("ResourceBudgetError", "ENUMERATION_BUDGET"):
+                    sites.append((path.name, kind, name))
+    assert sorted(sites) == [("errors.py", "assign", "ENUMERATION_BUDGET"),
+                             ("errors.py", "raise", "ResourceBudgetError")]
 
 
 def test_only_run_trials_starts_processes():
