@@ -170,6 +170,9 @@ def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch
     ["chain", "oracle", "--c", "1", "--set", "2 21\n" + "1" * 21 + "\n"],
     ["chain", "oracle", "--c", "1", "--best-translate",
      "--set", "2 17\n" + "1" * 17 + "\n"],
+    # a ball volume of 6021 digits, past the 4300-digit str limit
+    ["check-ld", "exact", "--p", "1/2", "--L", "1",
+     "--code", "2 20000 1\n" + "1" * 20000 + "\n"],
 ])
 def test_oversized_ball_sampling_exits_3_before_drawing(argv, tmp_path):
     """A ball whose exact shell table is too large to build is refused
@@ -177,7 +180,8 @@ def test_oversized_ball_sampling_exits_3_before_drawing(argv, tmp_path):
     killed.  A volume too long to print is refused before its shells are
     summed: at n = 20000 printing it raised ValueError (the 4300-digit str
     limit), at n = 10^8 the sum ran until killed.  The chain oracle and
-    the translate scan refuse before they search.  Every refusal is one
+    the translate scan refuse before they search, and the exact checker
+    before it walks a ball whose volume is too long to print.  Every refusal is one
     line in the one refusal form.  An argument holding a newline is the
     text of a file, passed by its path."""
     set_file = tmp_path / "set.txt"
