@@ -23,8 +23,11 @@ class ResourceBudgetError(RuntimeError):
 def check_budget(what: str, need: int, budget: int = ENUMERATION_BUDGET) -> None:
     """ResourceBudgetError "<what> = <need> exceeds the budget of
     <budget>" when need > budget, the budget written 2^k when it is a
-    power of two."""
+    power of two.  A need of more than 256 bits is written ">= 2^k": its
+    digits would say nothing more, and past 4300 of them str() refuses."""
     if need > budget:
         shown = (f"2^{budget.bit_length() - 1}" if budget.bit_count() == 1
                  else budget)
-        raise ResourceBudgetError(f"{what} = {need} exceeds the budget of {shown}")
+        size = (f"= {need}" if need.bit_length() <= 256
+                else f">= 2^{need.bit_length() - 1}")
+        raise ResourceBudgetError(f"{what} {size} exceeds the budget of {shown}")

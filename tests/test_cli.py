@@ -33,8 +33,8 @@ SMALL_SPACE = "2 4\n" + "".join(
 
 
 # The one line every size refusal prints (see errors.check_budget).
-REFUSAL = re.compile(r"ldlab: resource refusal: .+ = \d+ exceeds the budget "
-                     r"of (2\^\d+|\d+)")
+REFUSAL = re.compile(r"ldlab: resource refusal: .+ (= \d+|>= 2\^\d+) exceeds "
+                     r"the budget of (2\^\d+|\d+)")
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
