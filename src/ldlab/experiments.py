@@ -6,9 +6,9 @@ any worker count, and summaries serialize to stable records (exact
 rationals as "a/b" strings, histograms with sorted keys).  Every runner
 goes through _run_trials, which splits the trials into contiguous
 chunks: the caller runs the first and one forked child runs each other.
-Sizes are refused with `errors.check_budget` before any chunk starts: the
-trial count, a span's q^l, and the pair-count terms of the exact and
-closed-form counts.
+Sizes are refused with `errors.check_budget` before the work starts: the
+trial count and a span's q^l before any chunk, the pair-count terms of
+the exact and the closed-form count before any sum.
 
 Experiments:
 - span: draw l uniform ball points, enumerate their span, count span
