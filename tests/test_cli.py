@@ -91,6 +91,12 @@ def test_invalid_parameters_exit_2(capsys):
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "nan"]),
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "inf"]),
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "-1"]),
+        # exact rationals that no float holds, at a live grid point
+        ("x=", ["entropy", "--q", "2", "--x", "1e400"]),
+        ("x=", sweep + ["--eps", "1/20", "--p", "1e400"]),
+        ("eps", sweep + ["--eps", "1e400"]),
+        ("eps", sweep + ["--eps", "1e-400"]),
+        ("c_constant", sweep + ["--eps", "1/20", "--c-constant", "1e308"]),
         ("n=", sweep + ["--eps", "1/10", "--n", "0"]),
         ("n=", sweep + ["--eps", "1/10", "--n", "-3"]),
         ("n=", ["ball-volume", "--n", "0", "--r", "0", "--q", "2"]),
@@ -138,6 +144,9 @@ def test_budget_refusal_exits_3(capsys):
                      "--trials", "5000000"]),
     ("_sweep_chunk", ["rate-sweep", "--q", "2", "--n", "18", "--p", "1/6",
                       "--eps", "1/20", "--codes", "20000000"]),
+    # one code, but its ball walk is past the budget
+    ("_sweep_chunk", ["rate-sweep", "--q", "2", "--n", "20000", "--p", "1/6",
+                      "--eps", "1/10", "--codes", "1"]),
 ])
 def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch):
     """A run of more than 2^24 trials (pair-sum: trials x grid cells) is
@@ -355,6 +364,23 @@ def test_manifest_rejects_malformed_files(tmp_path, capsys):
         bad.write_text(json.dumps({**fields, "argv": argv}))
         assert run_cli(capsys, "--manifest", str(bad))[0] == 2
     assert run_cli(capsys, "--manifest", str(tmp_path / "missing.json"))[0] == 2
+
+
+@pytest.mark.parametrize("option, data", [
+    (["check-ld", "exact", "--p", "1/3", "--L", "1", "--code"],
+     b"2 3 1\n\xff\xfe1\n"),
+    (["--manifest"], b"\xff"),
+])
+def test_non_utf8_input_exits_2(option, data, tmp_path, capsys):
+    """A file that is not UTF-8 text is malformed input: one error line."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, *option, str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ldlab: error: ")
+    assert str(path) in lines[0]
 
 
 def test_manifest_naming_a_manifest_exits_2(tmp_path, capsys):

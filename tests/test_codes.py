@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -495,6 +496,20 @@ def test_exact_checker_budget_refusals():
     for mode in ("syndrome", "auto"):
         with pytest.raises(ResourceBudgetError):
             check_ld_exact(wide, "1/4", 1, mode=mode)
+
+
+def test_exact_checker_refuses_a_long_ball_before_summing_it():
+    """B(0, 6666) in F_2^20000 is refused from its first shells: the
+    checker never builds the thousands of shells of its volume."""
+    code = parse_code("2 20000 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            check_ld_exact(code, Fraction(1, 3), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_montecarlo_never_exceeds_exact_and_usually_matches():

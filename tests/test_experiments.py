@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -72,6 +73,19 @@ def test_exact_pair_sum_budget_refusal(monkeypatch):
                  (4, Fraction(5, 4), 2), (4, "x", 2)):
         with pytest.raises(ParameterError):
             exact_pair_sum_probability(*args)
+
+
+def test_exact_pair_sum_refuses_before_reading_the_center():
+    """Past the term budget the refusal comes before the center's n digits
+    are read: at n = 4 * 10^6 no list of them is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            exact_pair_sum_probability(4_000_000, Fraction(1, 4), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n,p,q,center_payload", [
