@@ -47,8 +47,7 @@ from .experiments import (BallSampleConfig, PairSumConfig, SpanTrialConfig,
                           run_pair_sum_experiment, run_rate_sweep,
                           run_span_experiment)
 from .gfq import VecQ
-from .hamming import (as_fraction, ball_volume, check_volume_budget, entropy_q,
-                      radius_of)
+from .hamming import as_fraction, check_ball_volume, entropy_q, radius_of
 from .seeding import derive_stream
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -153,8 +152,8 @@ def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
@@ -173,7 +172,9 @@ def _human_lines(records: list[dict]) -> str:
 
 def _emit(args: argparse.Namespace, argv: list[str], records: list[dict],
           table: tuple[list[str], list[list]] | None = None,
-          artifact: str | None = None, human: str | None = None) -> int:
+          text: str | None = None) -> int:
+    """Write `records` as --json lines, `table` as --csv, or else `text`
+    (by default one "key = value" line per field), to stdout or --out."""
     name = " ".join(filter(None, (args.subcommand,
                                   getattr(args, "action", None))))
     if getattr(args, "json", False):
@@ -188,12 +189,8 @@ def _emit(args: argparse.Namespace, argv: list[str], records: list[dict],
         for row in rows:
             writer.writerow(["" if cell is None else cell for cell in row])
         content = buf.getvalue()
-    elif artifact is not None:
-        content = artifact
-    elif human is not None:
-        content = human
     else:
-        content = _human_lines(records)
+        content = _human_lines(records) if text is None else text
     out_path = getattr(args, "out", None)
     if out_path:
         Path(out_path).write_text(content)
@@ -217,7 +214,7 @@ def _cmd_entropy(args, argv):
     record = {"kind": "entropy", "x": str(args.x), "q": args.q,
               "entropy": value}
     table = (["x", "q", "entropy"], [[str(args.x), args.q, value]])
-    return _emit(args, argv, [record], table=table, human=f"{value!r}\n")
+    return _emit(args, argv, [record], table=table, text=f"{value!r}\n")
 
 
 def _radius_from_args(args) -> tuple[int, Fraction]:
@@ -232,14 +229,19 @@ def _radius_from_args(args) -> tuple[int, Fraction]:
     return radius_of(args.p, args.n), args.p
 
 
+# The largest power of two with 4000 digits: a volume up to it prints below
+# CPython's 4300-digit str limit.
+VOLUME_PRINT_BUDGET = 2 ** 13287
+
+
 def _cmd_ball_volume(args, argv):
     r, p = _radius_from_args(args)
-    check_volume_budget(args.n, r, args.q)
-    volume = ball_volume(args.n, r, args.q)
+    volume = check_ball_volume("ball volume", args.n, r, args.q,
+                               VOLUME_PRINT_BUDGET)
     record = {"kind": "ball-volume", "n": args.n, "r": r, "q": args.q,
               "p": str(p), "volume": volume}
     table = (["n", "r", "q", "volume"], [[args.n, r, args.q, volume]])
-    return _emit(args, argv, [record], table=table, human=f"{volume}\n")
+    return _emit(args, argv, [record], table=table, text=f"{volume}\n")
 
 
 def _cmd_sample_ball(args, argv):
@@ -253,9 +255,9 @@ def _cmd_sample_ball(args, argv):
     records.append(summary.as_record())
     rows = [[rec["index"], rec["vector"], rec["weight"]]
             for rec in records[:-1]]
-    human = "".join(s + "\n" for s in summary.samples)
+    text = "".join(s + "\n" for s in summary.samples)
     return _emit(args, argv, records,
-                 table=(["index", "vector", "weight"], rows), human=human)
+                 table=(["index", "vector", "weight"], rows), text=text)
 
 
 def _cmd_gen_code(args, argv):
@@ -264,7 +266,7 @@ def _cmd_gen_code(args, argv):
     text = format_code(code)
     record = {"kind": "code", "q": args.q, "n": args.n, "k": args.k,
               "full_rank": code.full_rank, "code": text}
-    return _emit(args, argv, [record], artifact=text)
+    return _emit(args, argv, [record], text=text)
 
 
 def _cmd_check_ld(args, argv):
@@ -343,7 +345,7 @@ def _cmd_chain(args, argv):
             "translate": str(chain.translate_w),
             "members": [str(v) for v in chain.members],
         }
-        return _emit(args, argv, [record], artifact=format_chain(chain))
+        return _emit(args, argv, [record], text=format_chain(chain))
     if args.action == "verify":
         chain = parse_chain(_read_text(args.chain))
         valid = chain_verify(chain.translate_w, chain.members, chain.c)
@@ -380,12 +382,12 @@ def _cmd_shatter(args, argv):
             record = {"kind": "shatter-find", "q": q, "ell": ell,
                       "c": args.c, "set_size": len(S),
                       "threshold": threshold, "found": False}
-            return _emit(args, argv, [record], artifact="no witness found\n")
+            return _emit(args, argv, [record], text="no witness found\n")
         record = {"kind": "shatter-find", "q": q, "ell": ell, "c": args.c,
                   "set_size": len(S), "threshold": threshold,
                   "found": True, "U": sorted(witness.U),
                   "valid": shatter_verify(S, witness.U, q)}
-        return _emit(args, argv, [record], artifact=format_witness(witness))
+        return _emit(args, argv, [record], text=format_witness(witness))
     U = _parse_int_list(args.u)
     valid = shatter_verify(S, U, q)
     record = {"kind": "shatter-verify", "q": q, "ell": ell,

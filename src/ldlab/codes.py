@@ -26,7 +26,8 @@ radius of a center x with one `gfq.block_in_balls` on the code's block,
 x XORed into every slot: d(x, c) is the weight of x ^ c for every q.
 
 Enumeration budgets are hard guards (`errors.check_budget`), never
-silent truncations.
+silent truncations.  The coset tally's ball is sized by
+`hamming.check_ball_volume`, which stops summing shells at the budget.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
                   field_new, payload_add, payload_reduce, payload_scale,
                   rank_of, shape_of, slot_ones, slot_width, slots_add,
                   unpack_slots)
-from .hamming import (BallSpec, RadiusParam, ball_volume, ball_walk,
+from .hamming import (BallSpec, RadiusParam, ball_walk, check_ball_volume,
                       check_sample_budget, radius_of, sample_ball_uniform,
                       uniform_payload)
 # ball_points is not walked here; the name stays importable from this
@@ -265,7 +266,8 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
 
     mode "syndrome" (what "auto" resolves to) walks B(0, radius) once
     and tallies the ball points per coset of C; the largest tally is
-    L_max (guard: ball volume <= 2^24, which also bounds the tally).
+    L_max (guard: ball volume <= 2^24, which also bounds the tally;
+    `check_ball_volume` refuses a larger ball from its first shells).
     mode "full" visits every x in F_q^n and counts codewords within the
     radius per center (guard q^n * |C| <= 2^24).  Both count distinct
     codewords and report the same L_max and the same lowest-payload
@@ -279,8 +281,7 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
     q, n = field.q, code.n
     radius = radius_of(p, n)
     if mode != "full":
-        volume = ball_volume(n, radius, q)
-        check_budget(f"ball walk |B(0, {radius})|", volume)
+        volume = check_ball_volume(f"ball walk |B(0, {radius})|", n, radius, q)
         tally = _coset_tally(code, radius)
         l_max = max(tally.values())
         witness = min(lab for lab, cnt in tally.items() if cnt == l_max)

@@ -7,8 +7,9 @@ rationals as "a/b" strings, histograms with sorted keys).  Every runner
 goes through _run_trials, which splits the trials into contiguous
 chunks: the caller runs the first and one forked child runs each other.
 Sizes are refused with `errors.check_budget` before the work starts: the
-trial count and a span's q^l before any chunk, the pair-count terms of
-the exact and the closed-form count before any sum.
+trial count and a span's q^l before any chunk, a rate sweep's ball (with
+`hamming.check_ball_volume`) before any code is drawn, and the pair-count
+terms of the exact and the closed-form count before any sum or center.
 
 Experiments:
 - span: draw l uniform ball points, enumerate their span, count span
@@ -35,14 +36,16 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .codes import (Code, check_ld_exact, histogram_record, random_code,
                     span_in_ball)
 from .errors import ParameterError, check_budget
 from .gfq import field_new, payload_add, payload_distance, rank_of
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
-                      check_sample_budget, entropy_q, intersection_number,
-                      sample_ball_uniform, uniform_payload)
+                      check_ball_volume, check_sample_budget, entropy_q,
+                      intersection_number, radius_of, sample_ball_uniform,
+                      uniform_payload)
 from .seeding import derive_stream
 
 SCHEMA_VERSION = 1
@@ -374,19 +377,25 @@ def run_pair_sum_experiment(config: PairSumConfig,
         tuple(notes))
 
 
-def _pair_count(n: int, r: int, q: int, w: int) -> int:
-    """Pairs (w1, w2) in B(0, r)^2 with w1 + w2 within r of a center of
-    weight w: over the weight u of the sum s, the s of weight u within r
-    of the center times the pairs summing to one such s.  The first
-    factor vanishes unless |u - w| <= r, the second unless u <= 2r."""
+def _pair_counter(n: int, r: int, q: int) -> Callable[[int], int]:
+    """A function of w that counts the pairs (w1, w2) in B(0, r)^2 with
+    w1 + w2 within r of a center of weight w: over the weight u of the sum
+    s, the s of weight u within r of the center times the pairs summing to
+    one such s.  The first factor vanishes unless |u - w| <= r, the second
+    unless u <= 2r.  Its terms are refused here, before any center is
+    read."""
     if n < 0 or q < 2:
         raise ParameterError(f"no vectors of length n={n} over q={q}")
     check_budget(f"pair count terms (n={n}, r={r})",
                  (min(n, 2 * r) + 1) * (r + 1) ** 3)
-    return sum(sum(intersection_number(n, q, w, u, t) for t in range(r + 1))
-               * sum(intersection_number(n, q, u, i, j)
-                     for i in range(r + 1) for j in range(r + 1))
-               for u in range(max(0, w - r), min(n, 2 * r, w + r) + 1))
+
+    def count(w: int) -> int:
+        return sum(sum(intersection_number(n, q, w, u, t) for t in range(r + 1))
+                   * sum(intersection_number(n, q, u, i, j)
+                         for i in range(r + 1) for j in range(r + 1))
+                   for u in range(max(0, w - r), min(n, 2 * r, w + r) + 1))
+
+    return count
 
 
 def exact_pair_sum_probability(n: int, p: RadiusParam, q: int,
@@ -394,25 +403,26 @@ def exact_pair_sum_probability(n: int, p: RadiusParam, q: int,
     """Pr[w1 + w2 in B(x, p)] for w1, w2 uniform in B(0, p), x the vector
     of F_q^n packed as `center_payload`; an exact rational.
 
-    The count depends on x only through its weight.  `_pair_count`
+    The count depends on x only through its weight.  `_pair_counter`
     refuses its (min(n, 2r) + 1)(r + 1)^3 terms past ENUMERATION_BUDGET
-    before it sums, here and in the closed form alike.
+    before the center's digits are read, here and in the closed form
+    alike.
     """
     field = field_new(q)
     radius = BallSpec.from_p(q, n, p).radius
+    count = _pair_counter(n, radius, q)
     b = field.bits_per_digit
     digits = [center_payload >> i * b & (1 << b) - 1 for i in range(n)]
     if center_payload < 0 or center_payload >> n * b or max(digits) >= q:
         raise ParameterError(
             f"center_payload={center_payload} is not a vector of F_{q}^{n}")
-    return Fraction(_pair_count(n, radius, q, n - digits.count(0)),
-                    ball_volume(n, radius, q) ** 2)
+    return Fraction(count(n - digits.count(0)), ball_volume(n, radius, q) ** 2)
 
 
 def pair_sum_count_closed_form(n: int, r: int, q: int) -> int:
     """Number of pairs (w1, w2) in B(0,r)^2 with w1 + w2 in B(0,r);
     refused as `exact_pair_sum_probability`."""
-    return _pair_count(n, r, q, 0)
+    return _pair_counter(n, r, q)(0)
 
 
 # ----------------------------------------------------------- rate sweep
@@ -423,6 +433,8 @@ class SweepConfig:
 
     Construction refuses n < 1, an empty grid, eps <= 0, fewer than one
     code per point, and a constant C that is not a finite number > 0.
+    The rate and ceil(C / eps) are float arithmetic, so it also refuses
+    an eps whose float is 0 or overflows, and a C / eps that overflows.
     """
 
     n: int
@@ -449,6 +461,15 @@ class SweepConfig:
         if not (math.isfinite(self.c_constant) and self.c_constant > 0):
             raise ParameterError(
                 f"c_constant={self.c_constant} must be a finite number > 0")
+        for e in self.eps_grid:
+            try:
+                ratio = self.c_constant / float(e)
+            except (OverflowError, ZeroDivisionError):
+                raise ParameterError(
+                    f"eps={e} rounds to 0 or overflows as a float") from None
+            if not math.isfinite(ratio):
+                raise ParameterError(
+                    f"c_constant={self.c_constant} over eps={e} overflows a float")
 
 
 @dataclass(frozen=True)
@@ -551,6 +572,9 @@ def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepSummary:
     """Run the rate sweep; deterministic given (config.seed)."""
     dims = [sweep_dimension(config, eps) for eps in config.eps_grid]
     live = sum(1 for k in dims if k >= 1)
+    if live:  # the jobs' own ball check, made before any code is drawn
+        r = radius_of(config.p, config.n)
+        check_ball_volume(f"ball walk |B(0, {r})|", config.n, r, config.q)
     results = _run_trials(_sweep_chunk, config,
                           live * config.codes_per_point, workers)
     columns = iter([tuple(results[j::live]) for j in range(live)])

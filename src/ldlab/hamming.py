@@ -7,6 +7,10 @@ so p given as "0.2", "1/5" or the float 0.2 all give radius 2 at n = 10.
 Ball volumes are exact integers: |B(r)| = sum_{i<=r} C(n, i) (q-1)^i.
 So are the intersection numbers p^k_ij of the Hamming scheme, which count
 the words of weight i at distance j from a word of weight k.
+`check_ball_volume` is the one size check on a ball: it sums the shells
+from weight 0 up and refuses at the first weight where the sum passes its
+budget, so an oversized ball costs at most log2(budget) + 1 shells, never
+all of them.
 `sample_ball_uniform` draws exactly uniformly: the weight class is chosen
 by an integer draw against exact shell sizes, then a uniform support and
 uniform nonzero values.
@@ -34,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .errors import ParameterError, check_budget
+from .errors import ENUMERATION_BUDGET, ParameterError, check_budget
 from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add,
                   slot_width, slots_add, unpack_slots)
 
@@ -78,9 +82,10 @@ def entropy_q(x: RadiusParam, q: int) -> float:
     """
     if q < 2:
         raise ParameterError(f"entropy base q={q} must be >= 2")
-    xf = float(as_fraction(x))
-    if not 0.0 <= xf <= 1.0:
-        raise ParameterError(f"entropy argument x={xf} outside [0, 1]")
+    frac = as_fraction(x)
+    if not 0 <= frac <= 1:
+        raise ParameterError(f"entropy argument x={frac} outside [0, 1]")
+    xf = float(frac)
     if xf == 0.0:
         return 0.0
     if xf == 1.0:
@@ -132,25 +137,24 @@ def intersection_number(n: int, q: int, k: int, i: int, j: int) -> int:
                               min(n - k, i, (i + j - k) // 2) + 1))
 
 
-VOLUME_DIGITS_BUDGET = 4000
+def check_ball_volume(what: str, n: int, r: int, q: int,
+                      budget: int = ENUMERATION_BUDGET) -> int:
+    """The exact |B(r)|, summed shell by shell from weight 0 up with the
+    recurrence of `ball_weight_class_sizes`; refused through
+    `check_budget` as "<what> through weight t = <sum>" at the first
+    weight t where the sum passes `budget`.
 
-
-def check_volume_budget(n: int, r: int, q: int) -> None:
-    """ResourceBudgetError unless |B(r)| surely has at most
-    VOLUME_DIGITS_BUDGET decimal digits (below CPython's 4300-digit str
-    limit), decided from lgamma before any shell is built.
-
-    The bound is (r + 1) times the largest shell |S_i|, i <= r; shells grow
-    while i <= (n + 1)(q - 1)/q.  Since |B(r)| >= 2^(r-1), the same budget
-    caps the r + 1 terms of the sum at about 13,300.
+    The sum through weight t is at least sum_j C(t, j) = 2^t, so the
+    refusal comes by weight t = budget.bit_length().
     """
     _check_ball_params(n, r, q)
-    i = min(r, (n + 1) * (q - 1) // q)
-    log_shell = (math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                 + i * math.log(q - 1))
-    digits = math.floor((log_shell + math.log(r + 1)) / math.log(10)) + 1
-    check_budget(f"decimal digits of |B(r)| (n={n}, r={r}, q={q})", digits,
-                 VOLUME_DIGITS_BUDGET)
+    t, shell, total = 0, 1, 1
+    while total <= budget and t < r:
+        t += 1
+        shell = shell * (n - t + 1) * (q - 1) // t
+        total += shell
+    check_budget(f"{what} through weight {t}", total, budget)
+    return total
 
 
 @dataclass(frozen=True)

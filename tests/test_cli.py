@@ -182,6 +182,9 @@ def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch
     # a ball volume of 6021 digits, past the 4300-digit str limit
     ["check-ld", "exact", "--p", "1/2", "--L", "1",
      "--code", "2 20000 1\n" + "1" * 20000 + "\n"],
+    # k = 0 codes whose balls took seconds to sum, or grew until killed
+    ["check-ld", "exact", "--p", "1/3", "--L", "1", "--code", "2 200000 0\n"],
+    ["check-ld", "exact", "--p", "1/3", "--L", "1", "--code", "2 2000000 0\n"],
 ])
 def test_oversized_ball_sampling_exits_3_before_drawing(argv, tmp_path):
     """A ball whose exact shell table is too large to build is refused
@@ -190,8 +193,8 @@ def test_oversized_ball_sampling_exits_3_before_drawing(argv, tmp_path):
     summed: at n = 20000 printing it raised ValueError (the 4300-digit str
     limit), at n = 10^8 the sum ran until killed.  The chain oracle and
     the translate scan refuse before they search, and the exact checker
-    before it walks a ball whose volume is too long to print.  Every refusal is one
-    line in the one refusal form.  An argument holding a newline is the
+    from the first shells of a ball past its budget, however long the
+    code.  Every refusal is one line in the one refusal form.  An argument holding a newline is the
     text of a file, passed by its path."""
     set_file = tmp_path / "set.txt"
     for arg in argv:
@@ -212,6 +215,19 @@ def test_long_ball_volume_under_the_budget_still_prints(capsys):
                            "--q", "2")
     assert code == 0
     assert 2**9999 < int(out) < 2**10000
+
+
+def test_ball_volume_print_budget_is_the_exact_volume(capsys):
+    """The print guard compares the exact volume with 2^13287, the largest
+    power of two of 4000 digits: at p = 1/2, |B| = 2^13286 at n = 13287
+    prints, and n = 13288 is refused."""
+    code, out, _ = run_cli(capsys, "ball-volume", "--n", "13287", "--p", "1/2",
+                           "--q", "2")
+    assert code == 0 and int(out) == 2**13286
+    code, out, err = run_cli(capsys, "ball-volume", "--n", "13288", "--p",
+                             "1/2", "--q", "2")
+    assert code == 3 and out == ""
+    assert REFUSAL.fullmatch(err.strip()) and "2^13287" in err
 
 
 def test_decimal_and_fraction_error_rates_agree(capsys):

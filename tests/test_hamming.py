@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -26,8 +27,9 @@ from ldlab import (
     radius_of,
     sample_ball_uniform,
 )
-from ldlab.hamming import (as_fraction, ball_walk, check_sample_budget,
-                           intersection_number, uniform_payload)
+from ldlab.hamming import (as_fraction, ball_walk, check_ball_volume,
+                           check_sample_budget, intersection_number,
+                           uniform_payload)
 
 import oracles
 
@@ -57,6 +59,48 @@ def test_ball_volume_rejects_bad_radii():
     for n, r in [(5, -1), (5, 6), (3, 4), (0, 1)]:
         with pytest.raises(ParameterError):
             ball_volume(n, r, 2)
+
+
+@pytest.mark.parametrize("q", range(2, 17))
+def test_check_ball_volume_is_exact_up_to_its_budget(q):
+    """At a budget of |B(r)| the check returns |B(r)|; at one less it
+    refuses, and the refusal carries the exact volume."""
+    for n in range(1, 9):
+        for r in range(n + 1):
+            volume = ball_volume(n, r, q)
+            assert check_ball_volume("ball", n, r, q, volume) == volume
+            with pytest.raises(ResourceBudgetError,
+                               match=f"^ball through weight {r} = {volume} "):
+                check_ball_volume("ball", n, r, q, volume - 1)
+
+
+@pytest.mark.parametrize("n, r, q, budget", [
+    (20000, 10000, 2, 2**24),
+    (200000, 66666, 2, 2**24),
+    (10**8, 5 * 10**7, 16, 2**24),
+    (40, 40, 2, 2**24),
+    (30, 30, 3, 1000),
+    (12, 12, 2, 1),
+])
+def test_check_ball_volume_stops_at_the_first_weight_past_the_budget(
+        n, r, q, budget):
+    """An oversized ball is refused at the first weight t whose partial
+    sum passes the budget, t <= budget.bit_length(), with that exact sum."""
+    with pytest.raises(ResourceBudgetError) as info:
+        check_ball_volume("ball", n, r, q, budget)
+    found = re.fullmatch(r"ball through weight (\d+) = (\d+) exceeds .+",
+                         str(info.value))
+    t, total = int(found[1]), int(found[2])
+    partial = [sum(math.comb(n, j) * (q - 1) ** j for j in range(w + 1))
+               for w in (t - 1, t)]
+    assert t < r and t <= budget.bit_length()
+    assert partial[0] <= budget < partial[1] == total
+
+
+def test_check_ball_volume_rejects_bad_parameters():
+    for n, r, q in [(5, -1, 2), (5, 6, 2), (0, 0, 2), (4, 1, 1), (4, 1, 0)]:
+        with pytest.raises(ParameterError):
+            check_ball_volume("ball", n, r, q)
 
 
 @settings(max_examples=60, deadline=None)
