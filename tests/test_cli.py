@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -209,6 +210,31 @@ def test_oversized_ball_sampling_exits_3_before_drawing(argv, tmp_path):
     assert len(lines) == 1 and REFUSAL.fullmatch(lines[0]), result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["span-exp", "--q", "3", "--n", "8", "--p", "1/4", "--ell", "30000000",
+     "--trials", "1"],
+    ["check-ld", "exact", "--mode", "full", "--p", "1/4", "--L", "1",
+     "--code", "3 30000000 0\n"],
+])
+def test_power_past_the_budget_is_refused_by_its_exponent(argv, tmp_path):
+    """q^l and q^n are refused from their exponents, without building a
+    power of millions of digits first (about 15 s each for these runs)."""
+    code_file = tmp_path / "code.txt"
+    for arg in argv:
+        if "\n" in arg:
+            code_file.write_text(arg)
+    argv = [str(code_file) if "\n" in arg else arg for arg in argv]
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "ldlab", *argv],
+                            capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and REFUSAL.fullmatch(lines[0]), result.stderr
+    assert elapsed < 1, elapsed
+
+
 def test_long_ball_volume_under_the_budget_still_prints(capsys):
     """Thousands of digits are fine: 2^9999 < |B(0, 5000)| < 2^10000."""
     code, out, _ = run_cli(capsys, "ball-volume", "--n", "10000", "--p", "1/2",
@@ -397,6 +423,21 @@ def test_non_utf8_input_exits_2(option, data, tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ldlab: error: ")
     assert str(path) in lines[0]
+
+
+@pytest.mark.parametrize("out", ["missing/out.txt", ".", "taken.txt"])
+def test_unwritable_out_exits_2(out, tmp_path, capsys):
+    """--out into a missing directory, onto a directory, or beside a
+    manifest path that is a directory is one error line, not a traceback."""
+    (tmp_path / "taken.txt.manifest.json").mkdir()
+    target = str(tmp_path / out)
+    code, out_text, err = run_cli(capsys, "entropy", "--q", "2", "--x", "1/2",
+                                  "--out", target)
+    assert code == 2
+    assert out_text == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ldlab: error: ")
+    assert "cannot write" in lines[0]
 
 
 def test_manifest_naming_a_manifest_exits_2(tmp_path, capsys):
