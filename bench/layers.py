@@ -15,8 +15,8 @@ inputs:
   packed block); `gfq.block_in_balls` of the block at radius 0 (zeros,
   so that q^l / zeros is the distinct count) and at the ball's radius
   (count, divided by zeros); `gfq.rank_of`; `codes.span_in_ball` as
-  `experiments._span_chunk` calls it; and `_span_chunk` itself, the whole
-  trial with its sampling.  Checked: `span_in_ball` and the trial count
+  the span trial job of `experiments._span_job` calls it; and that job
+  itself over the row's trials, each whole trial with its sampling.  Checked: `span_in_ball` and the trial count
   what the parts count, q^l / zeros is q^rank, and no trial fails its
   rank check.  Digest: each trial's "size count" line.
 - tally, (q, n, k, r).  One full-rank code, random_code(n, k, q, True,
@@ -72,7 +72,7 @@ from ldlab.chains import (chain_find, format_chain,  # noqa: E402
                           oracle_best_translate, shatter_find)
 from ldlab.codes import (_coset_tally, _span_block, random_code,  # noqa: E402
                          span_in_ball)
-from ldlab.experiments import (SpanTrialConfig, _span_chunk,  # noqa: E402
+from ldlab.experiments import (SpanTrialConfig, _span_job,  # noqa: E402
                                exact_pair_sum_probability)
 from ldlab.gfq import VecQ, block_in_balls, field_new, rank_of  # noqa: E402
 from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
@@ -144,7 +144,8 @@ def span_row(q: int, n: int, ell: int, p: str, trials: int) -> Row:
         points.append([sample_ball_uniform(spec, rng) for _ in range(ell)])
     payloads = [[v.payload for v in vecs] for vecs in points]
     blocks = [_span_block(field, n, rows) for rows in payloads]
-    config = SpanTrialConfig(n, Fraction(p), q, ell, trials, SPAN_SEED)
+    job = _span_job(SpanTrialConfig(n, Fraction(p), q, ell, trials, SPAN_SEED),
+                    spec)
 
     def in_ball(radius: int) -> list[int]:
         return [block_in_balls(field, n, *block, (radius,))[0]
@@ -169,7 +170,7 @@ def span_row(q: int, n: int, ell: int, p: str, trials: int) -> Row:
         "rank": lambda: [rank_of(vecs) for vecs in points],
         "span_in_ball": lambda: [span_in_ball(vecs, spec.radius)
                                  for vecs in points],
-        "trial": lambda: _span_chunk(config, 0, trials)}, finish)
+        "trial": lambda: [job(0, t) for t in range(trials)]}, finish)
 
 
 def tally_row(q: int, n: int, k: int, r: int) -> Row:

@@ -43,7 +43,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .codes import read_header
-from .errors import ParameterError, check_budget
+from .errors import ParameterError, check_budget, check_power
 from .gfq import (FieldTable, VecQ, all_vectors, field_new, payload_weight,
                    shape_of)
 
@@ -372,7 +372,8 @@ def oracle_best_translate(S: Iterable[VecQ], c: int) -> tuple[int, VecQ]:
     attaining it in payload order).  Budget q^l <= 2^16."""
     vecs = list(S)
     field, ell = shape_of(vecs)
-    check_budget("translate scan q^l", field.q ** ell, TRANSLATE_SCAN_BUDGET)
+    check_power("translate scan q^l", field.q, ell,
+                budget=TRANSLATE_SCAN_BUDGET)
     best_d = -1
     best_w = None
     for w in all_vectors(field, ell):

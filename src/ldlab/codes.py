@@ -26,7 +26,8 @@ radius of a center x with one `gfq.block_in_balls` on the code's block,
 x XORed into every slot: d(x, c) is the weight of x ^ c for every q.
 
 Enumeration budgets are hard guards (`errors.check_budget`), never
-silent truncations.  The coset tally's ball is sized by
+silent truncations.  A power q^e is refused by `errors.check_power`
+from its exponent, and the coset tally's ball is sized by
 `hamming.check_ball_volume`, which stops summing shells at the budget.
 """
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParameterError, check_budget
+from .errors import ParameterError, check_power
 from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
                   field_new, payload_add, payload_reduce, payload_scale,
                   rank_of, shape_of, slot_ones, slot_width, slots_add,
@@ -150,7 +151,7 @@ def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, int, list[int]]:
     """The field, length and payloads of a span's generators, refused
     when empty, mismatched or over the q^l <= 2^24 budget."""
     f, n = shape_of(vectors)
-    check_budget("span members q^l", f.q ** len(vectors))
+    check_power("span members q^l", f.q, len(vectors))
     return f, n, [v.payload for v in vectors]
 
 
@@ -287,8 +288,7 @@ def check_ld_exact(code: Code, p: RadiusParam, L: int,
         witness = min(lab for lab, cnt in tally.items() if cnt == l_max)
         return LdVerdict(q, n, code.k, radius, L, l_max,
                          VecQ(field, n, witness), volume, False, "syndrome")
-    centers, size = q ** n, code.size()
-    check_budget("full scan q^n * |C|", centers * size)
+    centers = check_power("full scan q^n * |C|", q, n, code.size())
     count = _codeword_counter(code, _code_block(code), radius)
     # max returns the first maximum: the lowest-payload center of the top count
     witness = max(all_payloads(field, n), key=count)
@@ -338,7 +338,7 @@ def check_ld_montecarlo(code: Code, p: RadiusParam, trials: int,
         raise ParameterError(f"trials={trials} must be >= 1")
     field = code.field
     q, n = field.q, code.n
-    check_budget("trials * q^k", trials * q ** code.k)
+    check_power("trials * q^k", q, code.k, trials)
     spec = BallSpec.from_p(q, n, p)
     check_sample_budget(spec)
     blocked = _code_block(code)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and `check_budget`, the one
 place that raises ResourceBudgetError: every exact path asks it before it
-starts work that grows past what a run can hold.
+starts work that grows past what a run can hold.  `check_power` asks it
+about a power q^e from its exponent, before the power is built.
 """
 
 # Most centers, ball points, span members, trial jobs or pair-count terms
@@ -31,3 +32,16 @@ def check_budget(what: str, need: int, budget: int = ENUMERATION_BUDGET) -> None
         size = (f"= {need}" if need.bit_length() <= 256
                 else f">= 2^{need.bit_length() - 1}")
         raise ResourceBudgetError(f"{what} {size} exceeds the budget of {shown}")
+
+
+def check_power(what: str, q: int, exponent: int, factor: int = 1,
+                budget: int = ENUMERATION_BUDGET) -> int:
+    """q^exponent, once `check_budget(what, factor * q^exponent, budget)`
+    has passed (q >= 2, factor >= 1).  An exponent past 256 and past the
+    budget's bit length is cut to that cap first: q^cap already passes the
+    budget and has over 256 bits, so the refusal prints a true lower bound
+    ">= 2^k", where building the whole power could take gigabytes."""
+    cap = max(256, budget.bit_length()) + 1
+    power = q ** min(exponent, cap)
+    check_budget(what, factor * power, budget)
+    return power

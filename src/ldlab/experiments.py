@@ -1,15 +1,17 @@
 """Monte Carlo experiments with exact small-case oracles.
 
-Every experiment is deterministic given (config, seed): trial t draws
-from a stream derived from (seed, tag, t), so results are identical for
-any worker count, and summaries serialize to stable records (exact
-rationals as "a/b" strings, histograms with sorted keys).  Every runner
-goes through _run_trials, which splits the trials into contiguous
-chunks: the caller runs the first and one forked child runs each other.
+Every stochastic runner is a grid of cells times a trial count (one
+cell for span and ball samples, one per (n, center) for pair-sum, one
+per live eps point for the rate sweep).  It builds its per-run state
+once and hands `_run_trials` a job(cell, t) that closes over it.  A job
+draws only from the stream derived from (seed, tag, its indices), so
+results are identical for any worker count; summaries serialize to
+stable records (exact rationals as "a/b" strings, sorted histograms).
 Sizes are refused with `errors.check_budget` before the work starts: the
-trial count and a span's q^l before any chunk, a rate sweep's ball (with
-`hamming.check_ball_volume`) before any code is drawn, and the pair-count
-terms of the exact and the closed-form count before any sum or center.
+job count and a span's q^l (with `errors.check_power`) before any job, a
+rate sweep's ball (with `hamming.check_ball_volume`) before any code is
+drawn, and the pair-count terms of the exact and the closed-form count
+before any sum or center.
 
 Experiments:
 - span: draw l uniform ball points, enumerate their span, count span
@@ -40,7 +42,7 @@ from typing import Callable
 
 from .codes import (Code, check_ld_exact, histogram_record, random_code,
                     span_in_ball)
-from .errors import ParameterError, check_budget
+from .errors import ParameterError, check_budget, check_power
 from .gfq import field_new, payload_add, payload_distance, rank_of
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       check_ball_volume, check_sample_budget, entropy_q,
@@ -57,42 +59,44 @@ def _clamp_workers(workers: int) -> int:
 
 
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most min(workers, cpus) contiguous chunks."""
+    """Split range(total) into at most min(workers, cpus) contiguous chunks,
+    the first total % chunks one item longer than the rest."""
     workers = max(1, min(_clamp_workers(workers), total))
     base, extra = divmod(total, workers)
-    chunks = []
-    start = 0
-    for i in range(workers):
-        stop = start + base + (1 if i < extra else 0)
-        chunks.append((start, stop))
-        start = stop
-    return chunks
+    bounds = [i * base + min(i, extra) for i in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def _run_trials(chunk_fn, config, total: int, workers: int) -> list:
-    """One result per trial of range(total), in trial order.
+def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
+                workers: int) -> list[list]:
+    """[[job(cell, t) for t in range(trials)] for cell in range(cells)].
 
-    chunk_fn(config, start, stop) returns the list of results of trials
-    start to stop - 1.  The caller runs the first chunk of _chunk_ranges
-    itself and _fork_chunk runs each further one in a child, so
-    --workers N starts at most N - 1 children, N clamped to the core
-    count, and a one-chunk run forks nothing.  A child's exception is
-    re-raised here with its type and message; a child that ends without
-    a result raises RuntimeError.  No child outlives the call: on any
-    exit, interrupts included, children not yet reaped are killed and
-    reaped.  Fork copies only the calling thread, so callers must not
-    hold locks in other threads.  A run of more than ENUMERATION_BUDGET
-    trials is refused before any chunk starts: it would hold one result
-    per trial.
+    Jobs run in trial-major order, index t * cells + cell, in the
+    contiguous chunks of _chunk_ranges, so every chunk mixes all cells
+    evenly even when their costs differ.  The caller runs the first chunk
+    and _fork_chunk each further one in a child, so --workers N starts
+    at most N - 1 children, N clamped to the core count, and a one-chunk
+    run forks nothing.  A child's exception is re-raised here with its type and
+    message; a child that ends without a result raises RuntimeError.  No
+    child outlives the call: on any exit, interrupts included, children
+    not yet reaped are killed and reaped.  Fork copies only the calling
+    thread, so callers must not hold locks in other threads.  A run of
+    more than ENUMERATION_BUDGET jobs is refused before any job starts:
+    it would hold one result per job.
     """
+    total = cells * trials
     check_budget("trial jobs", total)
+
+    def run(start: int, stop: int) -> list:
+        return [job(i % cells, i // cells) for i in range(start, stop)]
+
     (start, stop), *rest = _chunk_ranges(total, workers)
     children = {}
     try:
         for index, chunk in enumerate(rest, 1):
-            children[index] = _fork_chunk(chunk_fn, config, *chunk)
-        results = chunk_fn(config, start, stop)
-        for index, chunk in enumerate(rest, 1):
+            children[index] = _fork_chunk(run, *chunk)
+        results = run(start, stop)
+        for index, (start, stop) in enumerate(rest, 1):
             pid, pipe = children[index]
             with pipe:
                 reply = pipe.read()
@@ -100,14 +104,14 @@ def _run_trials(chunk_fn, config, total: int, workers: int) -> list:
             del children[index]
             if status != 0 or not reply:
                 raise RuntimeError(
-                    f"trial chunk {index} (trials {chunk[0]} to "
-                    f"{chunk[1] - 1}) ended with exit status {status} "
+                    f"trial chunk {index} (trials {start // cells} to "
+                    f"{(stop - 1) // cells}) ended with exit status {status} "
                     "and no result")
             ok, value = pickle.loads(reply)
             if not ok:
                 raise value
             results.extend(value)
-        return results
+        return [results[cell::cells] for cell in range(cells)]
     finally:
         for pid, pipe in children.values():
             pipe.close()
@@ -117,8 +121,8 @@ def _run_trials(chunk_fn, config, total: int, workers: int) -> list:
                 os.waitpid(pid, 0)
 
 
-def _fork_chunk(chunk_fn, config, start: int, stop: int):
-    """Fork a child that runs one chunk; returns (pid, read end of its pipe).
+def _fork_chunk(run, start: int, stop: int):
+    """Fork a child that runs run(start, stop); returns (pid, its pipe).
 
     The child writes pickle.dumps((True, results)) or, if the chunk
     raised, pickle.dumps((False, exception)), and always ends with
@@ -136,7 +140,7 @@ def _fork_chunk(chunk_fn, config, start: int, stop: int):
         try:
             os.close(read_fd)
             try:
-                reply = (True, chunk_fn(config, start, stop))
+                reply = (True, run(start, stop))
             except BaseException as exc:  # sent to the parent, which re-raises
                 reply = (False, exc)
             with open(write_fd, "wb") as pipe:
@@ -174,6 +178,10 @@ class SpanTrialConfig:
 
     def __post_init__(self):
         _coerce(self, p=as_fraction(self.p))
+        if self.trials < 1:
+            raise ParameterError(f"trials={self.trials} must be >= 1")
+        if self.ell < 1:
+            raise ParameterError(f"ell={self.ell} must be >= 1")
         if self.c_threshold < 1:
             raise ParameterError(
                 f"c_threshold={self.c_threshold} must be >= 1")
@@ -207,32 +215,27 @@ class SpanSummary:
         }
 
 
-def _span_chunk(config: SpanTrialConfig, start: int,
-                stop: int) -> list[tuple[int, bool]]:
-    """(|span ∩ ball|, rank check failed) per trial; the check compares the
-    distinct count read off the span's block with q^rank from elimination."""
-    spec = BallSpec.from_p(config.q, config.n, config.p)
-    radius = spec.radius
-    out = []
-    for t in range(start, stop):
+def _span_job(config: SpanTrialConfig,
+              spec: BallSpec) -> Callable[[int, int], tuple[int, bool]]:
+    """job(0, t) is trial t: (|span ∩ ball|, rank check failed), where the
+    check compares the distinct count read off the span's block with
+    q^rank from elimination."""
+    def job(cell: int, t: int) -> tuple[int, bool]:
         rng = derive_stream(config.seed, "span", t)
         vecs = [sample_ball_uniform(spec, rng) for _ in range(config.ell)]
-        size, count = span_in_ball(vecs, radius)
-        out.append((count, size != config.q ** rank_of(vecs)))
-    return out
+        size, count = span_in_ball(vecs, spec.radius)
+        return count, size != config.q ** rank_of(vecs)
+
+    return job
 
 
 def run_span_experiment(config: SpanTrialConfig, workers: int = 1) -> SpanSummary:
     """Run the span experiment; deterministic given (config.seed)."""
-    if config.trials < 1:
-        raise ParameterError(f"trials={config.trials} must be >= 1")
-    if config.ell < 1:
-        raise ParameterError(f"ell={config.ell} must be >= 1")
     # the trials' own q^l check, made once before any child is forked
-    check_budget("span members q^l", config.q ** config.ell)
+    check_power("span members q^l", config.q, config.ell)
     spec = BallSpec.from_p(config.q, config.n, config.p)
     check_sample_budget(spec)
-    results = _run_trials(_span_chunk, config, config.trials, workers)
+    [results] = _run_trials(_span_job(config, spec), 1, config.trials, workers)
     hist = Counter(count for count, _ in results)
     threshold = config.c_threshold * config.ell
     tail = sum(v for count, v in hist.items() if count > threshold)
@@ -256,6 +259,10 @@ class PairSumConfig:
 
     def __post_init__(self):
         _coerce(self, p=as_fraction(self.p), n_values=tuple(self.n_values))
+        if self.trials < 1:
+            raise ParameterError(f"trials={self.trials} must be >= 1")
+        if not self.n_values:
+            raise ParameterError("n_values must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -313,44 +320,32 @@ class PairSumSummary:
 _PAIR_CENTERS = ("zero", "random")
 
 
-def _pair_chunk(config: PairSumConfig, start: int, stop: int) -> list[bool]:
-    """Hit or miss per trial of the flat index over (trial, n, center).
+def run_pair_sum_experiment(config: PairSumConfig,
+                            workers: int = 1) -> PairSumSummary:
+    """Run the pair-sum experiment; deterministic given (config.seed)."""
+    field = field_new(config.q)
+    specs = [BallSpec.from_p(config.q, n, config.p) for n in config.n_values]
+    for spec in specs:
+        check_sample_budget(spec)
+    cells = [(ni, mi, spec) for ni, spec in enumerate(specs)
+             for mi in range(len(_PAIR_CENTERS))]
 
-    The trial is the slowest-varying part, so every chunk mixes all grid
-    points evenly and the workers get equal work when the n differ.
-    """
-    q = config.q
-    field = field_new(q)
-    specs = [BallSpec.from_p(q, n, config.p) for n in config.n_values]
-    out = []
-    for index in range(start, stop):
-        t, cell = divmod(index, len(_PAIR_CENTERS) * len(config.n_values))
-        ni, mi = divmod(cell, len(_PAIR_CENTERS))
-        n, spec = config.n_values[ni], specs[ni]
+    def job(cell: int, t: int) -> bool:
+        ni, mi, spec = cells[cell]
         rng = derive_stream(config.seed, "pair", ni, mi, t)
         w1 = sample_ball_uniform(spec, rng)
         w2 = sample_ball_uniform(spec, rng)
         s = payload_add(field, w1.payload, w2.payload)
-        x = uniform_payload(field, n, rng) if _PAIR_CENTERS[mi] == "random" else 0
-        out.append(payload_distance(field, n, s, x) <= spec.radius)
-    return out
+        x = (uniform_payload(field, spec.n, rng)
+             if _PAIR_CENTERS[mi] == "random" else 0)
+        return payload_distance(field, spec.n, s, x) <= spec.radius
 
-
-def run_pair_sum_experiment(config: PairSumConfig,
-                            workers: int = 1) -> PairSumSummary:
-    """Run the pair-sum experiment; deterministic given (config.seed)."""
-    if config.trials < 1:
-        raise ParameterError(f"trials={config.trials} must be >= 1")
-    if not config.n_values:
-        raise ParameterError("n_values must be nonempty")
-    for n in config.n_values:
-        check_sample_budget(BallSpec.from_p(config.q, n, config.p))
-    cells = [(n, center) for n in config.n_values for center in _PAIR_CENTERS]
-    hit = _run_trials(_pair_chunk, config, len(cells) * config.trials, workers)
+    hits_by_cell = _run_trials(job, len(cells), config.trials, workers)
     records = []
     notes = []
-    for cell, (n, center) in enumerate(cells):
-        hits = sum(hit[cell::len(cells)])
+    for (_, mi, spec), cell_hits in zip(cells, hits_by_cell):
+        n, center = spec.n, _PAIR_CENTERS[mi]
+        hits = sum(cell_hits)
         estimate = hits / config.trials
         log2_per_n = math.log2(estimate) / n if hits else None
         if not hits:
@@ -431,8 +426,9 @@ def pair_sum_count_closed_form(n: int, r: int, q: int) -> int:
 class SweepConfig:
     """Rate sweep: codes at k = floor((1 - H_q(p) - eps) * n) per eps.
 
-    Construction refuses n < 1, an empty grid, eps <= 0, fewer than one
-    code per point, and a constant C that is not a finite number > 0.
+    Construction refuses n < 1, a p outside [0, 1], an empty grid,
+    eps <= 0, fewer than one code per point, and a constant C that is not
+    a finite number > 0.
     The rate and ceil(C / eps) are float arithmetic, so it also refuses
     an eps whose float is 0 or overflows, and a C / eps that overflows.
     """
@@ -450,6 +446,7 @@ class SweepConfig:
                 eps_grid=tuple(as_fraction(e) for e in self.eps_grid))
         if self.n < 1:
             raise ParameterError(f"block length n={self.n} must be >= 1")
+        radius_of(self.p, self.n)
         if self.codes_per_point < 1:
             raise ParameterError(
                 f"codes_per_point={self.codes_per_point} must be >= 1")
@@ -520,10 +517,14 @@ class SweepSummary:
         }
 
 
+def _sweep_rate(config: SweepConfig, eps: Fraction) -> float:
+    """The rate 1 - H_q(p) - eps, in float arithmetic."""
+    return 1.0 - entropy_q(config.p, config.q) - float(eps)
+
+
 def sweep_dimension(config: SweepConfig, eps: Fraction) -> int:
     """k = floor((1 - H_q(p) - eps) * n); may be negative."""
-    rate = 1.0 - entropy_q(config.p, config.q) - float(eps)
-    return math.floor(rate * config.n)
+    return math.floor(_sweep_rate(config, eps) * config.n)
 
 
 def sweep_candidate_list_size(config: SweepConfig, eps: Fraction) -> int:
@@ -548,47 +549,32 @@ def regenerate_sweep_code(config: SweepConfig, grid_index: int,
     return random_code(config.n, k, config.q, True, rng)
 
 
-def _sweep_chunk(config: SweepConfig, start: int, stop: int) -> list[int]:
-    """L_max per job of the flat index over (code, non-degenerate point).
-
-    The code is the slowest-varying part, so every chunk mixes all grid
-    points evenly; per-code cost differs severalfold across the grid.
-    """
-    live = [gi for gi, eps in enumerate(config.eps_grid)
-            if sweep_dimension(config, eps) >= 1]
-    out = []
-    for index in range(start, stop):
-        ci, j = divmod(index, len(live))
-        gi = live[j]
-        code = regenerate_sweep_code(config, gi, ci)
-        eps = config.eps_grid[gi]
-        verdict = check_ld_exact(code, config.p,
-                                 sweep_candidate_list_size(config, eps))
-        out.append(verdict.L_max)
-    return out
-
-
 def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepSummary:
-    """Run the rate sweep; deterministic given (config.seed)."""
+    """Run the rate sweep; deterministic given (config.seed).  Cell j
+    runs the codes of the j-th live grid point, at severalfold costs."""
     dims = [sweep_dimension(config, eps) for eps in config.eps_grid]
-    live = sum(1 for k in dims if k >= 1)
+    live = [gi for gi, k in enumerate(dims) if k >= 1]
     if live:  # the jobs' own ball check, made before any code is drawn
         r = radius_of(config.p, config.n)
         check_ball_volume(f"ball walk |B(0, {r})|", config.n, r, config.q)
-    results = _run_trials(_sweep_chunk, config,
-                          live * config.codes_per_point, workers)
-    columns = iter([tuple(results[j::live]) for j in range(live)])
+    l_cands = [sweep_candidate_list_size(config, eps) for eps in config.eps_grid]
+
+    def job(cell: int, ci: int) -> int:
+        gi = live[cell]
+        code = regenerate_sweep_code(config, gi, ci)
+        return check_ld_exact(code, config.p, l_cands[gi]).L_max
+
+    columns = iter(_run_trials(job, len(live), config.codes_per_point, workers))
     points = []
-    for eps, k in zip(config.eps_grid, dims):
-        rate = 1.0 - entropy_q(config.p, config.q) - float(eps)
+    for eps, k, l_cand in zip(config.eps_grid, dims, l_cands):
+        rate = _sweep_rate(config, eps)
         if k < 1:
             points.append(SweepPoint(
                 eps, rate, k, True,
                 f"degenerate grid point: k={k} < 1 at eps={eps}; skipped",
                 None, (), None, None, None))
             continue
-        l_cand = sweep_candidate_list_size(config, eps)
-        l_max_values = next(columns)
+        l_max_values = tuple(next(columns))
         failures = sum(1 for v in l_max_values if v > l_cand)
         code_size = config.q ** k
         points.append(SweepPoint(
@@ -612,6 +598,8 @@ class BallSampleConfig:
 
     def __post_init__(self):
         _coerce(self, p=as_fraction(self.p))
+        if self.count < 1:
+            raise ParameterError(f"count={self.count} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -632,24 +620,16 @@ class BallSampleSummary:
         }
 
 
-def _ball_chunk(config: BallSampleConfig, start: int,
-                stop: int) -> list[str]:
-    spec = BallSpec.from_p(config.q, config.n, config.p)
-    out = []
-    for i in range(start, stop):
-        rng = derive_stream(config.seed, "ball", i)
-        out.append(str(sample_ball_uniform(spec, rng)))
-    return out
-
-
 def run_ball_samples(config: BallSampleConfig,
                      workers: int = 1) -> BallSampleSummary:
     """Draw `count` independent uniform ball samples; deterministic."""
-    if config.count < 1:
-        raise ParameterError(f"count={config.count} must be >= 1")
     spec = BallSpec.from_p(config.q, config.n, config.p)
     check_sample_budget(spec)
-    samples = _run_trials(_ball_chunk, config, config.count, workers)
+
+    def job(cell: int, i: int) -> str:
+        return str(sample_ball_uniform(spec, derive_stream(config.seed, "ball", i)))
+
+    [samples] = _run_trials(job, 1, config.count, workers)
     hist = Counter(sum(1 for ch in s if ch != "0") for s in samples)
     return BallSampleSummary(config, spec.radius, dict(sorted(hist.items())),
                              tuple(samples))

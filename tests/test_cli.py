@@ -94,7 +94,8 @@ def test_invalid_parameters_exit_2(capsys):
         ("c_constant", sweep + ["--eps", "1/10", "--c-constant", "-1"]),
         # exact rationals that no float holds, at a live grid point
         ("x=", ["entropy", "--q", "2", "--x", "1e400"]),
-        ("x=", sweep + ["--eps", "1/20", "--p", "1e400"]),
+        ("p=", sweep + ["--eps", "1/20", "--p", "1e400"]),
+        ("p=", sweep + ["--eps", "1/10", "--p", "3/2"]),
         ("eps", sweep + ["--eps", "1e400"]),
         ("eps", sweep + ["--eps", "1e-400"]),
         ("c_constant", sweep + ["--eps", "1/20", "--c-constant", "1e308"]),
@@ -136,29 +137,30 @@ def test_budget_refusal_exits_3(capsys):
     assert "resource refusal" in err
 
 
-@pytest.mark.parametrize("chunk, argv", [
-    ("_span_chunk", ["span-exp", "--q", "2", "--n", "8", "--p", "1/4",
-                     "--ell", "2", "--trials", "1000000000000"]),
-    ("_ball_chunk", ["sample-ball", "--q", "2", "--n", "8", "--p", "1/4",
-                     "--count", "1000000000000"]),
-    ("_pair_chunk", ["pair-sum", "--q", "2", "--p", "1/4", "--n-list", "8,16",
-                     "--trials", "5000000"]),
-    ("_sweep_chunk", ["rate-sweep", "--q", "2", "--n", "18", "--p", "1/6",
-                      "--eps", "1/20", "--codes", "20000000"]),
+@pytest.mark.parametrize("argv", [
+    ["span-exp", "--q", "2", "--n", "8", "--p", "1/4",
+     "--ell", "2", "--trials", "1000000000000"],
+    ["sample-ball", "--q", "2", "--n", "8", "--p", "1/4",
+     "--count", "1000000000000"],
+    ["pair-sum", "--q", "2", "--p", "1/4", "--n-list", "8,16",
+     "--trials", "5000000"],
+    ["rate-sweep", "--q", "2", "--n", "18", "--p", "1/6",
+     "--eps", "1/20", "--codes", "20000000"],
     # one code, but its ball walk is past the budget
-    ("_sweep_chunk", ["rate-sweep", "--q", "2", "--n", "20000", "--p", "1/6",
-                      "--eps", "1/10", "--codes", "1"]),
-])
-def test_oversized_run_exits_3_before_any_trial(chunk, argv, capsys, monkeypatch):
+    ["rate-sweep", "--q", "2", "--n", "20000", "--p", "1/6",
+     "--eps", "1/10", "--codes", "1"],
+], ids=["span", "ball", "pair", "sweep-codes", "sweep-ball"])
+def test_oversized_run_exits_3_before_any_trial(argv, capsys, monkeypatch):
     """A run of more than 2^24 trials (pair-sum: trials x grid cells) is
     refused up front, in the one refusal form; it would otherwise run
-    until killed while holding one result per trial."""
+    until killed while holding one result per trial.  Every trial job
+    first derives its stream, so deriving none shows that none started."""
     from ldlab import experiments
 
-    def no_work(*args):
-        raise AssertionError("trials started")
+    def no_work(seed, *indices):
+        raise AssertionError(f"trial {indices} started")
 
-    monkeypatch.setattr(experiments, chunk, no_work)
+    monkeypatch.setattr(experiments, "derive_stream", no_work)
     code, out, err = run_cli(capsys, *argv, "--seed", "1")
     assert code == 3
     assert out == ""

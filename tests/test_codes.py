@@ -25,6 +25,7 @@ from ldlab import (
     rank_of,
 )
 from ldlab.codes import _coset_tally, _span_block, span_in_ball, span_payloads
+from ldlab.errors import check_power
 from ldlab.gfq import _BATCH, unpack_slots
 
 import oracles
@@ -510,6 +511,26 @@ def test_exact_checker_refuses_a_long_ball_before_summing_it():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_check_power_refuses_by_the_exponent():
+    """q^e is exact up to the budget and refused one past it; a huge
+    exponent is refused with a true lower bound >= 2^k, without building
+    the power (2^(10^12) alone would take 125 GB)."""
+    assert check_power("q^l", 2, 24) == 2**24
+    assert check_power("q^l", 16, 4, budget=2**16) == 2**16
+    assert check_power("q^n * |C|", 3, 2, 10) == 9
+    for args, budget, text in [
+            (("q^l", 2, 25), 2**24, "q^l = 33554432 exceeds the budget of 2^24"),
+            (("q^l", 16, 5), 2**16, "q^l = 1048576 exceeds the budget of 2^16"),
+            (("t * q^k", 2, 20, 17), 2**24,
+             "t * q^k = 17825792 exceeds the budget of 2^24"),
+            (("q^l", 3, 10**12), 2**24, "q^l >= 2^407 exceeds the budget of 2^24"),
+            (("q^l", 2, 10**12), 2**300,
+             "q^l >= 2^302 exceeds the budget of 2^300")]:
+        with pytest.raises(ResourceBudgetError) as excinfo:
+            check_power(*args, budget=budget)
+        assert str(excinfo.value) == text
 
 
 def test_montecarlo_never_exceeds_exact_and_usually_matches():

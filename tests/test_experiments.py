@@ -373,11 +373,27 @@ def test_sweep_config_refuses_bad_grid_codes_and_constant():
     for overrides in (dict(eps_grid=()), dict(eps_grid=(Fraction(0),)),
                       dict(eps_grid=(Fraction(1, 10), Fraction(-1, 5))),
                       dict(codes_per_point=0),
+                      dict(p=Fraction(3, 2)), dict(p=Fraction(-1, 5)),
                       dict(c_constant=0.0), dict(c_constant=-2.0),
                       dict(c_constant=math.nan), dict(c_constant=math.inf),
                       dict(c_constant=-math.inf)):
         with pytest.raises(ParameterError):
             sweep_config(**overrides)
+
+
+def test_configs_refuse_counts_below_one_at_construction():
+    """Each config refuses its own empty counts, before any runner sees it."""
+    span = dict(n=8, p=Fraction(1, 4), q=2, ell=2, trials=3, seed=1)
+    pair = dict(p=Fraction(1, 4), q=2, n_values=(8,), trials=3, seed=1)
+    for make, overrides, message in [
+            (SpanTrialConfig, dict(span, trials=0), "trials=0 must be >= 1"),
+            (SpanTrialConfig, dict(span, ell=-1), "ell=-1 must be >= 1"),
+            (PairSumConfig, dict(pair, trials=0), "trials=0 must be >= 1"),
+            (PairSumConfig, dict(pair, n_values=[]), "n_values must be nonempty"),
+            (BallSampleConfig, dict(q=2, n=8, p=Fraction(1, 4), count=0, seed=1),
+             "count=0 must be >= 1")]:
+        with pytest.raises(ParameterError, match=message):
+            make(**overrides)
 
 
 def test_sweep_config_refuses_block_length_below_one():
@@ -478,34 +494,57 @@ def test_pair_sum_forks_once_per_run(forks):
     assert parallel.as_record() == serial.as_record()
 
 
-def trial_numbers(config, start, stop):
-    return list(range(start, stop))
+def child_raises(error: type):
+    """A job that raises `error` from trial 5 on, which of 10 trials on
+    two workers is the forked chunk."""
+    def job(cell, t):
+        if t >= 5:
+            raise error(f"chunk from trial {t} refused")
+        return t
+
+    return job
 
 
-def child_raises(config, start, stop):
-    """config is an exception type; only the forked chunk raises it."""
-    if start:
-        raise config(f"chunk from trial {start} refused")
-    return trial_numbers(config, start, stop)
-
-
-def child_exits(config, start, stop):
-    if start:
+def child_exits(cell, t):
+    if t >= 5:
         os._exit(1)
-    return trial_numbers(config, start, stop)
+    return t
 
 
-def caller_raises(config, start, stop):
-    """config is an exception; only the caller's own chunk raises it."""
-    if not start:
-        raise config
-    return trial_numbers(config, start, stop)
+def caller_raises(error: BaseException):
+    """A job that raises `error` in the caller's own chunk, trials 0-4."""
+    def job(cell, t):
+        if t < 5:
+            raise error
+        return t
+
+    return job
+
+
+def test_run_trials_gives_each_cell_in_trial_order(forks):
+    """Jobs run trial-major, t * cells + cell, and come back as one list
+    per cell in trial order, alike on one worker and on two."""
+    calls = []
+
+    def job(cell, t):
+        calls.append((cell, t))
+        return (cell, t)
+
+    want = [[(cell, t) for t in range(5)] for cell in range(3)]
+    assert experiments._run_trials(job, 3, 5, 1) == want
+    assert calls == [(cell, t) for t in range(5) for cell in range(3)]
+    assert forks == []
+    calls.clear()
+    assert experiments._run_trials(job, 3, 5, 2) == want
+    assert calls == [(cell, t) for t in range(3) for cell in range(3)][:8]
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("error", [ParameterError, ResourceBudgetError])
 def test_child_exception_reaches_caller(forks, error):
     with pytest.raises(error) as excinfo:
-        experiments._run_trials(child_raises, error, 10, 2)
+        experiments._run_trials(child_raises(error), 1, 10, 2)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == "chunk from trial 5 refused"
     assert_no_child_left()
@@ -515,7 +554,7 @@ def test_child_exiting_without_result_is_one_clear_error(forks):
     with pytest.raises(RuntimeError,
                        match=r"chunk 1 \(trials 5 to 9\) ended with exit "
                              r"status 1 and no result"):
-        experiments._run_trials(child_exits, None, 10, 2)
+        experiments._run_trials(child_exits, 1, 10, 2)
     assert_no_child_left()
 
 
@@ -523,6 +562,6 @@ def test_child_exiting_without_result_is_one_clear_error(forks):
                                    KeyboardInterrupt()])
 def test_caller_chunk_error_leaves_no_child(forks, error):
     with pytest.raises(type(error)):
-        experiments._run_trials(caller_raises, error, 10, 2)
+        experiments._run_trials(caller_raises(error), 1, 10, 2)
     assert len(forks) == 1
     assert_no_child_left()

@@ -67,17 +67,20 @@ def test_run_stops_after_three_time_limit_failures(pytester):
     assert "test_stuck[3]" not in result.stdout.str()
 
 
-def _chunk_sees_limit(caller: int, start: int, stop: int) -> list:
-    """(in a child, seconds left on the timer) for each trial; a child
-    first sends itself the alarm, which must not stop it."""
-    child = os.getpid() != caller
-    if child:
-        os.kill(os.getpid(), signal.SIGALRM)
-    return [(child, signal.getitimer(signal.ITIMER_REAL)[0])] * (stop - start)
+def _job_sees_limit(caller: int):
+    """A trial job giving (in a child, seconds left on the timer); in a
+    child it first sends itself the alarm, which must not stop it."""
+    def job(cell: int, t: int) -> tuple[bool, float]:
+        child = os.getpid() != caller
+        if child:
+            os.kill(os.getpid(), signal.SIGALRM)
+        return child, signal.getitimer(signal.ITIMER_REAL)[0]
+
+    return job
 
 
 def test_run_trials_children_see_no_limit(monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    out = experiments._run_trials(_chunk_sees_limit, os.getpid(), 4, 2)
+    [out] = experiments._run_trials(_job_sees_limit(os.getpid()), 1, 4, 2)
     assert [child for child, _ in out] == [False, False, True, True]
     assert out[0][1] > 0 and out[2][1] == 0
