@@ -14,11 +14,12 @@ inputs:
   `codes._span_block` of each trial's payloads (all q^l members in one
   packed block); `gfq.block_in_balls` of the block at radius 0 (zeros,
   so that q^l / zeros is the distinct count) and at the ball's radius
-  (count, divided by zeros); `gfq.rank_of`; `codes.span_in_ball` as
-  the span trial job of `experiments._span_job` calls it; and that job
-  itself over the row's trials, each whole trial with its sampling.  Checked: `span_in_ball` and the trial count
-  what the parts count, q^l / zeros is q^rank, and no trial fails its
-  rank check.  Digest: each trial's "size count" line.
+  (count, divided by zeros); `gfq.rank_of`; `codes.span_in_ball` as the
+  trial job of `experiments._span_job` calls it; and that job itself
+  over the row's trials, the whole trial with its sampling.  Checked:
+  `span_in_ball` and the trial count what the parts count, q^l / zeros
+  is q^rank, and no trial fails its rank check.  Digest: each trial's
+  "size count" line.
 - tally, (q, n, k, r).  One full-rank code, random_code(n, k, q, True,
   Random(1000 q + n)), tallied by `codes._coset_tally(code, r)`, the walk
   behind `check_ld_exact`'s default mode.  Digest: the sorted tally.

@@ -372,8 +372,7 @@ def oracle_best_translate(S: Iterable[VecQ], c: int) -> tuple[int, VecQ]:
     attaining it in payload order).  Budget q^l <= 2^16."""
     vecs = list(S)
     field, ell = shape_of(vecs)
-    check_power("translate scan q^l", field.q, ell,
-                budget=TRANSLATE_SCAN_BUDGET)
+    check_power("translate scan q^l", field.q, ell, budget=TRANSLATE_SCAN_BUDGET)
     best_d = -1
     best_w = None
     for w in all_vectors(field, ell):

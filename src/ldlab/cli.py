@@ -157,13 +157,6 @@ def _read_text(path: str) -> str:
         raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc}") from None
-
-
 def _human_lines(records: list[dict]) -> str:
     out = []
     for rec in records:
@@ -200,7 +193,6 @@ def _emit(args: argparse.Namespace, argv: list[str], records: list[dict],
         content = _human_lines(records) if text is None else text
     out_path = getattr(args, "out", None)
     if out_path:
-        _write_text(out_path, content)
         params = {key: value for key, value in vars(args).items()
                   if key not in _NOT_PARAMS}
         manifest = RunManifest(
@@ -208,7 +200,12 @@ def _emit(args: argparse.Namespace, argv: list[str], records: list[dict],
             seed=getattr(args, "seed", None), params=params,
             outputs=(out_path,), version=__version__,
             created_at=datetime.now(timezone.utc).isoformat())
-        _write_text(out_path + ".manifest.json", manifest.to_json())
+        try:
+            Path(out_path).write_text(content)
+            Path(out_path + ".manifest.json").write_text(manifest.to_json())
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot write {exc.filename}: {exc.strerror}") from None
     else:
         sys.stdout.write(content)
     return 0

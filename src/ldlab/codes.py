@@ -25,10 +25,9 @@ members, and those in the ball, with one `gfq.block_in_balls` pass.
 radius of a center x with one `gfq.block_in_balls` on the code's block,
 x XORed into every slot: d(x, c) is the weight of x ^ c for every q.
 
-Enumeration budgets are hard guards (`errors.check_budget`), never
-silent truncations.  A power q^e is refused by `errors.check_power`
-from its exponent, and the coset tally's ball is sized by
-`hamming.check_ball_volume`, which stops summing shells at the budget.
+Enumeration budgets are hard guards (`errors.check_budget`, or
+`check_power` for a q^e), never silent truncations.  The coset tally's
+ball is sized by `hamming.check_ball_volume`, which stops at the budget.
 """
 
 from __future__ import annotations

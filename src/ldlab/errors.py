@@ -37,10 +37,9 @@ def check_budget(what: str, need: int, budget: int = ENUMERATION_BUDGET) -> None
 def check_power(what: str, q: int, exponent: int, factor: int = 1,
                 budget: int = ENUMERATION_BUDGET) -> int:
     """q^exponent, once `check_budget(what, factor * q^exponent, budget)`
-    has passed (q >= 2, factor >= 1).  An exponent past 256 and past the
-    budget's bit length is cut to that cap first: q^cap already passes the
-    budget and has over 256 bits, so the refusal prints a true lower bound
-    ">= 2^k", where building the whole power could take gigabytes."""
+    passes (q >= 2, factor >= 1).  An exponent past 256 and the budget's
+    bits is cut to that cap first: q^cap has over 256 bits and passes the
+    budget, so the refusal prints a true ">= 2^k" without the power."""
     cap = max(256, budget.bit_length()) + 1
     power = q ** min(exponent, cap)
     check_budget(what, factor * power, budget)

@@ -76,13 +76,13 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
     evenly even when their costs differ.  The caller runs the first chunk
     and _fork_chunk each further one in a child, so --workers N starts
     at most N - 1 children, N clamped to the core count, and a one-chunk
-    run forks nothing.  A child's exception is re-raised here with its type and
-    message; a child that ends without a result raises RuntimeError.  No
-    child outlives the call: on any exit, interrupts included, children
-    not yet reaped are killed and reaped.  Fork copies only the calling
-    thread, so callers must not hold locks in other threads.  A run of
-    more than ENUMERATION_BUDGET jobs is refused before any job starts:
-    it would hold one result per job.
+    run forks nothing.  A child's exception is re-raised here with its
+    type and message; a child that ends without a result raises
+    RuntimeError.  No child outlives the call: on any exit, interrupts
+    included, children not yet reaped are killed and reaped.  Fork copies
+    only the calling thread, so callers must not hold locks in other
+    threads.  A run of more than ENUMERATION_BUDGET jobs is refused
+    before any job starts: it would hold one result per job.
     """
     total = cells * trials
     check_budget("trial jobs", total)
@@ -122,7 +122,7 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
 
 
 def _fork_chunk(run, start: int, stop: int):
-    """Fork a child that runs run(start, stop); returns (pid, its pipe).
+    """Fork a child for run(start, stop); returns (pid, read end of its pipe).
 
     The child writes pickle.dumps((True, results)) or, if the chunk
     raised, pickle.dumps((False, exception)), and always ends with
