@@ -37,10 +37,10 @@ def check_budget(what: str, need: int, budget: int = ENUMERATION_BUDGET) -> None
 def check_power(what: str, q: int, exponent: int, factor: int = 1,
                 budget: int = ENUMERATION_BUDGET) -> int:
     """q^exponent, once `check_budget(what, factor * q^exponent, budget)`
-    passes (q >= 2, factor >= 1).  An exponent past 256 and the budget's
-    bits is cut to that cap first: q^cap has over 256 bits and passes the
+    passes (q >= 2, factor >= 1).  An exponent past the budget's bits plus
+    256 is cut to that cap first: q^cap has over 256 bits and passes the
     budget, so the refusal prints a true ">= 2^k" without the power."""
-    cap = max(256, budget.bit_length()) + 1
-    power = q ** min(exponent, cap)
+    cap = budget.bit_length() + 257
+    power = q ** (exponent if exponent < cap else cap)
     check_budget(what, factor * power, budget)
     return power

@@ -525,9 +525,9 @@ def test_check_power_refuses_by_the_exponent():
             (("q^l", 16, 5), 2**16, "q^l = 1048576 exceeds the budget of 2^16"),
             (("t * q^k", 2, 20, 17), 2**24,
              "t * q^k = 17825792 exceeds the budget of 2^24"),
-            (("q^l", 3, 10**12), 2**24, "q^l >= 2^407 exceeds the budget of 2^24"),
+            (("q^l", 3, 10**12), 2**24, "q^l >= 2^446 exceeds the budget of 2^24"),
             (("q^l", 2, 10**12), 2**300,
-             "q^l >= 2^302 exceeds the budget of 2^300")]:
+             "q^l >= 2^558 exceeds the budget of 2^300")]:
         with pytest.raises(ResourceBudgetError) as excinfo:
             check_power(*args, budget=budget)
         assert str(excinfo.value) == text
