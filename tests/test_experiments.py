@@ -531,12 +531,13 @@ def test_run_trials_gives_each_cell_in_trial_order(forks):
         return (cell, t)
 
     want = [[(cell, t) for t in range(5)] for cell in range(3)]
+    order = [(cell, t) for t in range(5) for cell in range(3)]
     assert experiments._run_trials(job, 3, 5, 1) == want
-    assert calls == [(cell, t) for t in range(5) for cell in range(3)]
+    assert calls == order
     assert forks == []
     calls.clear()
     assert experiments._run_trials(job, 3, 5, 2) == want
-    assert calls == [(cell, t) for t in range(3) for cell in range(3)][:8]
+    assert calls == order[:8]   # the caller's chunk; the child ran the rest
     assert len(forks) == 1
     assert_no_child_left()
 
