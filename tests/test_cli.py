@@ -237,6 +237,26 @@ def test_power_past_the_budget_is_refused_by_its_exponent(argv, tmp_path):
     assert elapsed < 1, elapsed
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate-sweep", "--q", "2", "--n", "100000", "--p", "0", "--eps", "1/10",
+     "--codes", "1"],
+    ["gen-code", "--q", "2", "--n", "100000", "--k", "50000"],
+])
+def test_long_code_is_refused_before_any_digit(argv):
+    """A k x n generator past the budget is refused before a digit is
+    drawn; at --p 0 the sweep's ball of one point passes its own check,
+    and drawing and ranking k n digits would take hours."""
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "ldlab", *argv],
+                            capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and REFUSAL.fullmatch(lines[0]), result.stderr
+    assert elapsed < 1, elapsed
+
+
 def test_long_ball_volume_under_the_budget_still_prints(capsys):
     """Thousands of digits are fine: 2^9999 < |B(0, 5000)| < 2^10000."""
     code, out, _ = run_cli(capsys, "ball-volume", "--n", "10000", "--p", "1/2",
@@ -440,6 +460,17 @@ def test_unwritable_out_exits_2(out, tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ldlab: error: ")
     assert "cannot write" in lines[0]
+
+
+def test_failed_manifest_write_leaves_no_artifact(tmp_path, capsys):
+    """--out writes an artifact and its manifest or neither: when the
+    manifest path is a directory, the artifact written first is removed."""
+    (tmp_path / "F.manifest.json").mkdir()
+    code, _, err = run_cli(capsys, "entropy", "--q", "2", "--x", "1/2",
+                           "--out", str(tmp_path / "F"))
+    assert code == 2
+    assert "cannot write" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F.manifest.json"]
 
 
 def test_manifest_naming_a_manifest_exits_2(tmp_path, capsys):
