@@ -200,10 +200,16 @@ def _emit(args: argparse.Namespace, argv: list[str], records: list[dict],
             seed=getattr(args, "seed", None), params=params,
             outputs=(out_path,), version=__version__,
             created_at=datetime.now(timezone.utc).isoformat())
+        written = []
         try:
-            Path(out_path).write_text(content)
-            Path(out_path + ".manifest.json").write_text(manifest.to_json())
+            for path, text in ((out_path, content),
+                               (out_path + ".manifest.json", manifest.to_json())):
+                with open(path, "w") as fh:
+                    written.append(path)  # opened, so removed if a write fails
+                    fh.write(text)
         except OSError as exc:
+            for path in written:
+                os.remove(path)
             raise ParameterError(
                 f"cannot write {exc.filename}: {exc.strerror}") from None
     else:

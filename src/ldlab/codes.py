@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParameterError, check_power
+from .errors import ParameterError, check_budget, check_power
 from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
                   field_new, payload_add, payload_reduce, payload_scale,
                   rank_of, shape_of, slot_ones, slot_width, slots_add,
@@ -106,16 +106,24 @@ def random_code(n: int, k: int, q: int, full_rank: bool,
     """Code with i.i.d. uniform generator entries.
 
     With full_rank, rejection-resamples the whole matrix until rank k,
-    realizing a uniform k-dimensional subspace.
+    realizing a uniform k-dimensional subspace.  Refused before any draw
+    past `check_generator_size`.
     """
     field = field_new(q)
     if n < 1 or k < 0 or k > n:
         raise ParameterError(f"invalid dimensions n={n}, k={k}")
+    check_generator_size(n, k)
     while True:
         rows = tuple(VecQ(field, n, uniform_payload(field, n, rng))
                      for _ in range(k))
         if not full_rank or rank_of(rows) == k:
             return Code(field, n, k, rows, full_rank)
+
+
+def check_generator_size(n: int, k: int) -> None:
+    """Refuse a k x n generator of more than ENUMERATION_BUDGET digits:
+    drawing and ranking one grows about as n^2.5."""
+    check_budget("generator digits k * n", k * n)
 
 
 def _span_block(field: FieldTable, n: int,

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .codes import (Code, check_ld_exact, histogram_record, random_code,
-                    span_in_ball)
+from .codes import (Code, check_generator_size, check_ld_exact,
+                    histogram_record, random_code, span_in_ball)
 from .errors import ParameterError, check_budget, check_power
 from .gfq import field_new, payload_add, payload_distance, rank_of
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
@@ -554,9 +554,10 @@ def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepSummary:
     runs the codes of the j-th live grid point, at severalfold costs."""
     dims = [sweep_dimension(config, eps) for eps in config.eps_grid]
     live = [gi for gi, k in enumerate(dims) if k >= 1]
-    if live:  # the jobs' own ball check, made before any code is drawn
+    if live:  # the jobs' own checks, made before any code is drawn
         r = radius_of(config.p, config.n)
         check_ball_volume(f"ball walk |B(0, {r})|", config.n, r, config.q)
+        check_generator_size(config.n, max(dims))
     l_cands = [sweep_candidate_list_size(config, eps) for eps in config.eps_grid]
 
     def job(cell: int, ci: int) -> int:
