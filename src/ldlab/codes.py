@@ -39,10 +39,10 @@ from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError, check_budget, check_power
-from .gfq import (FieldTable, VecQ, all_payloads, block_in_balls, echelon,
-                  field_new, payload_add, payload_reduce, payload_scale,
-                  rank_of, shape_of, slot_ones, slot_width, slots_add,
-                  unpack_slots)
+from .gfq import (FieldTable, VecQ, _span_block, all_payloads,
+                  block_in_balls, echelon, field_new, payload_add,
+                  payload_reduce, rank_of, shape_of, slot_ones,
+                  span_count_block, unpack_slots)
 from .hamming import (BallSpec, RadiusParam, ball_walk, check_ball_volume,
                       check_sample_budget, radius_of, sample_ball_uniform,
                       uniform_payload)
@@ -126,34 +126,6 @@ def check_generator_size(n: int, k: int) -> None:
     check_budget("generator digits k * n", k * n)
 
 
-def _span_block(field: FieldTable, n: int,
-                payloads: Sequence[int]) -> tuple[int, int, int]:
-    """(block, width, count): every combination sum a_i x_i of the
-    payloads of F_q^n in slot j of a packed block for message j, in
-    base-q order (a_1 least significant); duplicates are kept.
-
-    The members found so far sit in one packed block, member j in slot j
-    of n digits (see `gfq.slot_width`).  Row x then appends the q^i
-    members base + a x for each scalar a = 1 .. q - 1 in turn, each part
-    with a single `gfq.slots_add` to the part before it, so a span of q^l
-    members takes l (q - 1) block adds; the row's q - 1 adds share one
-    `gfq.slot_ones`.  The step added to every slot is (a - (a - 1)) x: x
-    itself for prime q, one small `payload_scale` otherwise.
-    """
-    q = field.q
-    width = slot_width(field.bits_per_digit, n * field.bits_per_digit)
-    block, count = 0, 1
-    for x in payloads:
-        part, shift = block, count * width
-        ones = slot_ones(width, count)
-        for a in range(1, q):
-            step = payload_scale(field, field.sub(a, a - 1), x)
-            part = slots_add(field, part, step, width, count, ones)
-            block |= part << (a * shift)
-        count *= q
-    return block, width, count
-
-
 def _span_rows(vectors: Sequence[VecQ]) -> tuple[FieldTable, int, list[int]]:
     """The field, length and payloads of a span's generators, refused
     when empty, mismatched or over the q^l <= 2^24 budget."""
@@ -183,9 +155,9 @@ def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     and the in-ball slots from one tree of digit flags.
     """
     f, n, rows = _span_rows(vectors)
-    block, width, count = _span_block(f, n, rows)
-    zeros, inside = block_in_balls(f, n, block, width, count, (0, radius))
-    return count // zeros, inside // zeros
+    counted = span_count_block(f, n, rows)
+    zeros, inside = block_in_balls(*counted, (0, radius))
+    return counted[-1] // zeros, inside // zeros
 
 
 @dataclass(frozen=True)

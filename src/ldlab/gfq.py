@@ -286,6 +286,69 @@ def slots_add(field: FieldTable, block: int, step: int, width: int,
                        for x in unpack_slots(block, width, count)), width)
 
 
+def _span_block(field: FieldTable, n: int,
+                payloads: Sequence[int]) -> tuple[int, int, int]:
+    """(block, width, count): every combination sum a_i x_i of the
+    payloads of F_q^n in slot j of a packed block for message j, in
+    base-q order (a_1 least significant); duplicates are kept.  It is the
+    one enumerator of whole members, behind a code's codeword block and
+    `span_payloads`; the span count at q = 3 builds only the members'
+    supports (`span_count_block`).
+
+    The members found so far sit in one packed block, member j in slot j
+    of n digits (see `slot_width`).  Row x then appends the q^i
+    members base + a x for each scalar a = 1 .. q - 1 in turn, each part
+    with a single `slots_add` to the part before it, so a span of q^l
+    members takes l (q - 1) block adds; the row's q - 1 adds share one
+    `slot_ones`.  The step added to every slot is (a - (a - 1)) x: x
+    itself for prime q, one small `payload_scale` otherwise.
+    """
+    q = field.q
+    width = slot_width(field.bits_per_digit, n * field.bits_per_digit)
+    block, count = 0, 1
+    for x in payloads:
+        part, shift = block, count * width
+        ones = slot_ones(width, count)
+        for a in range(1, q):
+            step = payload_scale(field, field.sub(a, a - 1), x)
+            part = slots_add(field, part, step, width, count, ones)
+            block |= part << (a * shift)
+        count *= q
+    return block, width, count
+
+
+def span_count_block(field: FieldTable, n: int, payloads: Sequence[int]
+                     ) -> tuple[FieldTable, int, int, int, int]:
+    """(field, n, block, width, count) for `block_in_balls`: slot j of the
+    block has the weight of the member of message j of the span of the
+    payloads of F_q^n, in the order of `_span_block`.
+
+    At q = 3 the block holds only the members' supports, one bit per
+    coordinate in `slot_width(1, n)` slots, and the field returned is
+    F_2.  The span is built on two such planes, the low and high bits of
+    every digit, with the same l (q - 1) block steps, each one
+    `_plane_add` of the row's planes repeated in every slot; their OR is
+    the support.  Other q return `_span_block` as it stands.
+    """
+    if field.q != 3:
+        return (field, n, *_span_block(field, n, payloads))
+    width, digits = slot_width(1, n), f"0{2 * n}b"
+    low = high = 0
+    count = 1
+    for x in payloads:
+        # chars 2(n - 1 - i) and 2(n - 1 - i) + 1: digit i's high, low bit
+        bits = format(x, digits)
+        ones = slot_ones(width, count)
+        xl, xh = int(bits[1::2], 2) * ones, int(bits[::2], 2) * ones
+        part_l, part_h, shift = low, high, count * width
+        for a in (1, 2):  # base + x, then base + 2x
+            part_l, part_h = _plane_add(part_l, part_h, xl, xh)
+            low |= part_l << a * shift
+            high |= part_h << a * shift
+        count *= 3
+    return field_new(2), n, low | high, width, count
+
+
 # (q, k) -> (even, bias, low) for the SWAR lane branch of payload_add
 # (q = 5, 7, 11, 13), and k -> the plane mask of its q = 3 branch, each
 # covering payloads below 2**(2**k); filled on first use, never at import.
@@ -459,15 +522,11 @@ def payload_add(field: FieldTable, x: int, y: int) -> int:
         return x ^ y
     q = field.q
     if q == 3:
-        # Digits 0, 1, 2 are 00, 01, 10: add on the low and high bit
-        # planes with six logic operations (Kawahara, Aoki and Takagi,
-        # Pairing 2008).
         k = ((x | y).bit_length() - 1).bit_length()
         ones = _PLANE_MASKS.get(k) or _plane_mask(k)
-        xl, xh = x & ones, (x >> 1) & ones
-        yl, yh = y & ones, (y >> 1) & ones
-        t = (xl | yh) ^ (xh | yl)
-        return ((xh | yh) ^ t) | (((xl | yl) ^ t) << 1)
+        low, high = _plane_add(x & ones, (x >> 1) & ones,
+                               y & ones, (y >> 1) & ones)
+        return low | high << 1
     b = field.bits_per_digit
     if field.degree == 1:
         k = ((x | y).bit_length() - 1).bit_length()
@@ -489,10 +548,24 @@ def payload_add(field: FieldTable, x: int, y: int) -> int:
     return out
 
 
+def _plane_add(xl: int, xh: int, yl: int, yh: int) -> tuple[int, int]:
+    """The low and high bit planes of x + y over F_3, from those of x and
+    y, with six logic operations (Kawahara, Aoki and Takagi, Pairing
+    2008): digits 0, 1, 2 are (low, high) = (0, 0), (1, 0), (0, 1), one
+    bit of each plane per digit, at any spacing and in any width."""
+    t = (xl | yh) ^ (xh | yl)
+    return (xh | yh) ^ t, (xl | yl) ^ t
+
+
 def payload_scale(field: FieldTable, a: int, x: int) -> int:
     """Every digit of a packed payload times the field element a (hot-loop form)."""
     if a <= 1:
         return x if a else 0
+    if field.q == 3:
+        # a = 2 = -1: swap the two bit planes, 01 <-> 10
+        k = (x.bit_length() - 1).bit_length()
+        ones = _PLANE_MASKS.get(k) or _plane_mask(k)
+        return (x & ones) << 1 | (x >> 1) & ones
     b = field.bits_per_digit
     if field.degree == 1 and a == field.q - 1:
         # -x for prime q: q - d at every nonzero digit d, which never

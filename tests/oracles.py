@@ -132,6 +132,14 @@ def span_in_message_order(rows: Sequence[Digits], q: int, n: int, add: dict,
     return out
 
 
+def brute_span_weights(rows: Sequence[Digits], q: int, n: int, add: dict,
+                       mul: dict) -> Counter:
+    """Weight -> number of distinct members of the span of the rows, from
+    the digit tuple of every coefficient tuple (itertools.product)."""
+    span = set(span_in_message_order(rows, q, n, add, mul))
+    return Counter(brute_weight(t) for t in span)
+
+
 def brute_ball_volume(n: int, r: int, q: int) -> int:
     return sum(1 for t in all_tuples(q, n) if brute_weight(t) <= r)
 

@@ -26,7 +26,7 @@ from ldlab import (
 )
 from ldlab.codes import _coset_tally, _span_block, span_in_ball, span_payloads
 from ldlab.errors import check_power
-from ldlab.gfq import _BATCH, unpack_slots
+from ldlab.gfq import _BATCH, slot_width, span_count_block, unpack_slots
 
 import oracles
 from oracles import PRIME_POWERS, field_tables
@@ -295,6 +295,63 @@ def test_span_in_ball_refuses_as_span_payloads():
         span_in_ball([], 1)
     with pytest.raises(ResourceBudgetError):
         span_in_ball([VecQ.from_digits(f, [1] * 30) for _ in range(30)], 1)
+
+
+F3_LENGTHS = (1, 2, 31, 32, 33, 63, 64, 65)  # across the plane slot widths
+
+
+@st.composite
+def f3_rows(draw) -> list[tuple[int, ...]]:
+    """1 to 5 rows of F_3^n, n in F3_LENGTHS; some sets repeat a row or
+    hold a zero row, so that every member fills several slots."""
+    n = draw(st.sampled_from(F3_LENGTHS))
+    defect = draw(st.sampled_from(("none", "repeat", "zero")))
+    digits = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(digits, min_size=1, max_size=5 - (defect != "none")))
+    j = draw(st.integers(0, len(rows) - 1))
+    if defect == "repeat":
+        rows.append(rows[j])
+    elif defect == "zero":
+        rows.insert(j, (0,) * n)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(f3_rows())
+@example([(1,) + (0,) * 64, (0, 2) + (0,) * 63, (0,) * 65])
+@example([(2, 1) * 16, (2, 1) * 16])
+def test_span_in_ball_at_q3_matches_brute_span(rows):
+    """At q = 3, where span_in_ball counts on two bit planes, it gives the
+    distinct members of the span and those within every radius 0 .. n as
+    the digit tuples of every coefficient tuple do, with repeated and zero
+    rows among the sets."""
+    f = field_new(3)
+    n = len(rows[0])
+    weights = oracles.brute_span_weights(rows, 3, n, *field_tables(3))
+    vectors = [VecQ.from_digits(f, r) for r in rows]
+    size = sum(weights.values())
+    inside = 0
+    for radius in range(n + 1):
+        inside += weights[radius]
+        assert span_in_ball(vectors, radius) == (size, inside), radius
+
+
+@pytest.mark.parametrize("n", F3_LENGTHS)
+def test_q3_span_count_block_holds_supports_in_one_bit_slots(n):
+    """At q = 3 the counted block is one of F_2^n: slot j, in
+    slot_width(1, n) bits, holds the support of message j's member, in
+    the message order of the interleaved `_span_block`."""
+    f = field_new(3)
+    rng = random.Random(n)
+    rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)]
+    rows.append(rows[0])
+    two, length, block, width, count = span_count_block(
+        f, n, [VecQ.from_digits(f, r).payload for r in rows])
+    assert (two.q, length, width, count) == (2, n, slot_width(1, n), 3 ** 5)
+    supports = [sum(1 << i for i, d in enumerate(t) if d)
+                for t in oracles.span_in_message_order(rows, 3, n,
+                                                       *field_tables(3))]
+    assert list(unpack_slots(block, width, count)) == supports
 
 
 def assert_tally_matches_oracle(q: int, rows: list[tuple[int, ...]], n: int,

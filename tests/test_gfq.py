@@ -621,23 +621,24 @@ def test_negation_matches_tuple_arithmetic(q, n):
 
 
 def test_only_prime_fields_negate_on_flags(monkeypatch):
-    """Prime q > 2 negates through the digit flags; q = 4, 8, 9 and 16
-    keep their paths (-1 = 1 in characteristic 2, the digit loop for
-    q = 9), and stay exact with the flag fold taken away."""
+    """Prime q > 3 negates through the digit flags; q = 3 swaps its two
+    bit planes, q = 4, 8, 9 and 16 keep their paths (-1 = 1 in
+    characteristic 2, the digit loop for q = 9), and all five stay exact
+    with the flag fold taken away."""
 
     def refuse(*args):
         raise AssertionError("digit flags used")
 
     monkeypatch.setattr(gfq, "_digit_flags", refuse)
     rng = random.Random(4)
-    for q in (4, 8, 9, 16):
+    for q in (3, 4, 8, 9, 16):
         f = field_new(q)
         add, mul = field_tables(q)
         u = tuple(rng.randrange(q) for _ in range(20))
         assert (-VecQ.from_digits(f, u)).digits() == oracles.tuple_neg(u, q, add)
         assert unpack(q, 20, payload_scale(f, q - 1, pack(q, u))) \
             == tuple(mul[(q - 1, d)] for d in u)
-    for q in (3, 5, 7, 11, 13):
+    for q in (5, 7, 11, 13):
         with pytest.raises(AssertionError, match="digit flags used"):
             -VecQ.from_digits(field_new(q), [1, 2])
 
