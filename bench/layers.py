@@ -10,11 +10,12 @@ parts, and one run of a part calls its function on all of the row's
 inputs:
 
 - span, (q, n, l, p, trials).  Trial t draws its l points of
-  B(0, floor(p n)) as `span-exp` does at seed 12345.  Parts:
-  `codes._span_block` of each trial's payloads (all q^l members in one
-  packed block); `gfq.block_in_balls` of the block at radius 0 (zeros,
-  so that q^l / zeros is the distinct count) and at the ball's radius
-  (count, divided by zeros); `gfq.rank_of`; `codes.span_in_ball` as the
+  B(0, floor(p n)) as `span-exp` does at seed 12345.  Parts, as
+  `codes.span_in_ball` runs them: `gfq.span_count_block` of each trial's
+  payloads (all q^l members in one packed block; at q = 3 their supports,
+  built on two bit planes); `gfq.block_in_balls` of that block at radius
+  0 (zeros, so that q^l / zeros is the distinct count) and at the ball's
+  radius (count, divided by zeros); `gfq.rank_of`; `span_in_ball` as the
   trial job of `experiments._span_job` calls it; and that job itself
   over the row's trials, the whole trial with its sampling.  Checked:
   `span_in_ball` and the trial count what the parts count, q^l / zeros
@@ -45,9 +46,10 @@ peak memory of one more, traced run above what was live before it
 (tracemalloc, so Python objects and not the allocator's slack); then the
 row's counts and SHA-256 digests, whose texts are those recorded in
 BENCH_11, 12, 13 and 18 (the pair digest is pinned in tests/test_bench.py).
-The span parts call `_span_block(field, n, payloads)`; a checkout older
-than that signature, or lacking any name imported here, needs an edited
-copy of this file.
+The span parts call `span_count_block(field, n, payloads)`; a checkout
+older than it, or lacking any name imported here, needs an edited copy
+of this file (before it, the counted block was `codes._span_block`'s,
+over the field itself).
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ import oracles  # noqa: E402
 from ldlab.chains import (chain_find, format_chain,  # noqa: E402
                           format_witness, longest_chain_oracle,
                           oracle_best_translate, shatter_find)
-from ldlab.codes import (_coset_tally, _span_block, random_code,  # noqa: E402
-                         span_in_ball)
+from ldlab.codes import _coset_tally, random_code, span_in_ball  # noqa: E402
 from ldlab.experiments import (SpanTrialConfig, _span_job,  # noqa: E402
                                exact_pair_sum_probability)
-from ldlab.gfq import VecQ, block_in_balls, field_new, rank_of  # noqa: E402
+from ldlab.gfq import (VecQ, block_in_balls, field_new, rank_of,  # noqa: E402
+                       span_count_block)
 from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
                            uniform_payload)
 from ldlab.seeding import derive_stream  # noqa: E402
@@ -144,17 +146,16 @@ def span_row(q: int, n: int, ell: int, p: str, trials: int) -> Row:
         rng = derive_stream(SPAN_SEED, "span", t)
         points.append([sample_ball_uniform(spec, rng) for _ in range(ell)])
     payloads = [[v.payload for v in vecs] for vecs in points]
-    blocks = [_span_block(field, n, rows) for rows in payloads]
+    blocks = [span_count_block(field, n, rows) for rows in payloads]
     job = _span_job(SpanTrialConfig(n, Fraction(p), q, ell, trials, SPAN_SEED),
                     spec)
 
     def in_ball(radius: int) -> list[int]:
-        return [block_in_balls(field, n, *block, (radius,))[0]
-                for block in blocks]
+        return [block_in_balls(*counted, (radius,))[0] for counted in blocks]
 
     def finish(out: dict) -> dict:
         pairs = []
-        for (_, _, total), zeros, count, rank, both in zip(
+        for (*_, total), zeros, count, rank, both in zip(
                 out["span"], out["zeros"], out["count"], out["rank"],
                 out["span_in_ball"]):
             assert total // zeros == q ** rank
@@ -165,7 +166,8 @@ def span_row(q: int, n: int, ell: int, p: str, trials: int) -> Row:
             "".join(f"{size} {count}\n" for size, count in pairs))}
 
     return Row({"q_n_l_p": [q, n, ell, p]}, trials, {
-        "span": lambda: [_span_block(field, n, rows) for rows in payloads],
+        "span": lambda: [span_count_block(field, n, rows)
+                         for rows in payloads],
         "zeros": lambda: in_ball(0),
         "count": lambda: in_ball(spec.radius),
         "rank": lambda: [rank_of(vecs) for vecs in points],

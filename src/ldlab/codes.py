@@ -13,14 +13,15 @@ against the forward `gfq.echelon` basis that `rank_of` also counts (see
 kept as the exhaustive oracle.  Every checker counts distinct codewords,
 also for rank-deficient generators.
 
-One enumerator, `_span_block`, lists both a code's q^k encodings and the
-span that `span-exp` counts, in one layout: slot j holds message j's
+One enumerator, `gfq._span_block`, lists both a code's q^k encodings and
+the span that `span-exp` counts, in one layout: slot j holds message j's
 member in n digits.  It adds a whole block of span members per (row,
-scalar) with `gfq.slots_add`, for every q.  Every count reads the block
+scalar) with `gfq.slots_add`, for every q.  Every count reads a block
 as it stands.  The map from messages to members is linear, so every member
 fills as many slots as 0 does, and a slot count divided by the zero
 slots counts distinct members.  `span_in_ball` counts the span's
-members, and those in the ball, with one `gfq.block_in_balls` pass.
+members, and those in the ball, with one `gfq.block_in_balls` pass on
+`gfq.span_count_block`, which at q = 3 holds only the members' supports.
 `full` and the Monte Carlo checker count the codewords within the
 radius of a center x with one `gfq.block_in_balls` on the code's block,
 x XORed into every slot: d(x, c) is the weight of x ^ c for every q.
@@ -147,9 +148,11 @@ def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     """(|S|, |S ∩ B(0, radius)|) for the span S of the vectors, both
     counted over distinct members; refusals as `span_payloads`.
 
-    Both are counted on the block that lists the q^l combinations, as it
-    stands.  a -> sum a_i v_i is linear, so every member of S fills as
-    many slots as 0 does: the zero slots, the count at radius 0.
+    Both are counted on `gfq.span_count_block`, whose slot j has the
+    weight of the combination of message j, as it stands: at q = 3 the
+    support built on two bit planes, one bit per coordinate, otherwise
+    the member.  a -> sum a_i v_i is linear, so every member of S fills
+    as many slots as 0 does: the zero slots, the count at radius 0.
     Dividing the slot counts by that gives the distinct ones.  One
     `gfq.block_in_balls` call at radii (0, radius) counts the zero slots
     and the in-ball slots from one tree of digit flags.

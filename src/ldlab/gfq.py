@@ -24,15 +24,17 @@ The payload kernels (`payload_add`, `payload_scale`, `payload_weight`,
 the single implementation of field arithmetic on packed vectors: `VecQ`
 methods, `rank_of` and the other modules wrap them, and no other module
 reads the field tables.  `payload_add` picks its kernel by q: XOR for
-characteristic 2 (q = 2, 4, 8, 16), six AND/OR/XOR operations on the two
-bit planes of every digit for q = 3 (see `_plane_mask`), SWAR lanes for
+characteristic 2 (q = 2, 4, 8, 16), the one F_3 plane add `_plane_add`
+(six AND/OR/XOR operations) on the two bit planes of every digit for
+q = 3 (see `_plane_mask`), SWAR lanes for
 the other odd primes (5, 7, 11, 13; one integer add across every digit,
 see `_lane_masks`), and a digit loop over the addition table for q = 9,
 whose digits are not independent mod-p lanes.  The plane and lane masks
 are kept per power-of-two width class of the operands, so a short add
 never pays for masks built for a longer one.  `payload_scale` negates
-for prime q without a digit loop: -x is q * flags - x, flags marking the
-nonzero digits, and no digit borrows since each is below q.  At q = 3
+for prime q without a digit loop: at q = 3 by swapping the two bit
+planes, for the other odd primes as q * flags - x, flags marking the
+nonzero digits, where no digit borrows since each is below q.  At q = 3
 every scalar is 0, 1 or -1, so `echelon` (the one elimination, behind
 `rank_of` and the coset labels in `codes`) and `payload_reduce` scale
 there without a digit loop; other scalars, and q = 4, 8, 9, 16, keep
@@ -42,9 +44,13 @@ XOR, the bit planes and SWAR add integers of any width, so they also act
 on a block: many payloads of F_q^n side by side in fixed-width slots,
 each wide enough for n digits (`slot_width`, `slot_ones`, `pack_slots`,
 `unpack_slots`).  `slots_add` adds one step to every slot of a block,
-with one such add, or slot by slot for q = 9; the span enumerator in
-`codes` and the ball walk in `hamming` add whole blocks through it.
-`block_in_balls` counts the slots of a block that lie in Hamming balls
+with one such add, or slot by slot for q = 9; the span enumerator
+`_span_block` and the ball walk in `hamming` add whole blocks through it.
+`span_count_block` gives the block a span is counted on: `_span_block`'s
+members, or at q = 3 only their supports, one bit per coordinate.  Those
+are built on two blocks of that layout, the low and high bit planes of
+the members, with `_plane_add` and no masks, and counted as a block of
+F_2^n: half the bits of the interleaved digits.  `block_in_balls` counts the slots of a block that lie in Hamming balls
 around 0, one count per radius asked: it OR-folds every digit onto a
 flag (`_digit_flags`, which `payload_weight` shares) and sums the flags
 per slot in a tree of masked adds, once per slice of the block, then

@@ -36,16 +36,22 @@ SPAN_DIGESTS = {  # BENCH_18.json
     (2, 8, 10, "1/4", 10):
         "d7c83006c19013665a8e71096e20159e74de349d4e0f301d5f47e6a2cebe1289",
     (16, 10, 3, "1/5", 10):
-        "88d506426f58f55a0fc2810023ebd81d7ae9e434a42ae0010e908c76aae577e6"}
+        "88d506426f58f55a0fc2810023ebd81d7ae9e434a42ae0010e908c76aae577e6",
+    # the q = 3 rows, counted on two bit planes: the span-q3 trial and a
+    # span of several gfq._BATCH slices
+    (3, 32, 6, "1/4", 40):
+        "019fdedcbda0e2fa132b023e3ff6a5b55463d219328f164b47225fd280345d3c",
+    (3, 20, 9, "1/5", 4):
+        "20bec632eadac17ea9754dc78074ffb57914c75ab6969c97c63c3e16b24c01cd"}
 
 
 @pytest.mark.parametrize("q,n,ell,p,trials", list(SPAN_DIGESTS))
 def test_span_layer_rows_run(layers, q, n, ell, p, trials):
     """The span layer's two smallest rows (the q = 2 one has duplicate
-    members) print the digests of their (distinct size, in-ball count)
-    pairs recorded in `BENCH_18.json`; the row asserts that the trial
-    counts what its parts count, q^l / zeros = q^rank and no rank check
-    fails."""
+    members) and its two q = 3 rows print the digests of their (distinct
+    size, in-ball count) pairs recorded in `BENCH_18.json`; the row
+    asserts that the trial counts what its parts count, q^l / zeros =
+    q^rank and no rank check fails."""
     out = _run(layers, "span", (q, n, ell, p, trials))
     assert out["q_n_l_p"] == [q, n, ell, p]
     assert out["members"] == q ** ell
