@@ -26,12 +26,12 @@ methods, `rank_of` and the other modules wrap them, and no other module
 reads the field tables.  `payload_add` picks its kernel by q: XOR for
 characteristic 2 (q = 2, 4, 8, 16), the one F_3 plane add `_plane_add`
 (six AND/OR/XOR operations) on the two bit planes of every digit for
-q = 3 (see `_plane_mask`), SWAR lanes for
-the other odd primes (5, 7, 11, 13; one integer add across every digit,
-see `_lane_masks`), and a digit loop over the addition table for q = 9,
-whose digits are not independent mod-p lanes.  The plane and lane masks
-are kept per power-of-two width class of the operands, so a short add
-never pays for masks built for a longer one.  `payload_scale` negates
+q = 3 (see `_plane_mask`), SWAR lanes for the other odd primes (5, 7,
+11, 13; one integer add across every digit, see `_lane_masks`), and a
+digit loop over the addition table for q = 9, whose digits are not
+independent mod-p lanes.  The plane and lane masks are kept per
+power-of-two width class of the operands, so a short add never pays for
+masks built for a longer one.  `payload_scale` negates
 for prime q without a digit loop: at q = 3 by swapping the two bit
 planes, for the other odd primes as q * flags - x, flags marking the
 nonzero digits, where no digit borrows since each is below q.  At q = 3
@@ -50,16 +50,17 @@ with one such add, or slot by slot for q = 9; the span enumerator
 members, or at q = 3 only their supports, one bit per coordinate.  Those
 are built on two blocks of that layout, the low and high bit planes of
 the members, with `_plane_add` and no masks, and counted as a block of
-F_2^n: half the bits of the interleaved digits.  `block_in_balls` counts the slots of a block that lie in Hamming balls
-around 0, one count per radius asked: it OR-folds every digit onto a
-flag (`_digit_flags`, which `payload_weight` shares) and sums the flags
-per slot in a tree of masked adds, once per slice of the block, then
-finds the slots over each radius with one biased add and one
-`bit_count`.  It is the one batch count: the span trial and the
-list-decoding checkers in `codes` count their packed blocks with it, and
-nothing counts a ball payload by payload.  No other module reads a
-field's characteristic or degree either, so every choice of kernel by q
-is made here.
+F_2^n: half the bits of the interleaved digits.  `block_in_balls`
+counts the slots of a block that lie in Hamming balls around 0, one
+count per radius asked: it OR-folds every digit onto a flag
+(`_digit_flags`, which `payload_weight` shares) and sums the flags per
+slot in a tree of masked adds, once per slice of the block, then finds
+the slots over each radius with one biased add and one `bit_count`.  It
+is the one batch count: the span trial and the list-decoding checkers in
+`codes` count their packed blocks with it, and nothing counts a ball
+payload by payload.  No other module reads a field's characteristic or
+degree either, so every choice of kernel by q, the span count's among
+them, is made here.
 """
 
 from __future__ import annotations
