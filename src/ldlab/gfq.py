@@ -31,14 +31,13 @@ q = 3 (see `_plane_mask`), SWAR lanes for the other odd primes (5, 7,
 digit loop over the addition table for q = 9, whose digits are not
 independent mod-p lanes.  The plane and lane masks are kept per
 power-of-two width class of the operands, so a short add never pays for
-masks built for a longer one.  `payload_scale` negates
-for prime q without a digit loop: at q = 3 by swapping the two bit
-planes, for the other odd primes as q * flags - x, flags marking the
-nonzero digits, where no digit borrows since each is below q.  At q = 3
-every scalar is 0, 1 or -1, so `echelon` (the one elimination, behind
-`rank_of` and the coset labels in `codes`) and `payload_reduce` scale
-there without a digit loop; other scalars, and q = 4, 8, 9, 16, keep
-it.
+masks built for a longer one.  `payload_scale` negates for prime q
+without a digit loop: at q = 3 by swapping the two bit planes, for the
+other odd primes as q * flags - x, flags marking the nonzero digits,
+where no digit borrows since each is below q.  At q = 3 every scalar is
+0, 1 or -1, so `echelon` (the one elimination, behind `rank_of` and the
+coset labels in `codes`) and `payload_reduce` scale there without a
+digit loop; other scalars, and q = 4, 8, 9, 16, keep it.
 
 XOR, the bit planes and SWAR add integers of any width, so they also act
 on a block: many payloads of F_q^n side by side in fixed-width slots,
