@@ -257,6 +257,34 @@ def test_long_code_is_refused_before_any_digit(argv):
     assert elapsed < 1, elapsed
 
 
+SWEEP = ["rate-sweep", "--q", "2", "--n", "8", "--codes", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*SWEEP, "--p", "1e400", "--eps", "1/10"],
+    [*SWEEP, "--p", "1/6", "--eps", "1e-400"],
+    [*SWEEP, "--p", "1/6", "--eps=-1e400"],
+    [*SWEEP, "--p", "1/6", "--eps", "1e-300", "--c-constant", "1e300"],
+    ["entropy", "--x", "1e400", "--q", "2"],
+    # past the 4300-digit str limit, where printing raised ValueError
+    ["entropy", "--x", "1e5000", "--q", "2"],
+    [*SWEEP, "--p", "1/6", "--eps", "1e-5000"],
+])
+def test_range_error_on_a_long_rational_is_one_short_line(capsys, argv):
+    """A rational out of range is named in one line of at most 200 bytes,
+    not with its hundreds of digits (about 450 bytes for 1e400)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) <= 200, err
+
+
+def test_range_error_on_a_short_rational_prints_it_exactly(capsys):
+    code, _, err = run_cli(capsys, "entropy", "--x", "3/2", "--q", "2")
+    assert code == 2
+    assert err == "ldlab: error: entropy argument x=3/2 outside [0, 1]\n"
+
+
 def test_long_ball_volume_under_the_budget_still_prints(capsys):
     """Thousands of digits are fine: 2^9999 < |B(0, 5000)| < 2^10000."""
     code, out, _ = run_cli(capsys, "ball-volume", "--n", "10000", "--p", "1/2",
