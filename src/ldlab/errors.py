@@ -2,7 +2,11 @@
 place that raises ResourceBudgetError: every exact path asks it before it
 starts work that grows past what a run can hold.  `check_power` asks it
 about a power q^e from its exponent, before the power is built.
+`format_rational` writes a rational into an error message.
 """
+
+import decimal
+from fractions import Fraction
 
 # Most centers, ball points, span members, trial jobs or pair-count terms
 # that an exact path takes on.
@@ -44,3 +48,19 @@ def check_power(what: str, q: int, exponent: int, factor: int = 1,
     power = q ** (exponent if exponent < cap else cap)
     check_budget(what, factor * power, budget)
     return power
+
+
+_SHOWN = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def format_rational(x: Fraction) -> str:
+    """str(x) when its numerator and denominator fit in 128 bits; a longer
+    x in scientific notation to six significant digits, with "~" in front
+    when that rounds it ("1e+400", "~6.66667e+399").  Its digits would say
+    nothing more, and past 4300 of them str() refuses."""
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) <= 128:
+        return str(x)
+    context = _SHOWN.copy()
+    shown = context.divide(decimal.Decimal(x.numerator),
+                           decimal.Decimal(x.denominator)).normalize(context)
+    return ("~" if context.flags[decimal.Inexact] else "") + format(shown, "e")

@@ -42,7 +42,8 @@ from typing import Callable
 
 from .codes import (Code, check_generator_size, check_ld_exact,
                     histogram_record, random_code, span_in_ball)
-from .errors import ParameterError, check_budget, check_power
+from .errors import (ParameterError, check_budget, check_power,
+                     format_rational)
 from .gfq import field_new, payload_add, payload_distance, rank_of
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       check_ball_volume, check_sample_budget, entropy_q,
@@ -452,7 +453,7 @@ class SweepConfig:
                 f"codes_per_point={self.codes_per_point} must be >= 1")
         if not self.eps_grid:
             raise ParameterError("eps_grid must be nonempty")
-        bad = [str(e) for e in self.eps_grid if e <= 0]
+        bad = [format_rational(e) for e in self.eps_grid if e <= 0]
         if bad:
             raise ParameterError(f"eps must be > 0, got {', '.join(bad)}")
         if not (math.isfinite(self.c_constant) and self.c_constant > 0):
@@ -463,10 +464,12 @@ class SweepConfig:
                 ratio = self.c_constant / float(e)
             except (OverflowError, ZeroDivisionError):
                 raise ParameterError(
-                    f"eps={e} rounds to 0 or overflows as a float") from None
+                    f"eps={format_rational(e)} rounds to 0 or overflows "
+                    "as a float") from None
             if not math.isfinite(ratio):
                 raise ParameterError(
-                    f"c_constant={self.c_constant} over eps={e} overflows a float")
+                    f"c_constant={self.c_constant} over "
+                    f"eps={format_rational(e)} overflows a float")
 
 
 @dataclass(frozen=True)
@@ -530,7 +533,7 @@ def sweep_dimension(config: SweepConfig, eps: Fraction) -> int:
 def sweep_candidate_list_size(config: SweepConfig, eps: Fraction) -> int:
     """Candidate list size ceil(C / eps) for the failure-frequency readout."""
     if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
+        raise ParameterError(f"eps must be > 0, got {format_rational(eps)}")
     return max(1, math.ceil(config.c_constant / float(eps)))
 
 
@@ -544,7 +547,8 @@ def regenerate_sweep_code(config: SweepConfig, grid_index: int,
     eps = config.eps_grid[grid_index]
     k = sweep_dimension(config, eps)
     if k < 1:
-        raise ParameterError(f"grid point eps={eps} is degenerate (k={k})")
+        raise ParameterError(f"grid point eps={format_rational(eps)} is "
+                             f"degenerate (k={k})")
     rng = derive_stream(config.seed, "sweep", grid_index, code_index)
     return random_code(config.n, k, config.q, True, rng)
 

@@ -38,7 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .errors import ENUMERATION_BUDGET, ParameterError, check_budget
+from .errors import (ENUMERATION_BUDGET, ParameterError, check_budget,
+                     format_rational)
 from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add,
                   slot_width, slots_add, unpack_slots)
 
@@ -69,7 +70,8 @@ def radius_of(p: RadiusParam, n: int) -> int:
     """floor(p * n) computed exactly."""
     frac = as_fraction(p)
     if frac < 0 or frac > 1:
-        raise ParameterError(f"error fraction p={frac} outside [0, 1]")
+        raise ParameterError(
+            f"error fraction p={format_rational(frac)} outside [0, 1]")
     if n < 1:
         raise ParameterError(f"length n={n} must be >= 1")
     return (frac.numerator * n) // frac.denominator
@@ -84,7 +86,8 @@ def entropy_q(x: RadiusParam, q: int) -> float:
         raise ParameterError(f"entropy base q={q} must be >= 2")
     frac = as_fraction(x)
     if not 0 <= frac <= 1:
-        raise ParameterError(f"entropy argument x={frac} outside [0, 1]")
+        raise ParameterError(
+            f"entropy argument x={format_rational(frac)} outside [0, 1]")
     xf = float(frac)
     if xf == 0.0:
         return 0.0

@@ -25,7 +25,7 @@ from ldlab import (
     rank_of,
 )
 from ldlab.codes import _coset_tally, _span_block, span_in_ball, span_payloads
-from ldlab.errors import check_power
+from ldlab.errors import check_power, format_rational
 from ldlab.gfq import _BATCH, slot_width, span_count_block, unpack_slots
 
 import oracles
@@ -588,6 +588,16 @@ def test_check_power_refuses_by_the_exponent():
         with pytest.raises(ResourceBudgetError) as excinfo:
             check_power(*args, budget=budget)
         assert str(excinfo.value) == text
+
+
+def test_format_rational_rounds_only_past_128_bits():
+    """A rational whose numerator and denominator fit in 128 bits prints
+    exactly; a longer one to six digits, "~" marking a rounded value."""
+    short = Fraction(2**128 - 1, 3)
+    assert format_rational(short) == str(short)
+    assert format_rational(Fraction(-10**400)) == "-1e+400"
+    assert format_rational(Fraction(2 * 10**400, 3)) == "~6.66667e+399"
+    assert format_rational(Fraction(1, 2**129)) == "~1.46937e-39"
 
 
 def test_montecarlo_never_exceeds_exact_and_usually_matches():
