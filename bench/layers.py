@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py [--repeats 5] [--layer {span,tally,chains,sampling,pair}]
+    python3 bench/layers.py [--repeats 5] [--layer {span,tally,chains,sampling,pair,runner}]
 
 `CASES` is one table of rows, each tagged with its layer; `--layer` runs
 one layer's rows, and without it every row runs.  A row is split into
@@ -38,6 +38,19 @@ inputs:
 - pair, (q, n, p).  `experiments.exact_pair_sum_probability` at one
   center of each weight w = 0 .. n, the first w digits 1.  Digest: the
   n + 1 probabilities as "a/b" lines.
+- runner, (shape, ...).  One run of `experiments._run_trials` at
+  --workers 2 (fewer on fewer cores) per call, under three fork floors:
+  0, so that every chunk is forked before the first job (forked);
+  infinite, so that the caller runs every job (serial); and
+  `experiments.FORK_FLOOR_S` (lazy), with the runs that forked counted
+  over the part's repeats and its traced run.  Shapes: ("fixed", ms),
+  10 jobs of one cell that each spin for ms / 10 milliseconds, a
+  child's chunk half of ms; where forked first beats serial as ms
+  grows, half that ms is the floor FORK_FLOOR_S should be.
+  ("rate-sweep-q2",) and ("span-q3",) run the benchmark workloads' full
+  jobs at seed 12345 through `run_rate_sweep` and `run_span_experiment`.
+  Checked: the three floors give the same output.  Digest: the record
+  as the CLI writes it with --json, the workload's pinned digest.
 
 Each row prints one JSON object: the layer, the row's identifying fields,
 the calls (or trials) per run of a part and the repeats; for each part
@@ -45,7 +58,9 @@ the median and minimum microseconds per call over the timed runs, and the
 peak memory of one more, traced run above what was live before it
 (tracemalloc, so Python objects and not the allocator's slack); then the
 row's counts and SHA-256 digests, whose texts are those recorded in
-BENCH_11, 12, 13 and 18 (the pair digest is pinned in tests/test_bench.py).
+BENCH_11, 12, 13 and 18 (the pair and runner digests are pinned in
+tests/test_bench.py).  The runner rows read the module constant
+`experiments.FORK_FLOOR_S`; a checkout without it has no runner layer.
 The span parts call `span_count_block(field, n, payloads)`; a checkout
 older than it, or lacking any name imported here, needs an edited copy
 of this file (before it, the counted block was `codes._span_block`'s,
@@ -62,6 +77,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -74,8 +90,11 @@ from ldlab.chains import (chain_find, format_chain,  # noqa: E402
                           format_witness, longest_chain_oracle,
                           oracle_best_translate, shatter_find)
 from ldlab.codes import _coset_tally, random_code, span_in_ball  # noqa: E402
-from ldlab.experiments import (SpanTrialConfig, _span_job,  # noqa: E402
-                               exact_pair_sum_probability)
+from ldlab import experiments  # noqa: E402
+from ldlab.experiments import (SpanTrialConfig, SweepConfig,  # noqa: E402
+                               _run_trials, _span_job,
+                               exact_pair_sum_probability, run_rate_sweep,
+                               run_span_experiment)
 from ldlab.gfq import (VecQ, block_in_balls, field_new, rank_of,  # noqa: E402
                        span_count_block)
 from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
@@ -83,6 +102,7 @@ from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
 from ldlab.seeding import derive_stream  # noqa: E402
 
 SPAN_SEED = 12345
+RUNNER_SEED = 12345   # the seed of the benchmark's pinned digests
 CHAINS_SETS, CHAINS_SEED, TRANSLATE_LIMIT = 40, 11, 256
 SAMPLING_CALLS, SAMPLING_SEED = 2000, 11
 
@@ -124,6 +144,11 @@ CASES = (
       for k in (5, 4, 2)),
     # (q, n, p), small enough for a brute pair count.
     Case("pair", (2, 12, "1/4")), Case("pair", (3, 8, "1/4")),
+    # Total work in ms around the crossover of forked and serial, then
+    # the two workloads on either side of the floor.
+    *(Case("runner", ("fixed", ms))
+      for ms in (1, 2, 4, 6, 8, 10, 12, 16, 32)),
+    Case("runner", ("rate-sweep-q2",)), Case("runner", ("span-q3",)),
 )
 
 
@@ -281,8 +306,65 @@ def pair_row(q: int, n: int, p: str) -> Row:
                          for x in centers]}, finish)
 
 
+def spin_job(ms: float) -> Callable[[int, int], int]:
+    """A job that keeps the CPU busy for `ms` milliseconds, then gives t."""
+    def job(cell: int, t: int) -> int:
+        end = time.perf_counter() + ms / 1000
+        while time.perf_counter() < end:
+            pass
+        return t
+
+    return job
+
+
+RUNNER_JOBS = {
+    "rate-sweep-q2": lambda: run_rate_sweep(SweepConfig(
+        18, 2, Fraction(1, 6), (Fraction(1, 20), Fraction(1, 10),
+                                Fraction(1, 5)), 5, RUNNER_SEED), workers=2),
+    "span-q3": lambda: run_span_experiment(SpanTrialConfig(
+        32, Fraction(1, 4), 3, 6, 100, RUNNER_SEED), workers=2)}
+
+
+def runner_row(shape: str, *params) -> Row:
+    if shape == "fixed":
+        (ms,) = params
+        job = spin_job(ms / 10)
+        run = lambda: _run_trials(job, 1, 10, 2)
+    else:
+        run = RUNNER_JOBS[shape]
+    forks = Counter()
+
+    def under(floor: float, name: str) -> Callable[[], object]:
+        """`run` with the fork floor set to `floor`, its forks counted."""
+        def part():
+            saved = experiments.FORK_FLOOR_S, experiments._fork_chunk
+
+            def fork_chunk(*args):
+                forks[name] += 1
+                return saved[1](*args)
+
+            experiments.FORK_FLOOR_S, experiments._fork_chunk = floor, fork_chunk
+            try:
+                return run()
+            finally:
+                experiments.FORK_FLOOR_S, experiments._fork_chunk = saved
+
+        return part
+
+    def finish(out: dict) -> dict:
+        assert out["forked"] == out["serial"] == out["lazy"]
+        text = (json.dumps(out["lazy"]) if shape == "fixed" else
+                json.dumps(out["lazy"].as_record(), sort_keys=True) + "\n")
+        return {"floor_s": experiments.FORK_FLOOR_S,
+                "lazy_forks": forks["lazy"], "sha256": sha256(text)}
+
+    return Row({"shape": [shape, *params]}, 1, {
+        "forked": under(0, "forked"), "serial": under(float("inf"), "serial"),
+        "lazy": under(experiments.FORK_FLOOR_S, "lazy")}, finish)
+
+
 BUILDERS = {"span": span_row, "tally": tally_row, "chains": chains_row,
-            "sampling": sampling_row, "pair": pair_row}
+            "sampling": sampling_row, "pair": pair_row, "runner": runner_row}
 
 
 def time_part(run: Callable[[], object], repeats: int) -> tuple[float, float]:

@@ -38,6 +38,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from time import perf_counter
 from typing import Callable
 
 from .codes import (Code, check_generator_size, check_ld_exact,
@@ -52,6 +53,11 @@ from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
 from .seeding import derive_stream
 
 SCHEMA_VERSION = 1
+
+# The least work, in seconds, that a trial chunk must be estimated to hold
+# before _run_trials forks a child for it; below it the fork costs more
+# than it saves.  Measured by the runner rows of bench/layers.py.
+FORK_FLOOR_S = 0.004
 
 
 def _clamp_workers(workers: int) -> int:
@@ -75,10 +81,15 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
     Jobs run in trial-major order, index t * cells + cell, in the
     contiguous chunks of _chunk_ranges, so every chunk mixes all cells
     evenly even when their costs differ.  The caller runs the first chunk
-    and _fork_chunk each further one in a child, so --workers N starts
-    at most N - 1 children, N clamped to the core count, and a one-chunk
-    run forks nothing.  A child's exception is re-raised here with its
-    type and message; a child that ends without a result raises
+    and forks a child for each further one (_fork_chunk) only once that
+    chunk outweighs a fork: before each of its own jobs it multiplies the
+    mean job time so far by the next chunk's length, and forks every
+    child as soon as that reaches FORK_FLOOR_S.  If its chunk ends first,
+    it runs the other chunks itself, in order, and forks nothing.  So
+    --workers N starts at most N - 1 children, N clamped to the core
+    count, and a one-chunk run forks nothing; which process runs a job
+    never changes what it draws.  A child's exception is re-raised here
+    with its type and message; a child that ends without a result raises
     RuntimeError.  No child outlives the call: on any exit, interrupts
     included, children not yet reaped are killed and reaped.  Fork copies
     only the calling thread, so callers must not hold locks in other
@@ -94,10 +105,22 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
     (start, stop), *rest = _chunk_ranges(total, workers)
     children = {}
     try:
-        for index, chunk in enumerate(rest, 1):
-            children[index] = _fork_chunk(run, *chunk)
-        results = run(start, stop)
+        results = []
+        forked = False
+        began = perf_counter()
+        for i in range(start, stop):
+            if rest and not forked:
+                done = i - start
+                mean = (perf_counter() - began) / done if done else 0.0
+                if mean * (rest[0][1] - rest[0][0]) >= FORK_FLOOR_S:
+                    for index, chunk in enumerate(rest, 1):
+                        children[index] = _fork_chunk(run, *chunk)
+                    forked = True
+            results.append(job(i % cells, i // cells))
         for index, (start, stop) in enumerate(rest, 1):
+            if not forked:
+                results.extend(run(start, stop))
+                continue
             pid, pipe = children[index]
             with pipe:
                 reply = pipe.read()

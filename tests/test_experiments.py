@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tracemalloc
@@ -442,7 +443,9 @@ def test_ball_sample_batch_consistency():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Pids of the children forked during the test, with cpu_count at 2."""
+    """Pids of the children forked during the test, with cpu_count at 2
+    and a fork floor of 0, so that a run of two chunks forks before its
+    first job."""
     real_fork = os.fork
     pids = []
 
@@ -453,6 +456,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(experiments.os, "fork", counting_fork)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", 0)
     return pids
 
 
@@ -566,3 +570,116 @@ def test_caller_chunk_error_leaves_no_child(forks, error):
         experiments._run_trials(caller_raises(error), 1, 10, 2)
     assert len(forks) == 1
     assert_no_child_left()
+
+
+def test_infinite_floor_forks_nothing(forks, monkeypatch):
+    """No chunk outweighs an infinite floor: the caller runs every job, in
+    trial-major order, and returns the lists of one worker."""
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", math.inf)
+    calls = []
+
+    def job(cell, t):
+        calls.append((cell, t))
+        return (cell, t)
+
+    assert experiments._run_trials(job, 3, 5, 2) == [
+        [(cell, t) for t in range(5)] for cell in range(3)]
+    assert calls == [(cell, t) for t in range(5) for cell in range(3)]
+    assert forks == []
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """`experiments.perf_counter` replaced by a clock at 0 s that only a
+    job wrapped by `on_clock` moves."""
+    now = [0.0]
+    monkeypatch.setattr(experiments, "perf_counter", lambda: now[0])
+    return now
+
+
+def on_clock(clock, job):
+    """`job`, taking t + 1 s of `clock` at trial t."""
+    def timed(cell, t):
+        clock[0] += t + 1
+        return job(cell, t)
+
+    return timed
+
+
+def fork_after(monkeypatch, j: int) -> None:
+    """Set the floor at which 10 jobs of `on_clock` on two workers fork
+    after exactly j caller jobs: before job j the caller's mean job time
+    is (j + 1) / 2 s, times the 5 jobs of the child's chunk."""
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", 2.5 * (j + 1))
+
+
+@pytest.mark.parametrize("j", [1, 2, 4, 5])
+def test_fork_waits_until_the_chunk_outweighs_the_floor(forks, clock,
+                                                        monkeypatch, j):
+    """The caller forks the child for trials 5-9 after exactly j of its
+    own 5 jobs; at j = 5 its chunk ends first, and it runs all 10."""
+    fork_after(monkeypatch, j)
+    caller = os.getpid()
+    forks_seen = []
+
+    def job(cell, t):
+        if os.getpid() == caller:
+            forks_seen.append(len(forks))
+        return t, os.getpid() == caller
+
+    [out] = experiments._run_trials(on_clock(clock, job), 1, 10, 2)
+    if j < 5:
+        assert out == [(t, t < 5) for t in range(10)]
+        assert forks_seen == [0] * j + [1] * (5 - j)
+        assert len(forks) == 1
+    else:
+        assert out == [(t, True) for t in range(10)]
+        assert forks_seen == [0] * 10
+        assert forks == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ParameterError, ResourceBudgetError])
+def test_child_exception_after_a_late_fork_reaches_caller(forks, clock,
+                                                          monkeypatch, error):
+    fork_after(monkeypatch, 2)
+    with pytest.raises(error) as excinfo:
+        experiments._run_trials(on_clock(clock, child_raises(error)), 1, 10, 2)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == "chunk from trial 5 refused"
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ParameterError("caller chunk refused"),
+                                   KeyboardInterrupt()])
+def test_caller_error_before_the_fork_leaves_no_child(forks, clock,
+                                                      monkeypatch, error):
+    """A caller job that raises before the chunk outweighs the floor (the
+    fork would come after job 3) ends the run with no child forked."""
+    fork_after(monkeypatch, 3)
+    with pytest.raises(type(error)):
+        experiments._run_trials(on_clock(clock, caller_raises(error)), 1, 10, 2)
+    assert forks == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("run,config", [
+    (run_span_experiment, SpanTrialConfig(
+        n=20, p=Fraction(1, 4), q=3, ell=4, trials=30, seed=21)),
+    (run_pair_sum_experiment, PairSumConfig(
+        p=Fraction(1, 4), q=3, n_values=(6, 9), trials=50, seed=99)),
+    (run_rate_sweep, sweep_config(codes_per_point=3)),
+    (run_ball_samples, BallSampleConfig(
+        q=2, n=12, p=Fraction(1, 4), count=50, seed=4)),
+])
+def test_records_do_not_depend_on_the_fork_floor(forks, monkeypatch, run,
+                                                 config):
+    """Each stochastic experiment writes the same record bytes on one
+    worker, on two with every chunk forked and on two with none."""
+    serial = json.dumps(run(config, workers=1).as_record())
+    assert json.dumps(run(config, workers=2).as_record()) == serial
+    assert len(forks) == 1
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", math.inf)
+    assert json.dumps(run(config, workers=2).as_record()) == serial
+    assert len(forks) == 1

@@ -80,7 +80,9 @@ def _job_sees_limit(caller: int):
 
 
 def test_run_trials_children_see_no_limit(monkeypatch):
+    """With a fork floor of 0 the child takes trials 2 and 3."""
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", 0)
     [out] = experiments._run_trials(_job_sees_limit(os.getpid()), 1, 4, 2)
     assert [child for child, _ in out] == [False, False, True, True]
     assert out[0][1] > 0 and out[2][1] == 0
