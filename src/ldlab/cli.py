@@ -426,7 +426,9 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=_parse_workers, default=1,
-                   help="parallel workers; results are independent of N")
+                   help="parallel workers, clamped to the core count; a "
+                        "chunk of trials is forked only when its work "
+                        "outweighs the fork; results do not depend on the count")
 
 
 class _Parser(argparse.ArgumentParser):

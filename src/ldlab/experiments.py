@@ -3,9 +3,11 @@
 Every stochastic runner is a grid of cells times a trial count (one
 cell for span and ball samples, one per (n, center) for pair-sum, one
 per live eps point for the rate sweep).  It builds its per-run state
-once and hands `_run_trials` a job(cell, t) that closes over it.  A job
-draws only from the stream derived from (seed, tag, its indices), so
-results are identical for any worker count; summaries serialize to
+once and hands `_run_trials` a job(cell, t) that closes over it, which
+forks a worker for a chunk of jobs only when the chunk's estimated work
+outweighs a fork (FORK_FLOOR_S).  A job draws only from the stream
+derived from (seed, tag, its indices), so results are identical for any
+worker count and whichever process runs it; summaries serialize to
 stable records (exact rationals as "a/b" strings, sorted histograms).
 Sizes are refused with `errors.check_budget` before the work starts: the
 job count and a span's q^l (with `errors.check_power`) before any job, a
@@ -102,23 +104,20 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
     def run(start: int, stop: int) -> list:
         return [job(i % cells, i // cells) for i in range(start, stop)]
 
-    (start, stop), *rest = _chunk_ranges(total, workers)
+    (_, stop), *rest = _chunk_ranges(total, workers)
     children = {}
     try:
         results = []
-        forked = False
         began = perf_counter()
-        for i in range(start, stop):
-            if rest and not forked:
-                done = i - start
-                mean = (perf_counter() - began) / done if done else 0.0
+        for i in range(stop):
+            if rest and not children:
+                mean = (perf_counter() - began) / i if i else 0.0
                 if mean * (rest[0][1] - rest[0][0]) >= FORK_FLOOR_S:
                     for index, chunk in enumerate(rest, 1):
                         children[index] = _fork_chunk(run, *chunk)
-                    forked = True
             results.append(job(i % cells, i // cells))
         for index, (start, stop) in enumerate(rest, 1):
-            if not forked:
+            if index not in children:   # the caller's chunk ended first
                 results.extend(run(start, stop))
                 continue
             pid, pipe = children[index]
