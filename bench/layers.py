@@ -43,14 +43,17 @@ inputs:
   0, so that every chunk is forked before the first job (forked);
   infinite, so that the caller runs every job (serial); and
   `experiments.FORK_FLOOR_S` (lazy), with the runs that forked counted
-  over the part's repeats and its traced run.  Shapes: ("fixed", ms),
-  10 jobs of one cell that each spin for ms / 10 milliseconds, a
-  child's chunk half of ms; where forked first beats serial as ms
-  grows, half that ms is the floor FORK_FLOOR_S should be.
-  ("rate-sweep-q2",) and ("span-q3",) run the benchmark workloads' full
-  jobs at seed 12345 through `run_rate_sweep` and `run_span_experiment`.
-  Checked: the three floors give the same output.  Digest: the record
-  as the CLI writes it with --json, the workload's pinned digest.
+  over the part's repeats and its traced run.  Shapes: ("spin", jobs,
+  ms), `jobs` jobs of one cell that each spin for ms / jobs
+  milliseconds.  Ten jobs find the floor: where forked first beats
+  serial as ms grows, half that ms is the floor FORK_FLOOR_S should be.
+  Two and four jobs of 100 ms show what lazy forking costs a run of a
+  few long jobs against forked.  ("rate-sweep-q2",) and ("span-q3",)
+  run one --workers 2 job of that perfbench workload
+  (perfbench/workloads.py) at its full scale and pinned seed, through
+  the CLI.  Checked: the three floors give the same output.  Digest: the
+  record as the CLI writes it with --json, which for the workloads is
+  the digest perfbench pins.
 
 Each row prints one JSON object: the layer, the row's identifying fields,
 the calls (or trials) per run of a part and the repeats; for each part
@@ -58,8 +61,8 @@ the median and minimum microseconds per call over the timed runs, and the
 peak memory of one more, traced run above what was live before it
 (tracemalloc, so Python objects and not the allocator's slack); then the
 row's counts and SHA-256 digests, whose texts are those recorded in
-BENCH_11, 12, 13 and 18 (the pair and runner digests are pinned in
-tests/test_bench.py).  The runner rows read the module constant
+BENCH_11, 12, 13 and 18 (the pair digest is pinned in
+tests/test_bench.py, the runner workloads' in perfbench/workloads.py).  The runner rows read the module constant
 `experiments.FORK_FLOOR_S`; a checkout without it has no runner layer.
 The span parts call `span_count_block(field, n, payloads)`; a checkout
 older than it, or lacking any name imported here, needs an edited copy
@@ -83,18 +86,17 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import oracles  # noqa: E402
+import workloads  # noqa: E402
 from ldlab.chains import (chain_find, format_chain,  # noqa: E402
                           format_witness, longest_chain_oracle,
                           oracle_best_translate, shatter_find)
 from ldlab.codes import _coset_tally, random_code, span_in_ball  # noqa: E402
 from ldlab import experiments  # noqa: E402
-from ldlab.experiments import (SpanTrialConfig, SweepConfig,  # noqa: E402
-                               _run_trials, _span_job,
-                               exact_pair_sum_probability, run_rate_sweep,
-                               run_span_experiment)
+from ldlab.experiments import (SpanTrialConfig, _run_trials,  # noqa: E402
+                               _span_job, exact_pair_sum_probability)
 from ldlab.gfq import (VecQ, block_in_balls, field_new, rank_of,  # noqa: E402
                        span_count_block)
 from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
@@ -102,7 +104,6 @@ from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
 from ldlab.seeding import derive_stream  # noqa: E402
 
 SPAN_SEED = 12345
-RUNNER_SEED = 12345   # the seed of the benchmark's pinned digests
 CHAINS_SETS, CHAINS_SEED, TRANSLATE_LIMIT = 40, 11, 256
 SAMPLING_CALLS, SAMPLING_SEED = 2000, 11
 
@@ -144,10 +145,13 @@ CASES = (
       for k in (5, 4, 2)),
     # (q, n, p), small enough for a brute pair count.
     Case("pair", (2, 12, "1/4")), Case("pair", (3, 8, "1/4")),
-    # Total work in ms around the crossover of forked and serial, then
-    # the two workloads on either side of the floor.
-    *(Case("runner", ("fixed", ms))
+    # (jobs, ms).  Ten jobs sharing a total around the crossover of forked
+    # and serial, then a few long jobs; then the two workloads on either
+    # side of the floor.
+    *(Case("runner", ("spin", 10, ms))
       for ms in (1, 2, 4, 6, 8, 10, 12, 16, 32)),
+    *(Case("runner", ("spin", jobs, 100 * jobs), max_repeats=5)
+      for jobs in (2, 4)),
     Case("runner", ("rate-sweep-q2",)), Case("runner", ("span-q3",)),
 )
 
@@ -317,21 +321,15 @@ def spin_job(ms: float) -> Callable[[int, int], int]:
     return job
 
 
-RUNNER_JOBS = {
-    "rate-sweep-q2": lambda: run_rate_sweep(SweepConfig(
-        18, 2, Fraction(1, 6), (Fraction(1, 20), Fraction(1, 10),
-                                Fraction(1, 5)), 5, RUNNER_SEED), workers=2),
-    "span-q3": lambda: run_span_experiment(SpanTrialConfig(
-        32, Fraction(1, 4), 3, 6, 100, RUNNER_SEED), workers=2)}
-
-
 def runner_row(shape: str, *params) -> Row:
-    if shape == "fixed":
-        (ms,) = params
-        job = spin_job(ms / 10)
-        run = lambda: _run_trials(job, 1, 10, 2)
+    if shape == "spin":
+        jobs, ms = params
+        job = spin_job(ms / jobs)
+        run = lambda: _run_trials(job, 1, jobs, 2)
     else:
-        run = RUNNER_JOBS[shape]
+        workload = workloads.WORKLOADS[shape]
+        inputs = workload.inputs(workloads.DEFAULT_SEED, "full")
+        run = lambda: workload.job(inputs, 2).text
     forks = Counter()
 
     def under(floor: float, name: str) -> Callable[[], object]:
@@ -353,8 +351,7 @@ def runner_row(shape: str, *params) -> Row:
 
     def finish(out: dict) -> dict:
         assert out["forked"] == out["serial"] == out["lazy"]
-        text = (json.dumps(out["lazy"]) if shape == "fixed" else
-                json.dumps(out["lazy"].as_record(), sort_keys=True) + "\n")
+        text = json.dumps(out["lazy"]) if shape == "spin" else out["lazy"]
         return {"floor_s": experiments.FORK_FLOOR_S,
                 "lazy_forks": forks["lazy"], "sha256": sha256(text)}
 

@@ -37,6 +37,7 @@ import os
 import pickle
 import signal
 import statistics
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,8 +58,9 @@ from .seeding import derive_stream
 SCHEMA_VERSION = 1
 
 # The least work, in seconds, that a trial chunk must be estimated to hold
-# before _run_trials forks a child for it; below it the fork costs more
-# than it saves.  Measured by the runner rows of bench/layers.py.
+# before _run_trials forks a child for it, and the CPU time after which it
+# forks in any case; below it the fork costs more than it saves.  Measured
+# by the runner rows of bench/layers.py.
 FORK_FLOOR_S = 0.004
 
 
@@ -86,11 +88,16 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
     and forks a child for each further one (_fork_chunk) only once that
     chunk outweighs a fork: before each of its own jobs it multiplies the
     mean job time so far by the next chunk's length, and forks every
-    child as soon as that reaches FORK_FLOOR_S.  If its chunk ends first,
-    it runs the other chunks itself, in order, and forks nothing.  So
-    --workers N starts at most N - 1 children, N clamped to the core
-    count, and a one-chunk run forks nothing; which process runs a job
-    never changes what it draws.  A child's exception is re-raised here
+    child as soon as that reaches FORK_FLOOR_S.  A job too long for that
+    to come in time does not hold the children back: once the caller has
+    spent FORK_FLOOR_S of CPU time on the run, _cpu_alarm forks them from
+    inside the running job, so forking late costs at most about the
+    floor.  If the caller's chunk ends first, it runs the other chunks
+    itself, in order, and forks nothing.  So --workers N starts at most
+    N - 1 children, N clamped to the core count, and a one-chunk run
+    forks nothing; which process runs a job never changes what it draws,
+    and a job must leave what it shares with other jobs whole at every
+    step, since a child may be forked mid-job.  A child's exception is re-raised here
     with its type and message; a child that ends without a result raises
     RuntimeError.  No child outlives the call: on any exit, interrupts
     included, children not yet reaped are killed and reaped.  Fork copies
@@ -106,16 +113,27 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
 
     (_, stop), *rest = _chunk_ranges(total, workers)
     children = {}
+    forked = False
+
+    def fork_rest():
+        # the flag is set before the first fork, so the timer's call and
+        # the loop's never both fork, and a child never forks again
+        nonlocal forked
+        if rest and not forked:
+            forked = True
+            for index, chunk in enumerate(rest, 1):
+                children[index] = _fork_chunk(run, *chunk)
+
     try:
         results = []
         began = perf_counter()
-        for i in range(stop):
-            if rest and not children:
-                mean = (perf_counter() - began) / i if i else 0.0
-                if mean * (rest[0][1] - rest[0][0]) >= FORK_FLOOR_S:
-                    for index, chunk in enumerate(rest, 1):
-                        children[index] = _fork_chunk(run, *chunk)
-            results.append(job(i % cells, i // cells))
+        with _cpu_alarm(FORK_FLOOR_S if rest else math.inf, fork_rest):
+            for i in range(stop):
+                if rest and not forked:
+                    mean = (perf_counter() - began) / i if i else 0.0
+                    if mean * (rest[0][1] - rest[0][0]) >= FORK_FLOOR_S:
+                        fork_rest()
+                results.append(job(i % cells, i // cells))
         for index, (start, stop) in enumerate(rest, 1):
             if index not in children:   # the caller's chunk ended first
                 results.extend(run(start, stop))
@@ -142,6 +160,30 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
+
+
+@contextlib.contextmanager
+def _cpu_alarm(seconds: float, action: Callable[[], None]):
+    """Call action() from a SIGPROF handler once the process has spent
+    `seconds` of CPU time inside the block, even in the middle of a job.
+
+    Linux checks CPU timers at the scheduler tick, so the call can come a
+    few ms late.  The timer is borrowed only where it is free: in the
+    main thread, with SIGPROF at its default action.  Elsewhere, and for
+    0 or infinite seconds, the block runs with no timer.
+    """
+    if (not 0 < seconds < math.inf
+            or threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGPROF) is not signal.SIG_DFL):
+        yield
+        return
+    signal.signal(signal.SIGPROF, lambda signum, frame: action())
+    try:
+        signal.setitimer(signal.ITIMER_PROF, seconds)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, signal.SIG_DFL)
 
 
 def _fork_chunk(run, start: int, stop: int):

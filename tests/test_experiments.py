@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -662,6 +665,101 @@ def test_caller_error_before_the_fork_leaves_no_child(forks, clock,
         experiments._run_trials(on_clock(clock, caller_raises(error)), 1, 10, 2)
     assert forks == []
     assert_no_child_left()
+
+
+# the module's floor, before any fixture patches it
+FORK_FLOOR_S = experiments.FORK_FLOOR_S
+
+
+def cpu_spin(seconds: float) -> None:
+    """Keep this process busy for `seconds` of its own CPU time."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_long_jobs_fork_inside_the_first_job(forks, monkeypatch, jobs):
+    """At the module's floor, jobs of 100 ms of CPU on two workers fork the
+    child inside the caller's first job, once the caller has spent about
+    the floor on it: the child's chunk starts before that job ends, and a
+    two-job run forks its one child rather than running both in turn."""
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", FORK_FLOOR_S)
+    caller = os.getpid()
+
+    def job(cell, t):
+        began = time.perf_counter()   # CLOCK_MONOTONIC, shared by processes
+        cpu_spin(0.1)
+        return t, os.getpid() == caller, began, time.perf_counter()
+
+    [out] = experiments._run_trials(job, 1, jobs, 2)
+    half = jobs // 2
+    assert [(t, mine) for t, mine, _, _ in out] == [
+        (t, t < half) for t in range(jobs)]
+    assert out[half][2] < out[0][3]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_cpu_timer_forks_inside_the_running_job(forks, monkeypatch, j):
+    """SIGPROF, the signal of the CPU timer, sent from inside caller job j
+    forks the child for trials 5-9 before job j returns; the floor is so
+    far off that neither the timer nor the estimate forks first."""
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", 1000.0)
+    caller = os.getpid()
+    seen = []
+
+    def job(cell, t):
+        if os.getpid() == caller:
+            seen.append(len(forks))
+            # SIGPROF's default action would end the process
+            if t == j and signal.getsignal(signal.SIGPROF) is not signal.SIG_DFL:
+                signal.raise_signal(signal.SIGPROF)
+                seen.append(len(forks))
+        return t, os.getpid() == caller
+
+    [out] = experiments._run_trials(job, 1, 10, 2)
+    assert out == [(t, t < 5) for t in range(10)]
+    assert seen == [0] * (j + 1) + [1] * (5 - j)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_cpu_timer_runs_only_during_the_callers_chunk(forks, monkeypatch):
+    """The CPU timer is armed while the caller runs its own chunk, not for
+    a one-chunk run nor for chunks the caller runs after its own, and
+    SIGPROF and the timer are given back when the run ends or raises."""
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", FORK_FLOOR_S)
+
+    def armed(cell, t):
+        return signal.getitimer(signal.ITIMER_PROF)[0] > 0
+
+    def given_back():
+        return (signal.getsignal(signal.SIGPROF) is signal.SIG_DFL
+                and signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0))
+
+    assert experiments._run_trials(armed, 1, 4, 1) == [[False] * 4]
+    # a child's timer is not inherited, so forked or not trials 5-9 say no
+    assert experiments._run_trials(armed, 1, 10, 2) == [[True] * 5 + [False] * 5]
+    assert given_back()
+    with pytest.raises(ParameterError):
+        experiments._run_trials(caller_raises(ParameterError("refused")),
+                                1, 10, 2)
+    assert given_back()
+    assert_no_child_left()
+
+
+def test_run_trials_off_the_main_thread(forks, monkeypatch):
+    """Only the main thread can set a signal handler: elsewhere the run
+    goes on without the CPU timer."""
+    monkeypatch.setattr(experiments, "FORK_FLOOR_S", FORK_FLOOR_S)
+    out = []
+    thread = threading.Thread(target=lambda: out.append(
+        experiments._run_trials(lambda cell, t: t, 1, 10, 2)))
+    thread.start()
+    thread.join()
+    assert out == [[list(range(10))]]
 
 
 @pytest.mark.parametrize("run,config", [
