@@ -62,8 +62,9 @@ peak memory of one more, traced run above what was live before it
 (tracemalloc, so Python objects and not the allocator's slack); then the
 row's counts and SHA-256 digests, whose texts are those recorded in
 BENCH_11, 12, 13 and 18 (the pair digest is pinned in
-tests/test_bench.py, the runner workloads' in perfbench/workloads.py).  The runner rows read the module constant
-`experiments.FORK_FLOOR_S`; a checkout without it has no runner layer.
+tests/test_bench.py, the runner workloads' in perfbench/workloads.py).
+The runner rows read the module constant `experiments.FORK_FLOOR_S`; a
+checkout without it has no runner layer.
 The span parts call `span_count_block(field, n, payloads)`; a checkout
 older than it, or lacking any name imported here, needs an edited copy
 of this file (before it, the counted block was `codes._span_block`'s,

@@ -5,10 +5,11 @@ cell for span and ball samples, one per (n, center) for pair-sum, one
 per live eps point for the rate sweep).  It builds its per-run state
 once and hands `_run_trials` a job(cell, t) that closes over it, which
 forks a worker for a chunk of jobs only when the chunk's estimated work
-outweighs a fork (FORK_FLOOR_S).  A job draws only from the stream
-derived from (seed, tag, its indices), so results are identical for any
-worker count and whichever process runs it; summaries serialize to
-stable records (exact rationals as "a/b" strings, sorted histograms).
+outweighs a fork, or the caller has spent that long on its own chunk
+(FORK_FLOOR_S).  A job draws only from the stream derived from (seed,
+tag, its indices), so results are identical for any worker count and
+whichever process runs it; summaries serialize to stable records (exact
+rationals as "a/b" strings, sorted histograms).
 Sizes are refused with `errors.check_budget` before the work starts: the
 job count and a span's q^l (with `errors.check_power`) before any job, a
 rate sweep's ball (with `hamming.check_ball_volume`) before any code is
@@ -97,13 +98,14 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
     N - 1 children, N clamped to the core count, and a one-chunk run
     forks nothing; which process runs a job never changes what it draws,
     and a job must leave what it shares with other jobs whole at every
-    step, since a child may be forked mid-job.  A child's exception is re-raised here
-    with its type and message; a child that ends without a result raises
-    RuntimeError.  No child outlives the call: on any exit, interrupts
-    included, children not yet reaped are killed and reaped.  Fork copies
-    only the calling thread, so callers must not hold locks in other
-    threads.  A run of more than ENUMERATION_BUDGET jobs is refused
-    before any job starts: it would hold one result per job.
+    step, since a child may be forked mid-job.  A child's exception is
+    re-raised here with its type and message; a child that ends without
+    a result raises RuntimeError.  No child outlives the call: on any
+    exit, interrupts included, children not yet reaped are killed and
+    reaped.  Fork copies only the calling thread, so callers must not
+    hold locks in other threads.  A run of more than ENUMERATION_BUDGET
+    jobs is refused before any job starts: it would hold one result per
+    job.
     """
     total = cells * trials
     check_budget("trial jobs", total)
@@ -116,8 +118,9 @@ def _run_trials(job: Callable[[int, int], object], cells: int, trials: int,
     forked = False
 
     def fork_rest():
-        # the flag is set before the first fork, so the timer's call and
-        # the loop's never both fork, and a child never forks again
+        # the flag is set before the first fork, with no call between its
+        # test and its set where a SIGPROF handler could run: so the
+        # timer's call and the loop's never both fork, nor does a child
         nonlocal forked
         if rest and not forked:
             forked = True

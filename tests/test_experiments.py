@@ -726,6 +726,23 @@ def test_cpu_timer_forks_inside_the_running_job(forks, monkeypatch, j):
     assert_no_child_left()
 
 
+def test_cpu_timer_after_the_estimate_forks_no_more(forks, clock,
+                                                   monkeypatch):
+    """Once the estimate has forked the child (after caller job 1), the
+    timer's signal in caller job 3 forks nothing more."""
+    fork_after(monkeypatch, 1)
+
+    def job(cell, t):
+        if t == 3 and signal.getsignal(signal.SIGPROF) is not signal.SIG_DFL:
+            signal.raise_signal(signal.SIGPROF)
+        return t
+
+    assert experiments._run_trials(on_clock(clock, job), 1, 10, 2) == [
+        list(range(10))]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_cpu_timer_runs_only_during_the_callers_chunk(forks, monkeypatch):
     """The CPU timer is armed while the caller runs its own chunk, not for
     a one-chunk run nor for chunks the caller runs after its own, and
