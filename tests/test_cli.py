@@ -279,6 +279,28 @@ def test_range_error_on_a_long_rational_is_one_short_line(capsys, argv):
     assert len(lines) == 1 and len(lines[0].encode()) <= 200, err
 
 
+LONG_TEXT = "z" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--q", "2", "--x", LONG_TEXT],
+    ["entropy", "--q", "2", "--x", "\u20ac" * 5000],  # three bytes each
+    [*SWEEP, "--p", "1/6", "--eps=" + ",".join(["-1"] * 3000)],
+    [*SWEEP, "--p", "1/6", "--eps", "1/10," + LONG_TEXT],
+    [*SWEEP, "--p", LONG_TEXT, "--eps", "1/10"],
+])
+def test_error_on_long_user_text_is_one_short_line(capsys, argv):
+    """An unparsable fraction, alone or in the eps list, and a long list
+    of eps values below 0 are named shortened, with their length, in one
+    line of at most 200 bytes: not echoed in full (5058 bytes for 5000
+    characters of --x, 12,034 for 3000 eps values of -1)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) <= 200, err
+    assert "characters)" in lines[0], err
+
+
 def test_range_error_on_a_short_rational_prints_it_exactly(capsys):
     code, _, err = run_cli(capsys, "entropy", "--x", "3/2", "--q", "2")
     assert code == 2
