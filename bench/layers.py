@@ -11,16 +11,20 @@ inputs:
 
 - span, (q, n, l, p, trials).  Trial t draws its l points of
   B(0, floor(p n)) as `span-exp` does at seed 12345.  Parts, as
-  `codes.span_in_ball` runs them: `gfq.span_count_block` of each trial's
-  payloads (all q^l members in one packed block; at q = 3 their supports,
-  built on two bit planes); `gfq.block_in_balls` of that block at radius
-  0 (zeros, so that q^l / zeros is the distinct count) and at the ball's
-  radius (count, divided by zeros); `gfq.rank_of`; `span_in_ball` as the
-  trial job of `experiments._span_job` calls it; and that job itself
-  over the row's trials, the whole trial with its sampling.  Checked:
-  `span_in_ball` and the trial count what the parts count, q^l / zeros
-  is q^rank, and no trial fails its rank check.  Digest: each trial's
-  "size count" line.
+  `codes.payload_span_in_ball` runs them: `gfq.span_count_block` of each
+  trial's payloads (one member per projective class of the nonzero
+  messages, (q^l - 1) / (q - 1) slots, printed as "slots", in one packed
+  block; at q = 3 their supports, built on two bit planes);
+  `gfq.block_in_balls` of that block at radius 0 (R_0: zeros = 1 +
+  (q - 1) R_0 messages give 0, and q^l / zeros is the distinct count)
+  and at the ball's radius (R_r: 1 + (q - 1) R_r messages, divided by
+  zeros); the rank check, `len(gfq.echelon(...))`;
+  `payload_span_in_ball` as the trial job of `experiments._span_job`
+  calls it; and that job itself over the row's trials, the whole trial
+  with its sampling.  Checked: every block has (q^l - 1) / (q - 1)
+  slots, `payload_span_in_ball` and the trial count what the parts
+  count, q^l / zeros is q^rank, and no trial fails its rank check.
+  Digest: each trial's "size count" line.
 - tally, (q, n, k, r).  One full-rank code, random_code(n, k, q, True,
   Random(1000 q + n)), tallied by `codes._coset_tally(code, r)`, the walk
   behind `check_ld_exact`'s default mode.  Digest: the sorted tally.
@@ -65,10 +69,11 @@ BENCH_11, 12, 13 and 18 (the pair digest is pinned in
 tests/test_bench.py, the runner workloads' in perfbench/workloads.py).
 The runner rows read the module constant `experiments.FORK_FLOOR_S`; a
 checkout without it has no runner layer.
-The span parts call `span_count_block(field, n, payloads)`; a checkout
-older than it, or lacking any name imported here, needs an edited copy
-of this file (before it, the counted block was `codes._span_block`'s,
-over the field itself).
+The span parts call `span_count_block(field, n, payloads)` and
+`payload_span_in_ball`; a checkout older than them, or lacking any name
+imported here, needs an edited copy of this file (before them, the
+counted block held all q^l members, first `codes._span_block`'s over the
+field itself, then `span_count_block`'s).
 """
 
 from __future__ import annotations
@@ -94,12 +99,13 @@ import workloads  # noqa: E402
 from ldlab.chains import (chain_find, format_chain,  # noqa: E402
                           format_witness, longest_chain_oracle,
                           oracle_best_translate, shatter_find)
-from ldlab.codes import _coset_tally, random_code, span_in_ball  # noqa: E402
+from ldlab.codes import (_coset_tally, payload_span_in_ball,  # noqa: E402
+                         random_code)
 from ldlab import experiments  # noqa: E402
 from ldlab.experiments import (SpanTrialConfig, _run_trials,  # noqa: E402
                                _span_job, exact_pair_sum_probability)
-from ldlab.gfq import (VecQ, block_in_balls, field_new, rank_of,  # noqa: E402
-                       span_count_block)
+from ldlab.gfq import (VecQ, block_in_balls, echelon,  # noqa: E402
+                       field_new, rank_of, span_count_block)
 from ldlab.hamming import (BallSpec, sample_ball_uniform,  # noqa: E402
                            uniform_payload)
 from ldlab.seeding import derive_stream  # noqa: E402
@@ -185,14 +191,16 @@ def span_row(q: int, n: int, ell: int, p: str, trials: int) -> Row:
 
     def finish(out: dict) -> dict:
         pairs = []
-        for (*_, total), zeros, count, rank, both in zip(
-                out["span"], out["zeros"], out["count"], out["rank"],
-                out["span_in_ball"]):
-            assert total // zeros == q ** rank
-            pairs.append((total // zeros, count // zeros))
+        slots = {counted[-1] for counted in out["span"]}
+        assert slots == {(q ** ell - 1) // (q - 1)}
+        for at_zero, at_radius, rank, both in zip(
+                out["zeros"], out["count"], out["rank"], out["span_in_ball"]):
+            zeros = 1 + (q - 1) * at_zero
+            assert q ** ell // zeros == q ** rank
+            pairs.append((q ** rank, (1 + (q - 1) * at_radius) // zeros))
             assert both == pairs[-1]
         assert out["trial"] == [(count, False) for _, count in pairs]
-        return {"members": q ** ell, "sha256": sha256(
+        return {"members": q ** ell, "slots": slots.pop(), "sha256": sha256(
             "".join(f"{size} {count}\n" for size, count in pairs))}
 
     return Row({"q_n_l_p": [q, n, ell, p]}, trials, {
@@ -200,9 +208,10 @@ def span_row(q: int, n: int, ell: int, p: str, trials: int) -> Row:
                          for rows in payloads],
         "zeros": lambda: in_ball(0),
         "count": lambda: in_ball(spec.radius),
-        "rank": lambda: [rank_of(vecs) for vecs in points],
-        "span_in_ball": lambda: [span_in_ball(vecs, spec.radius)
-                                 for vecs in points],
+        "rank": lambda: [len(echelon(field, rows)) for rows in payloads],
+        "span_in_ball": lambda: [
+            payload_span_in_ball(field, n, rows, spec.radius)
+            for rows in payloads],
         "trial": lambda: [job(0, t) for t in range(trials)]}, finish)
 
 

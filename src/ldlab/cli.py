@@ -146,8 +146,17 @@ def _parse_workers(text: str) -> int:
     return workers
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """`as_fraction` as an argument type: its refusal, which names the text
+    shortened, is the error line, not argparse's echo of the whole text."""
+    try:
+        return as_fraction(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(x) for x in text.split(",") if x.strip())
+    return tuple(_parse_fraction(x) for x in text.split(",") if x.strip())
 
 
 def _read_text(path: str) -> str:
@@ -453,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("entropy", help="q-ary entropy H_q(x)")
-    p.add_argument("--x", type=as_fraction, required=True,
+    p.add_argument("--x", type=_parse_fraction, required=True,
                    help="argument in [0,1]; accepts a/b")
     p.add_argument("--q", type=int, required=True)
     _add_output_flags(p)
@@ -463,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, default=None, help="integer radius")
-    p.add_argument("--p", type=as_fraction, default=None,
+    p.add_argument("--p", type=_parse_fraction, default=None,
                    help="error fraction; radius = floor(p*n)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_ball_volume)
@@ -473,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--p", type=as_fraction, default=None)
+    p.add_argument("--p", type=_parse_fraction, default=None)
     p.add_argument("--count", type=int, required=True)
     _add_seed_flag(p)
     _add_workers_flag(p)
@@ -496,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="{exact,mc}")
     pe = ld_sub.add_parser("exact", help="exact L_max over all centers")
     pe.add_argument("--code", required=True, metavar="FILE")
-    pe.add_argument("--p", type=as_fraction, required=True)
+    pe.add_argument("--p", type=_parse_fraction, required=True)
     pe.add_argument("--L", type=int, required=True)
     pe.add_argument("--mode", choices=("auto", "full", "syndrome"),
                     default="auto",
@@ -508,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(handler=_cmd_check_ld)
     pm = ld_sub.add_parser("mc", help="Monte Carlo list-size sampling")
     pm.add_argument("--code", required=True, metavar="FILE")
-    pm.add_argument("--p", type=as_fraction, required=True)
+    pm.add_argument("--p", type=_parse_fraction, required=True)
     pm.add_argument("--trials", type=int, required=True)
     _add_seed_flag(pm)
     _add_output_flags(pm)
@@ -517,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("span-exp", help="span-of-ball-points experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=as_fraction, required=True)
+    p.add_argument("--p", type=_parse_fraction, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--c-threshold", type=int, default=64,
                    help="tail threshold constant C (default 64)")
@@ -529,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pair-sum", help="pair-sum decay experiment")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=as_fraction, required=True)
+    p.add_argument("--p", type=_parse_fraction, required=True)
     p.add_argument("--n-list", type=_parse_int_list, required=True,
                    metavar="N1,N2,...")
     p.add_argument("--trials", type=int, required=True)
@@ -541,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate-sweep", help="L_max sweep over rate grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=as_fraction, required=True)
+    p.add_argument("--p", type=_parse_fraction, required=True)
     p.add_argument("--eps", type=_parse_fraction_list, required=True,
                    metavar="E1,E2,...")
     p.add_argument("--codes", type=int, required=True,

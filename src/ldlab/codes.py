@@ -21,7 +21,10 @@ as it stands.  The map from messages to members is linear, so every member
 fills as many slots as 0 does, and a slot count divided by the zero
 slots counts distinct members.  `span_in_ball` counts the span's
 members, and those in the ball, with one `gfq.block_in_balls` pass on
-`gfq.span_count_block`, which at q = 3 holds only the members' supports.
+`gfq.span_count_block`: one member per projective class of the nonzero
+messages, whose q - 1 multiples share its support, and at q = 3 only the
+members' supports.  A count R over that block stands for 1 + (q - 1) R
+messages, the zero one among them.
 `full` and the Monte Carlo checker count the codewords within the
 radius of a center x with one `gfq.block_in_balls` on the code's block,
 x XORed into every slot: d(x, c) is the weight of x ^ c for every q.
@@ -146,21 +149,34 @@ def span_payloads(vectors: Sequence[VecQ]) -> set[int]:
 
 def span_in_ball(vectors: Sequence[VecQ], radius: int) -> tuple[int, int]:
     """(|S|, |S ∩ B(0, radius)|) for the span S of the vectors, both
-    counted over distinct members; refusals as `span_payloads`.
+    counted over distinct members; refusals as `span_payloads`.  The
+    count is `payload_span_in_ball`'s."""
+    return payload_span_in_ball(*_span_rows(vectors), radius)
 
-    Both are counted on `gfq.span_count_block`, whose slot j has the
-    weight of the combination of message j, as it stands: at q = 3 the
-    support built on two bit planes, one bit per coordinate, otherwise
-    the member.  a -> sum a_i v_i is linear, so every member of S fills
-    as many slots as 0 does: the zero slots, the count at radius 0.
-    Dividing the slot counts by that gives the distinct ones.  One
-    `gfq.block_in_balls` call at radii (0, radius) counts the zero slots
-    and the in-ball slots from one tree of digit flags.
+
+def payload_span_in_ball(field: FieldTable, n: int, payloads: Sequence[int],
+                         radius: int) -> tuple[int, int]:
+    """`span_in_ball` of l >= 1 payloads of F_q^n, with no shape check and
+    no budget: the caller has made both (hot-loop form).
+
+    Both are counted on `gfq.span_count_block`, one member per projective
+    class of the nonzero messages a: slot counts R, at q = 3 on the
+    members' supports.  a -> sum a_i x_i is linear and c a has the
+    member's support for every c != 0, so the q^l messages hold
+    1 + (q - 1) R_r members within any radius r >= 0, the zero member and
+    the q - 1 multiples of each class.  Every member of S is the image of
+    as many messages as 0 is: zeros = 1 + (q - 1) R_0.  So |S| =
+    q^l / zeros and |S ∩ B| = (1 + (q - 1) R_radius) / zeros, exact for
+    rank-deficient, repeated and zero rows; a radius below 0 holds no
+    member.  One `gfq.block_in_balls` call at radii (0, radius) gives R_0
+    and R_radius from one count of the block's digit flags.
     """
-    f, n, rows = _span_rows(vectors)
-    counted = span_count_block(f, n, rows)
-    zeros, inside = block_in_balls(*counted, (0, radius))
-    return counted[-1] // zeros, inside // zeros
+    q = field.q
+    counted = span_count_block(field, n, payloads)
+    at_zero, inside = block_in_balls(*counted, (0, radius))
+    zeros = 1 + (q - 1) * at_zero
+    return (q ** len(payloads) // zeros,
+            ((radius >= 0) + (q - 1) * inside) // zeros)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 place that raises ResourceBudgetError: every exact path asks it before it
 starts work that grows past what a run can hold.  `check_power` asks it
 about a power q^e from its exponent, before the power is built.
-`format_rational` writes a rational into an error message.
+`format_rational` writes a rational into an error message, and `shorten`
+a text from outside, so that an error line stays short.
 """
 
 import decimal
@@ -64,3 +65,16 @@ def format_rational(x: Fraction) -> str:
     shown = context.divide(decimal.Decimal(x.numerator),
                            decimal.Decimal(x.denominator)).normalize(context)
     return ("~" if context.flags[decimal.Inexact] else "") + format(shown, "e")
+
+
+SHOWN_CHARS = 24
+
+
+def shorten(text: str) -> str:
+    """text when it has at most SHOWN_CHARS characters; a longer one as its
+    first SHOWN_CHARS, "..." and its length ("'zzz...' ... (5002
+    characters)"), so that an error line naming it stays under 200 bytes
+    even in four-byte characters."""
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"

@@ -46,10 +46,10 @@ from time import perf_counter
 from typing import Callable
 
 from .codes import (Code, check_generator_size, check_ld_exact,
-                    histogram_record, random_code, span_in_ball)
+                    histogram_record, payload_span_in_ball, random_code)
 from .errors import (ParameterError, check_budget, check_power,
-                     format_rational)
-from .gfq import field_new, payload_add, payload_distance, rank_of
+                     format_rational, shorten)
+from .gfq import echelon, field_new, payload_add, payload_distance
 from .hamming import (BallSpec, RadiusParam, as_fraction, ball_volume,
                       check_ball_volume, check_sample_budget, entropy_q,
                       intersection_number, radius_of, sample_ball_uniform,
@@ -287,12 +287,17 @@ def _span_job(config: SpanTrialConfig,
               spec: BallSpec) -> Callable[[int, int], tuple[int, bool]]:
     """job(0, t) is trial t: (|span ∩ ball|, rank check failed), where the
     check compares the distinct count read off the span's block with
-    q^rank from elimination."""
+    q^rank from elimination.  The trial counts on the points' payloads:
+    `run_span_experiment` has checked the q^l budget, and the points share
+    the ball's field and length."""
+    field, n = field_new(config.q), config.n
+
     def job(cell: int, t: int) -> tuple[int, bool]:
         rng = derive_stream(config.seed, "span", t)
-        vecs = [sample_ball_uniform(spec, rng) for _ in range(config.ell)]
-        size, count = span_in_ball(vecs, spec.radius)
-        return count, size != config.q ** rank_of(vecs)
+        rows = [sample_ball_uniform(spec, rng).payload
+                for _ in range(config.ell)]
+        size, count = payload_span_in_ball(field, n, rows, spec.radius)
+        return count, size != config.q ** len(echelon(field, rows))
 
     return job
 
@@ -522,7 +527,8 @@ class SweepConfig:
             raise ParameterError("eps_grid must be nonempty")
         bad = [format_rational(e) for e in self.eps_grid if e <= 0]
         if bad:
-            raise ParameterError(f"eps must be > 0, got {', '.join(bad)}")
+            raise ParameterError(
+                f"eps must be > 0, got {shorten(', '.join(bad))}")
         if not (math.isfinite(self.c_constant) and self.c_constant > 0):
             raise ParameterError(
                 f"c_constant={self.c_constant} must be a finite number > 0")

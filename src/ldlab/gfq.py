@@ -45,16 +45,20 @@ each wide enough for n digits (`slot_width`, `slot_ones`, `pack_slots`,
 `unpack_slots`).  `slots_add` adds one step to every slot of a block,
 with one such add, or slot by slot for q = 9; the span enumerator
 `_span_block` and the ball walk in `hamming` add whole blocks through it.
-`span_count_block` gives the block a span is counted on: `_span_block`'s
-members, or at q = 3 only their supports, one bit per coordinate.  Those
-are built on two blocks of that layout, the low and high bit planes of
-the members, with `_plane_add` and no masks, and counted as a block of
-F_2^n: half the bits of the interleaved digits.  `block_in_balls`
-counts the slots of a block that lie in Hamming balls around 0, one
-count per radius asked: it OR-folds every digit onto a flag
-(`_digit_flags`, which `payload_weight` shares) and sums the flags per
-slot in a tree of masked adds, once per slice of the block, then finds
-the slots over each radius with one biased add and one `bit_count`.  It
+`span_count_block` gives the block a span is counted on: one member per
+projective class of the nonzero messages, (q^l - 1) / (q - 1) slots in
+place of q^l, since the nonzero multiples of a member share its support.
+At q = 3 it holds only their supports, one bit per coordinate, built on
+two blocks of that layout, the low and high bit planes of the members,
+with `_plane_add` and no masks, and counted as a block of F_2^n: half
+the bits of the interleaved digits.  `block_in_balls` counts the slots
+of a block that lie in Hamming balls around 0, one count per radius
+asked: it OR-folds every digit onto a flag (`_digit_flags`, which
+`payload_weight` shares) and sums the flags per slot, once per slice of
+the block: for slots of at most 255 digits by a SWAR popcount of every
+byte and one multiply that sums each slot's bytes, for wider ones in a
+tree of masked adds.  It then finds the slots over each radius with one
+biased add and one `bit_count`.  It
 is the one batch count: the span trial and the list-decoding checkers in
 `codes` count their packed blocks with it, and nothing counts a ball
 payload by payload.  No other module reads a field's characteristic or
@@ -325,34 +329,66 @@ def _span_block(field: FieldTable, n: int,
 
 def span_count_block(field: FieldTable, n: int, payloads: Sequence[int]
                      ) -> tuple[FieldTable, int, int, int, int]:
-    """(field, n, block, width, count) for `block_in_balls`: slot j of the
-    block has the weight of the member of message j of the span of the
-    payloads of F_q^n, in the order of `_span_block`.
+    """(field, n, block, width, count) for `block_in_balls`: one member of
+    the span of the l >= 1 payloads of F_q^n per projective class of the
+    nonzero messages, count = (q^l - 1) / (q - 1) slots, each with the
+    weight of its member.
+
+    The nonzero multiples of a message give members of one support, so a
+    class is counted once, by its message whose last nonzero coefficient
+    is 1.  In `_span_block`'s base-q order these are the slots [q^i, 2 q^i)
+    for i < l: x_{i+1} plus each combination of the rows before it.  Part
+    i, those q^i members, follows part i - 1 in the block.  Each part is
+    one step of x_{i+1} onto the first q^i slots of the full block of the
+    first l - 1 rows, so the last row's parts for the scalars 2 .. q - 1
+    are never built.  At q = 2 every class is one member, and the block
+    is `_span_block`'s without its slot 0.  For q other than 2 and 3 the
+    steps are `slots_add`s onto that block's prefixes.
 
     At q = 3 the block holds only the members' supports, one bit per
     coordinate in `slot_width(1, n)` slots, and the field returned is
-    F_2.  The span is built on two such planes, the low and high bits of
-    every digit, with the same l (q - 1) block steps, each one
-    `_plane_add` of the row's planes repeated in every slot; their OR is
-    the support.  Other q return `_span_block` as it stands.
+    F_2.  All rows are split into their low and high bit planes from one
+    binary text.  The full block is built on two such planes, with the
+    steps of `_span_block`, each one `_plane_add` of the row's planes
+    repeated in every slot; part i is the OR of the planes of row i + 1's
+    first step, base + x_{i+1}, which is the last row's only step.
     """
-    if field.q != 3:
-        return (field, n, *_span_block(field, n, payloads))
-    width, digits = slot_width(1, n), f"0{2 * n}b"
-    low = high = 0
+    q, rows = field.q, len(payloads)
+    if q == 2:
+        block, width, count = _span_block(field, n, payloads)
+        return field, n, block >> width, width, count - 1
+    if q != 3:
+        block, width, _ = _span_block(field, n, payloads[:-1])
+        parts, count = 0, 0
+        for i, x in enumerate(payloads):
+            prefix = block & (1 << q ** i * width) - 1
+            parts |= slots_add(field, prefix, x, width, q ** i) << count * width
+            count += q ** i
+        return field, n, parts, width, count
+    # one text of every row, row i at digits i n ..: even chars are high bits
+    joined = 0
+    for x in reversed(payloads):
+        joined = joined << 2 * n | x
+    bits = format(joined, f"0{2 * n * rows}b")
+    lows, highs, digits = int(bits[1::2], 2), int(bits[::2], 2), (1 << n) - 1
+    width = slot_width(1, n)
+    low = high = parts = 0
     count = 1
-    for x in payloads:
-        # chars 2(n - 1 - i) and 2(n - 1 - i) + 1: digit i's high, low bit
-        bits = format(x, digits)
-        ones = slot_ones(width, count)
-        xl, xh = int(bits[1::2], 2) * ones, int(bits[::2], 2) * ones
-        part_l, part_h, shift = low, high, count * width
-        for a in (1, 2):  # base + x, then base + 2x
-            part_l, part_h = _plane_add(part_l, part_h, xl, xh)
-            low |= part_l << a * shift
-            high |= part_h << a * shift
+    for i in range(rows):
+        ones, shift = slot_ones(width, count), count * width
+        xl = (lows >> i * n & digits) * ones
+        xh = (highs >> i * n & digits) * ones
+        part_l, part_h = _plane_add(low, high, xl, xh)  # base + x
+        parts |= (part_l | part_h) << (count - 1) // 2 * width
+        if i == rows - 1:
+            break
+        low |= part_l << shift
+        high |= part_h << shift
+        part_l, part_h = _plane_add(part_l, part_h, xl, xh)  # base + 2x
+        low |= part_l << 2 * shift
+        high |= part_h << 2 * shift
         count *= 3
-    return field_new(2), n, low | high, width, count
+    return field_new(2), n, parts, width, (3 * count - 1) // 2
 
 
 # (q, k) -> (even, bias, low) for the SWAR lane branch of payload_add
@@ -618,11 +654,12 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
     multiple of 8) whose payload of F_q^n has at most that many nonzero
     digits; digits past the slot width count as 0.
 
-    The digit flags of every slot are summed in a tree of masked adds
-    (`_count_masks`), which leaves each slot's weight in its low bits.
+    The digit flags of every slot are summed, which leaves each slot's
+    weight in its low bits: for n <= 255 by bytes (`_byte_masks`), for
+    more in a tree of masked adds (`_count_masks`).
     Adding 2^m - 1 - radius to every slot, m the bit length of n, then
     carries into bit m exactly in the slots whose weight exceeds the
-    radius, and one `bit_count` counts them: the tree is built once and
+    radius, and one `bit_count` counts them: the weights are summed once and
     each radius costs one biased add.  A radius below 0 counts no slot
     and one of n or more every slot; neither takes an add.  A block of
     more slots than the masks cover is counted in slices, read from one
@@ -636,6 +673,9 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
     for r in radii:
         counts.append(0 if r < 0 else count)
     flag_ones, levels, ones, slots = _count_masks(b, n, width)
+    by_bytes = n <= _BYTE_SUM_MAX
+    if by_bytes:
+        fives, threes, nibbles, slot_bytes, low_bytes = _byte_masks(width, slots)
     if count > slots:
         bits = count * width
         if block.bit_length() > bits:  # slots past count: not in the copy
@@ -649,8 +689,20 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
     for left, x in zip(range(count, 0, -slots), parts):
         # a one-bit digit is its own flag
         x = x & flag_ones if b == 1 else _digit_flags(b, x, flag_ones)
-        for shift, even, odd in levels:
-            x = (x & even) + ((x >> shift) & odd)
+        if by_bytes:
+            # flags b apart: with b even no flag is at an odd bit, and with
+            # b = 4 none at bits 1 to 3 of a nibble, so the first steps of
+            # the popcount change nothing there
+            if b & 1:
+                x -= x >> 1 & fives
+            if b < 4:
+                x = (x & threes) + (x >> 2 & threes)
+            x = x + (x >> 4) & nibbles
+            if width > 8:  # a slot of one byte holds its sum already
+                x = x * slot_bytes >> width - 8 & low_bytes
+        else:
+            for shift, even, odd in levels:
+                x = (x & even) + ((x >> shift) & odd)
         here = ones if left >= slots else ones >> (slots - left) * width
         i = 0  # by hand: enumerate slows one-radius calls on small blocks
         for r in radii:
@@ -659,6 +711,29 @@ def block_in_balls(field: FieldTable, n: int, block: int, width: int,
                 counts[i] -= ((x + bias * here) >> m & ones).bit_count()
             i += 1
     return tuple(counts)
+
+
+# block_in_balls sums a slot's flags by bytes when n is at most this: no
+# byte of the sum can then carry
+_BYTE_SUM_MAX = 255
+
+
+@lru_cache(maxsize=8)
+def _byte_masks(width: int, slots: int) -> tuple[int, int, int, int, int]:
+    """Masks of the byte sum over a slice of `slots` slots of `width` bits:
+    0x55, 0x33 and 0x0f in every byte, the multiplier 0x01 in every byte
+    of one slot, and 0xff in the low byte of every slot.
+
+    The first three count the flags of each byte (a SWAR popcount).  Then
+    byte i of a slot, times byte j of the multiplier, lands in byte i + j,
+    so the slot's top byte sums all its bytes, and every other byte of the
+    product sums the flags of one slot's worth of consecutive bytes: none
+    exceeds n <= 255, so no byte carries into the next.  A shift by width
+    - 8 and the last mask bring each slot's weight to its low byte.
+    """
+    every = slot_ones(8, slots * width // 8)
+    return (every * 0x55, every * 0x33, every * 0x0f, slot_ones(8, width // 8),
+            slot_ones(width, slots) * 0xff)
 
 
 @lru_cache(maxsize=8)

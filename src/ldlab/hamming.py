@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .errors import (ENUMERATION_BUDGET, ParameterError, check_budget,
-                     format_rational)
+                     format_rational, shorten)
 from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add,
                   slot_width, slots_add, unpack_slots)
 
@@ -62,8 +62,9 @@ def as_fraction(p: RadiusParam) -> Fraction:
         try:
             return Fraction(p)
         except (ValueError, ZeroDivisionError):
-            raise ParameterError(f"cannot parse fraction from {p!r}") from None
-    raise ParameterError(f"unsupported fraction parameter {p!r}")
+            raise ParameterError(
+                f"cannot parse fraction from {shorten(repr(p))}") from None
+    raise ParameterError(f"unsupported fraction parameter {shorten(repr(p))}")
 
 
 def radius_of(p: RadiusParam, n: int) -> int:

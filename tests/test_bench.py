@@ -42,19 +42,26 @@ SPAN_DIGESTS = {  # BENCH_18.json
     (3, 32, 6, "1/4", 40):
         "019fdedcbda0e2fa132b023e3ff6a5b55463d219328f164b47225fd280345d3c",
     (3, 20, 9, "1/5", 4):
-        "20bec632eadac17ea9754dc78074ffb57914c75ab6969c97c63c3e16b24c01cd"}
+        "20bec632eadac17ea9754dc78074ffb57914c75ab6969c97c63c3e16b24c01cd",
+    # the general-q count: a prime field's SWAR steps and F_9's digit loop
+    (5, 20, 6, "1/4", 4):
+        "b80745b3a5df08e0179b4b6da3e5bf8a8cf74cd52427aa16046845895ff8c68c",
+    (9, 12, 4, "1/4", 4):
+        "02c5db007ce13a0836feace188d18fdf0ec5c7d8799275c85b40176201dd8620"}
 
 
 @pytest.mark.parametrize("q,n,ell,p,trials", list(SPAN_DIGESTS))
 def test_span_layer_rows_run(layers, q, n, ell, p, trials):
     """The span layer's two smallest rows (the q = 2 one has duplicate
-    members) and its two q = 3 rows print the digests of their (distinct
-    size, in-ball count) pairs recorded in `BENCH_18.json`; the row
-    asserts that the trial counts what its parts count, q^l / zeros =
-    q^rank and no rank check fails."""
+    members), its two q = 3 rows and a q = 5 and a q = 9 row print the
+    digests of their (distinct size, in-ball count) pairs recorded in
+    `BENCH_18.json`; the row asserts that the trial counts what its parts
+    count, q^l / zeros = q^rank and no rank check fails.  Each counts
+    (q^l - 1) / (q - 1) slots, one per projective class."""
     out = _run(layers, "span", (q, n, ell, p, trials))
     assert out["q_n_l_p"] == [q, n, ell, p]
     assert out["members"] == q ** ell
+    assert out["slots"] == (q ** ell - 1) // (q - 1)
     assert out["sha256"] == SPAN_DIGESTS[(q, n, ell, p, trials)]
 
 

@@ -24,6 +24,7 @@ from ldlab import (
     run_span_experiment,
 )
 from ldlab.cli import RunManifest, build_parser, dispatch
+from ldlab.errors import SHOWN_CHARS, shorten
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -299,6 +300,13 @@ def test_error_on_long_user_text_is_one_short_line(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and len(lines[0].encode()) <= 200, err
     assert "characters)" in lines[0], err
+
+
+def test_shorten_names_the_length_of_a_long_text():
+    assert shorten("1/2x") == "1/2x"
+    assert shorten("z" * SHOWN_CHARS) == "z" * SHOWN_CHARS
+    assert shorten("z" * (SHOWN_CHARS + 1)) == (
+        "z" * SHOWN_CHARS + f"... ({SHOWN_CHARS + 1} characters)")
 
 
 def test_range_error_on_a_short_rational_prints_it_exactly(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -298,60 +299,97 @@ def test_span_in_ball_refuses_as_span_payloads():
 
 
 F3_LENGTHS = (1, 2, 31, 32, 33, 63, 64, 65)  # across the plane slot widths
+# across the slot widths of every digit size, b = 1 .. 4
+SPAN_LENGTHS = (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
 
 
 @st.composite
-def f3_rows(draw) -> list[tuple[int, ...]]:
-    """1 to 5 rows of F_3^n, n in F3_LENGTHS; some sets repeat a row or
-    hold a zero row, so that every member fills several slots."""
-    n = draw(st.sampled_from(F3_LENGTHS))
-    defect = draw(st.sampled_from(("none", "repeat", "zero")))
-    digits = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
-    rows = draw(st.lists(digits, min_size=1, max_size=5 - (defect != "none")))
-    j = draw(st.integers(0, len(rows) - 1))
+def span_rows(draw, q: int, lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Rows of F_q^n, n in `lengths`, as many as keep q^rows <= 729.  Some
+    sets repeat a row, hold a zero row or end with a combination c x + y
+    of two earlier rows, so that every member fills several slots."""
+    n = draw(st.sampled_from(lengths))
+    most = 1
+    while q ** (most + 1) <= 729:
+        most += 1
+    defect = draw(st.sampled_from(("none", "repeat", "zero", "dependent")))
+    digits = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(digits, min_size=1, max_size=most - (defect != "none")))
+    j, k = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
     if defect == "repeat":
         rows.append(rows[j])
     elif defect == "zero":
         rows.insert(j, (0,) * n)
+    elif defect == "dependent":
+        add, mul = field_tables(q)
+        c = draw(st.integers(1, q - 1))
+        rows.append(oracles.tuple_add(tuple(mul[(c, d)] for d in rows[j]),
+                                      rows[k], add))
     return rows
 
 
+def assert_span_in_ball_matches_brute(q: int, rows: list[tuple[int, ...]]):
+    """span_in_ball gives the distinct members of the span and those within
+    every radius -1 .. n + 1, as the digit tuples of every coefficient
+    tuple do."""
+    f = field_new(q)
+    n = len(rows[0])
+    weights = oracles.brute_span_weights(rows, q, n, *field_tables(q))
+    vectors = [VecQ.from_digits(f, r) for r in rows]
+    size = sum(weights.values())
+    assert span_in_ball(vectors, -1) == (size, 0)
+    inside = 0
+    for radius in range(n + 2):
+        inside += weights[radius]
+        assert span_in_ball(vectors, radius) == (size, inside), radius
+
+
 @settings(max_examples=80, deadline=None)
-@given(f3_rows())
+@given(span_rows(3, F3_LENGTHS))
 @example([(1,) + (0,) * 64, (0, 2) + (0,) * 63, (0,) * 65])
 @example([(2, 1) * 16, (2, 1) * 16])
 def test_span_in_ball_at_q3_matches_brute_span(rows):
     """At q = 3, where span_in_ball counts on two bit planes, it gives the
     distinct members of the span and those within every radius 0 .. n as
-    the digit tuples of every coefficient tuple do, with repeated and zero
-    rows among the sets."""
-    f = field_new(3)
-    n = len(rows[0])
-    weights = oracles.brute_span_weights(rows, 3, n, *field_tables(3))
-    vectors = [VecQ.from_digits(f, r) for r in rows]
-    size = sum(weights.values())
-    inside = 0
-    for radius in range(n + 1):
-        inside += weights[radius]
-        assert span_in_ball(vectors, radius) == (size, inside), radius
+    the digit tuples of every coefficient tuple do, with repeated, zero
+    and dependent rows among the sets."""
+    assert_span_in_ball_matches_brute(3, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIME_POWERS).flatmap(
+    lambda q: st.tuples(st.just(q), span_rows(q, SPAN_LENGTHS))))
+@example((5, [(1, 2, 3, 4, 0, 1, 2), (0,) * 7, (2, 4, 1, 3, 0, 2, 4)]))
+@example((16, [(15,) * 65, (7,) * 65]))
+def test_span_in_ball_matches_brute_span_weights_for_every_q(q_rows):
+    """For every q <= 16, across the slot widths of every digit size,
+    span_in_ball counts on one member per projective class what the digit
+    tuples of all q^l coefficient tuples count, also for rank-deficient
+    sets: repeated, zero and dependent rows."""
+    assert_span_in_ball_matches_brute(*q_rows)
 
 
 @pytest.mark.parametrize("n", F3_LENGTHS)
 def test_q3_span_count_block_holds_supports_in_one_bit_slots(n):
-    """At q = 3 the counted block is one of F_2^n: slot j, in
-    slot_width(1, n) bits, holds the support of message j's member, in
-    the message order of the interleaved `_span_block`."""
+    """At q = 3 the counted block is one of F_2^n: its (3^5 - 1) / 2 slots,
+    in slot_width(1, n) bits, hold as a multiset the supports of the
+    members of the messages whose last nonzero coefficient is 1, one per
+    projective class, duplicates of the repeated row included."""
     f = field_new(3)
     rng = random.Random(n)
     rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)]
     rows.append(rows[0])
     two, length, block, width, count = span_count_block(
         f, n, [VecQ.from_digits(f, r).payload for r in rows])
-    assert (two.q, length, width, count) == (2, n, slot_width(1, n), 3 ** 5)
-    supports = [sum(1 << i for i, d in enumerate(t) if d)
-                for t in oracles.span_in_message_order(rows, 3, n,
-                                                       *field_tables(3))]
-    assert list(unpack_slots(block, width, count)) == supports
+    assert (two.q, length, width, count) == (2, n, slot_width(1, n), 121)
+    members = oracles.span_in_message_order(rows, 3, n, *field_tables(3))
+    supports = Counter()
+    for j, member in enumerate(members):
+        coeffs = [j // 3 ** i % 3 for i in range(len(rows))]
+        if [c for c in coeffs if c][-1:] == [1]:
+            supports[sum(1 << i for i, d in enumerate(member) if d)] += 1
+    assert sum(supports.values()) == count
+    assert Counter(unpack_slots(block, width, count)) == supports
 
 
 def assert_tally_matches_oracle(q: int, rows: list[tuple[int, ...]], n: int,

@@ -510,6 +510,23 @@ def test_counts_match_per_member_oracle(q):
         assert_counts_match_oracle(q, n, many, (-1, 0, 1, n // 3, n - 1, n))
 
 
+@pytest.mark.parametrize("q", (2, 3, 5, 16))
+def test_count_by_bytes_and_by_tree_around_255_digits(q):
+    """Slots of up to 255 digits are summed by bytes, and wider ones by
+    the tree: at n = 255 and 256, in slots of 256 digits, the count equals
+    the per-member oracle at every radius, with slots whose digits are
+    all nonzero, all but one nonzero, or random.  A byte sum of 256 would
+    wrap to 0 and count a full slot as within every radius."""
+    rng = random.Random(q)
+    for n in (255, 256):
+        tuples = [(q - 1,) * n, (0,) + (1,) * (n - 1), (0,) * n]
+        tuples += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(20)]
+        tuples += [tuple(rng.randrange(1, q) for _ in range(n))] * 3
+        rng.shuffle(tuples)
+        assert_counts_match_oracle(q, n, tuples, (-1, 0, 1, n // 2, n - 2,
+                                                  n - 1, n, n + 1))
+
+
 def test_block_count_stays_inside_each_slot():
     """Slots whose digit count is not a power of two: the tree's last
     unpaired count sits next to the following slot, so a mask that reads
@@ -599,6 +616,8 @@ def test_block_count_caches_masks_for_one_slice():
         assert slots <= gfq._BATCH and slots * width <= gfq._BATCH * 64
         assert max(m.bit_length() for _, even, odd in levels
                    for m in (even, odd)) <= slots * width
+        assert max(m.bit_length() for m in gfq._byte_masks(width, slots)) \
+            <= slots * width
 
 
 @pytest.mark.parametrize("q", PRIMES)
