@@ -65,8 +65,9 @@ the median and minimum microseconds per call over the timed runs, and the
 peak memory of one more, traced run above what was live before it
 (tracemalloc, so Python objects and not the allocator's slack); then the
 row's counts and SHA-256 digests, whose texts are those recorded in
-BENCH_11, 12, 13 and 18 (the pair digest is pinned in
-tests/test_bench.py, the runner workloads' in perfbench/workloads.py).
+BENCH_11, 12, 13 and 18 (the (9, 20, 5) span row's in BENCH_28, the pair
+digest in tests/test_bench.py, the runner workloads' in
+perfbench/workloads.py).
 The runner rows read the module constant `experiments.FORK_FLOOR_S`; a
 checkout without it has no runner layer.
 The span parts call `span_count_block(field, n, payloads)` and
@@ -124,12 +125,13 @@ class Case(NamedTuple):
 CASES = (
     # (q, n, l, p, trials).  (3, 32, 6) is the span-q3 trial; the q = 2,
     # n = 8, l = 10 row has rank below l, so its spans hold duplicates;
-    # (5, 20, 8) is the 390,625-member memory row; every row from 4096
-    # members up fills one or more slices of gfq._BATCH = 4096 slots.
+    # (5, 20, 8) is the 390,625-member memory row; (9, 20, 5) has 80-bit
+    # slots, wider than a machine word; every row from 4096 members up
+    # fills one or more slices of gfq._BATCH = 4096 slots.
     *(Case("span", params) for params in (
         (2, 64, 12, "1/4", 4), (2, 8, 10, "1/4", 10), (3, 32, 6, "1/4", 40),
         (3, 20, 9, "1/5", 4), (5, 20, 6, "1/4", 4), (5, 20, 8, "1/4", 1),
-        (9, 12, 4, "1/4", 4), (16, 10, 3, "1/5", 10))),
+        (9, 12, 4, "1/4", 4), (9, 20, 5, "1/4", 2), (16, 10, 3, "1/5", 10))),
     # (q, n, k, r).  The binary n = 40 row is the rate-sweep regime near
     # capacity; the n = 24 row lies far above capacity (2^12 cosets).
     Case("tally", (2, 18, 5, 3)), Case("tally", (2, 30, 10, 5)),

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -41,7 +41,7 @@ from .chains import (chain_find, chain_length_bound, chain_verify,
                      shatter_find, shatter_threshold, shatter_verify)
 from .codes import (check_ld_exact, check_ld_montecarlo, format_code,
                     parse_code, random_code)
-from .errors import ParameterError, ResourceBudgetError
+from .errors import ParameterError, ResourceBudgetError, shorten
 from .experiments import (BallSampleConfig, PairSumConfig, SpanTrialConfig,
                           SweepConfig, run_ball_samples,
                           run_pair_sum_experiment, run_rate_sweep,
@@ -128,21 +128,24 @@ def _resolve_seed(flag: int | None) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int(text: str, kind: type = int) -> int | float:
+    """int(text), or float(text) with kind=float, as an argument type whose
+    refusal names the text shortened, not echoed whole by argparse."""
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        return kind(text)
     except ValueError:
-        raise ParameterError(f"bad integer list {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {shorten(repr(text))}") from None
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(_parse_int(x) for x in text.split(",") if x.strip())
 
 
 def _parse_workers(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
+    workers = _parse_int(text)
     if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shorten(text)}")
     return workers
 
 
@@ -407,7 +410,7 @@ def _cmd_shatter(args, argv):
                   "found": True, "U": sorted(witness.U),
                   "valid": shatter_verify(S, witness.U, q)}
         return _emit(args, argv, [record], text=format_witness(witness))
-    U = _parse_int_list(args.u)
+    U = args.u
     valid = shatter_verify(S, U, q)
     record = {"kind": "shatter-verify", "q": q, "ell": ell,
               "U": sorted(set(U)), "valid": valid}
@@ -429,7 +432,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_parse_int, default=None,
                    help="master seed (default: $LDLAB_SEED, else 0)")
 
 
@@ -464,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="q-ary entropy H_q(x)")
     p.add_argument("--x", type=_parse_fraction, required=True,
                    help="argument in [0,1]; accepts a/b")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("ball-volume", help="exact Hamming ball volume")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, default=None, help="integer radius")
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
+    p.add_argument("--r", type=_parse_int, default=None, help="integer radius")
     p.add_argument("--p", type=_parse_fraction, default=None,
                    help="error fraction; radius = floor(p*n)")
     _add_output_flags(p)
@@ -479,20 +482,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-ball",
                        help="uniform samples from a Hamming ball")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
+    p.add_argument("--r", type=_parse_int, default=None)
     p.add_argument("--p", type=_parse_fraction, default=None)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_parse_int, required=True)
     _add_seed_flag(p)
     _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_sample_ball)
 
     p = sub.add_parser("gen-code", help="draw a random linear code")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
     p.add_argument("--iid", action="store_true",
                    help="keep an i.i.d. generator even if rank-deficient "
                         "(default: rejection-sample to full rank)")
@@ -506,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = ld_sub.add_parser("exact", help="exact L_max over all centers")
     pe.add_argument("--code", required=True, metavar="FILE")
     pe.add_argument("--p", type=_parse_fraction, required=True)
-    pe.add_argument("--L", type=int, required=True)
+    pe.add_argument("--L", type=_parse_int, required=True)
     pe.add_argument("--mode", choices=("auto", "full", "syndrome"),
                     default="auto",
                     help="syndrome: one walk over B(0, r) tallying cosets "
@@ -518,44 +521,45 @@ def build_parser() -> argparse.ArgumentParser:
     pm = ld_sub.add_parser("mc", help="Monte Carlo list-size sampling")
     pm.add_argument("--code", required=True, metavar="FILE")
     pm.add_argument("--p", type=_parse_fraction, required=True)
-    pm.add_argument("--trials", type=int, required=True)
+    pm.add_argument("--trials", type=_parse_int, required=True)
     _add_seed_flag(pm)
     _add_output_flags(pm)
     pm.set_defaults(handler=_cmd_check_ld)
 
     p = sub.add_parser("span-exp", help="span-of-ball-points experiment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
     p.add_argument("--p", type=_parse_fraction, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--c-threshold", type=int, default=64,
+    p.add_argument("--ell", type=_parse_int, required=True)
+    p.add_argument("--c-threshold", type=_parse_int, default=64,
                    help="tail threshold constant C (default 64)")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_parse_int, required=True)
     _add_seed_flag(p)
     _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_span_exp)
 
     p = sub.add_parser("pair-sum", help="pair-sum decay experiment")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
     p.add_argument("--p", type=_parse_fraction, required=True)
     p.add_argument("--n-list", type=_parse_int_list, required=True,
                    metavar="N1,N2,...")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_parse_int, required=True)
     _add_seed_flag(p)
     _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_pair_sum)
 
     p = sub.add_parser("rate-sweep", help="L_max sweep over rate grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
     p.add_argument("--p", type=_parse_fraction, required=True)
     p.add_argument("--eps", type=_parse_fraction_list, required=True,
                    metavar="E1,E2,...")
-    p.add_argument("--codes", type=int, required=True,
+    p.add_argument("--codes", type=_parse_int, required=True,
                    help="codes sampled per grid point")
-    p.add_argument("--c-constant", type=float, default=1.0,
+    p.add_argument("--c-constant", type=partial(_parse_int, kind=float),
+                   default=1.0,
                    help="candidate list size is ceil(C/eps) (default C=1)")
     _add_seed_flag(p)
     _add_workers_flag(p)
@@ -568,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = ch_sub.add_parser("find", help="construct translate + chain")
     pf.add_argument("--set", required=True, metavar="FILE",
                     help="vector-set file (header 'q ell')")
-    pf.add_argument("--c", type=int, required=True)
+    pf.add_argument("--c", type=_parse_int, required=True)
     _add_output_flags(pf)
     pf.set_defaults(handler=_cmd_chain)
     pv = ch_sub.add_parser("verify", help="check a chain file")
@@ -577,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(handler=_cmd_chain)
     po = ch_sub.add_parser("oracle", help="exact longest chain length")
     po.add_argument("--set", required=True, metavar="FILE")
-    po.add_argument("--c", type=int, required=True)
+    po.add_argument("--c", type=_parse_int, required=True)
     where = po.add_mutually_exclusive_group()
     where.add_argument("--translate", default=None, metavar="DIGITS",
                        help="apply this translate before the search")
@@ -591,13 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="{find,verify}")
     pf = sh_sub.add_parser("find", help="find a shattered coordinate set")
     pf.add_argument("--set", required=True, metavar="FILE")
-    pf.add_argument("--c", type=int, required=True)
+    pf.add_argument("--c", type=_parse_int, required=True)
     _add_output_flags(pf)
     pf.set_defaults(handler=_cmd_shatter)
     pv = sh_sub.add_parser("verify", help="check a coordinate set directly")
     pv.add_argument("--set", required=True, metavar="FILE")
-    pv.add_argument("--u", required=True, metavar="I1,I2,...",
-                    help="1-based coordinates")
+    pv.add_argument("--u", type=_parse_int_list, required=True,
+                    metavar="I1,I2,...", help="1-based coordinates")
     _add_output_flags(pv)
     pv.set_defaults(handler=_cmd_shatter)
 

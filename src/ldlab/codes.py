@@ -16,7 +16,7 @@ also for rank-deficient generators.
 One enumerator, `gfq._span_block`, lists both a code's q^k encodings and
 the span that `span-exp` counts, in one layout: slot j holds message j's
 member in n digits.  It adds a whole block of span members per (row,
-scalar) with `gfq.slots_add`, for every q.  Every count reads a block
+scalar) with one `gfq.payload_add`, for every q.  Every count reads a block
 as it stands.  The map from messages to members is linear, so every member
 fills as many slots as 0 does, and a slot count divided by the zero
 slots counts distinct members.  `span_in_ball` counts the span's

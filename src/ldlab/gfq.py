@@ -27,24 +27,25 @@ reads the field tables.  `payload_add` picks its kernel by q: XOR for
 characteristic 2 (q = 2, 4, 8, 16), the one F_3 plane add `_plane_add`
 (six AND/OR/XOR operations) on the two bit planes of every digit for
 q = 3 (see `_plane_mask`), SWAR lanes for the other odd primes (5, 7,
-11, 13; one integer add across every digit, see `_lane_masks`), and a
-digit loop over the addition table for q = 9, whose digits are not
-independent mod-p lanes.  The plane and lane masks are kept per
-power-of-two width class of the operands, so a short add never pays for
-masks built for a longer one.  `payload_scale` negates for prime q
-without a digit loop: at q = 3 by swapping the two bit planes, for the
-other odd primes as q * flags - x, flags marking the nonzero digits,
-where no digit borrows since each is below q.  At q = 3 every scalar is
-0, 1 or -1, so `echelon` (the one elimination, behind `rank_of` and the
-coset labels in `codes`) and `payload_reduce` scale there without a
-digit loop; other scalars, and q = 4, 8, 9, 16, keep it.
+11, 13; one integer add across every digit, see `_lane_masks`), and for
+q = 9 the F_3 planes of each digit's coefficients c0, c1 (F_9 adds
+coefficientwise): one `bytes.translate` turns each byte, two F_9 digits,
+into four F_3 digits, and one turns the sum back.  The plane and lane
+masks are kept per power-of-two width class of the operands, so a short
+add never pays for masks built for a longer one.  `payload_scale`
+negates for prime q without a digit loop: at q = 3 by swapping the two
+bit planes, for the other odd primes as q * flags - x, flags marking the
+nonzero digits, where no digit borrows since each is below q.  At q = 3
+every scalar is 0, 1 or -1, so `echelon` (the one elimination, behind
+`rank_of` and the coset labels in `codes`) and `payload_reduce` scale
+there without a digit loop; other scalars, and q = 4, 8, 9, 16, keep it.
 
-XOR, the bit planes and SWAR add integers of any width, so they also act
-on a block: many payloads of F_q^n side by side in fixed-width slots,
-each wide enough for n digits (`slot_width`, `slot_ones`, `pack_slots`,
-`unpack_slots`).  `slots_add` adds one step to every slot of a block,
-with one such add, or slot by slot for q = 9; the span enumerator
-`_span_block` and the ball walk in `hamming` add whole blocks through it.
+Every add acts on integers of any width, so it also acts on a block:
+many payloads of F_q^n side by side in fixed-width slots, each wide
+enough for n digits (`slot_width`, `slot_ones`, `pack_slots`,
+`unpack_slots`).  One `payload_add` of a block and step * `slot_ones`
+adds the step to every slot, for every q; the span enumerator
+`_span_block` and the ball walk in `hamming` add whole blocks so.
 `span_count_block` gives the block a span is counted on: one member per
 projective class of the nonzero messages, (q^l - 1) / (q - 1) slots in
 place of q^l, since the nonzero multiples of a member share its support.
@@ -74,7 +75,7 @@ from array import array
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, shorten
 
 MAX_Q = 16
 
@@ -280,22 +281,6 @@ def unpack_slots(block: int, width: int, count: int) -> Sequence[int]:
             for i in range(0, len(data), step)]
 
 
-def slots_add(field: FieldTable, block: int, step: int, width: int,
-              count: int, ones: int | None = None) -> int:
-    """The block with `step` added to each of its count slots: one XOR,
-    bit-plane or SWAR `payload_add` of step in every slot.  q = 9 goes
-    slot by slot, since its table loop over a whole block would be
-    quadratic.  A caller that adds several steps to blocks of one size
-    passes their `slot_ones(width, count)` as `ones`, which is then built
-    once."""
-    if field.characteristic == 2 or field.degree == 1:
-        if ones is None:
-            ones = slot_ones(width, count)
-        return payload_add(field, block, step * ones)
-    return pack_slots((payload_add(field, x, step)
-                       for x in unpack_slots(block, width, count)), width)
-
-
 def _span_block(field: FieldTable, n: int,
                 payloads: Sequence[int]) -> tuple[int, int, int]:
     """(block, width, count): every combination sum a_i x_i of the
@@ -308,10 +293,10 @@ def _span_block(field: FieldTable, n: int,
     The members found so far sit in one packed block, member j in slot j
     of n digits (see `slot_width`).  Row x then appends the q^i
     members base + a x for each scalar a = 1 .. q - 1 in turn, each part
-    with a single `slots_add` to the part before it, so a span of q^l
-    members takes l (q - 1) block adds; the row's q - 1 adds share one
-    `slot_ones`.  The step added to every slot is (a - (a - 1)) x: x
-    itself for prime q, one small `payload_scale` otherwise.
+    one `payload_add` of the part before it and the step repeated in every
+    slot (times the row's one `slot_ones`), so a span of q^l members takes
+    l (q - 1) block adds.  The step is (a - (a - 1)) x: x itself for prime
+    q, one small `payload_scale` otherwise.
     """
     q = field.q
     width = slot_width(field.bits_per_digit, n * field.bits_per_digit)
@@ -321,7 +306,7 @@ def _span_block(field: FieldTable, n: int,
         ones = slot_ones(width, count)
         for a in range(1, q):
             step = payload_scale(field, field.sub(a, a - 1), x)
-            part = slots_add(field, part, step, width, count, ones)
+            part = payload_add(field, part, step * ones)
             block |= part << (a * shift)
         count *= q
     return block, width, count
@@ -342,8 +327,8 @@ def span_count_block(field: FieldTable, n: int, payloads: Sequence[int]
     one step of x_{i+1} onto the first q^i slots of the full block of the
     first l - 1 rows, so the last row's parts for the scalars 2 .. q - 1
     are never built.  At q = 2 every class is one member, and the block
-    is `_span_block`'s without its slot 0.  For q other than 2 and 3 the
-    steps are `slots_add`s onto that block's prefixes.
+    is `_span_block`'s without its slot 0.  For q other than 2 and 3 each
+    step is one `payload_add` onto that block's prefix.
 
     At q = 3 the block holds only the members' supports, one bit per
     coordinate in `slot_width(1, n)` slots, and the field returned is
@@ -362,7 +347,8 @@ def span_count_block(field: FieldTable, n: int, payloads: Sequence[int]
         parts, count = 0, 0
         for i, x in enumerate(payloads):
             prefix = block & (1 << q ** i * width) - 1
-            parts |= slots_add(field, prefix, x, width, q ** i) << count * width
+            step = x * slot_ones(width, q ** i)
+            parts |= payload_add(field, prefix, step) << count * width
             count += q ** i
         return field, n, parts, width, count
     # one text of every row, row i at digits i n ..: even chars are high bits
@@ -469,7 +455,8 @@ class VecQ:
         try:
             digits = [int(ch, 16) for ch in text.strip()]
         except ValueError:
-            raise ParameterError(f"bad digit in vector string {text!r}") from None
+            raise ParameterError(
+                f"bad digit in vector string {shorten(repr(text))}") from None
         return cls.from_digits(field, digits)
 
     def digit(self, i: int) -> int:
@@ -563,31 +550,38 @@ def payload_add(field: FieldTable, x: int, y: int) -> int:
     if field.characteristic == 2:
         return x ^ y
     q = field.q
-    if q == 3:
+    if q == 3 or q == 9:
+        if q == 9:  # each digit c0 + 3 c1 as the two F_3 digits c0, c1
+            size = ((x | y).bit_length() + 7) // 8
+            x = int.from_bytes(x.to_bytes(size, "little").translate(_F9_AS_F3),
+                               "little")
+            y = int.from_bytes(y.to_bytes(size, "little").translate(_F9_AS_F3),
+                               "little")
         k = ((x | y).bit_length() - 1).bit_length()
         ones = _PLANE_MASKS.get(k) or _plane_mask(k)
         low, high = _plane_add(x & ones, (x >> 1) & ones,
                                y & ones, (y >> 1) & ones)
-        return low | high << 1
+        if q == 3:
+            return low | high << 1
+        return int.from_bytes((low | high << 1).to_bytes(size, "little")
+                              .translate(_F3_AS_F9), "little")
     b = field.bits_per_digit
-    if field.degree == 1:
-        k = ((x | y).bit_length() - 1).bit_length()
-        even, bias, low = _LANE_MASKS.get((q, k)) or _lane_masks(q, b, k)
-        # Each lane sum is < 2q; subtract q where adding the bias carried.
-        s = (x & even) + (y & even)
-        s -= q * (((s + bias) >> b) & low)
-        t = ((x >> b) & even) + ((y >> b) & even)
-        t -= q * (((t + bias) >> b) & low)
-        return s | (t << b)
-    mask = (1 << b) - 1
-    at = field.add_table
-    out, shift = 0, 0
-    while x or y:
-        out |= at[x & mask][y & mask] << shift
-        x >>= b
-        y >>= b
-        shift += b
-    return out
+    k = ((x | y).bit_length() - 1).bit_length()
+    even, bias, low = _LANE_MASKS.get((q, k)) or _lane_masks(q, b, k)
+    # Each lane sum is < 2q; subtract q where adding the bias carried.
+    s = (x & even) + (y & even)
+    s -= q * (((s + bias) >> b) & low)
+    t = ((x >> b) & even) + ((y >> b) & even)
+    t -= q * (((t + bias) >> b) & low)
+    return s | (t << b)
+
+
+# payload_add's q = 9 recoding: a byte of two F_9 digits c0 + 3 c1 as four
+# F_3 digits (c0, c1 of each), and back.  Nibbles above 8 never occur.
+_F9_AS_F3 = bytes((lo % 3 | lo // 3 << 2 | hi % 3 << 4 | hi // 3 << 6) & 255
+                  for hi in range(16) for lo in range(16))
+_F3_AS_F9 = bytes((v & 3) + 3 * (v >> 2 & 3) | (v >> 4 & 3) + 3 * (v >> 6) << 4
+                  for v in range(256))
 
 
 def _plane_add(xl: int, xh: int, yl: int, yh: int) -> tuple[int, int]:

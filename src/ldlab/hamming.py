@@ -41,7 +41,7 @@ from typing import Iterator, Sequence, Union
 from .errors import (ENUMERATION_BUDGET, ParameterError, check_budget,
                      format_rational, shorten)
 from .gfq import (FieldTable, VecQ, field_new, pack_slots, payload_add,
-                  slot_width, slots_add, unpack_slots)
+                  slot_ones, slot_width, unpack_slots)
 
 RadiusParam = Union[Fraction, float, int, str]
 
@@ -300,7 +300,7 @@ def ball_walk(field: FieldTable, steps: Sequence[Sequence[int]],
     Weight d >= 2 is built from weight d - 1, packed once in order of
     decreasing lowest support: position i, from n - 1 down to 0, adds
     each of its steps to the prefix of weight d - 1 whose lowest support
-    lies above i, one `gfq.slots_add` per step.  Weight-r chunks are
+    lies above i, one block `payload_add` per step.  Weight-r chunks are
     yielded and never stored, so the walk holds two weights at a time.
     Each chunk is valid only until the next one is asked for: use it
     before going on.
@@ -322,8 +322,9 @@ def ball_walk(field: FieldTable, steps: Sequence[Sequence[int]],
         for i in reversed(range(n - d + 1)):
             count = counts[i + 1]
             prefix = level & ((1 << count * width) - 1)
+            ones = slot_ones(width, count)
             for step in steps[i]:
-                block = slots_add(field, prefix, step, width, count)
+                block = payload_add(field, prefix, step * ones)
                 if d < r:
                     parts.append(block.to_bytes(count * width // 8,
                                                 sys.byteorder))

@@ -43,19 +43,24 @@ SPAN_DIGESTS = {  # BENCH_18.json
         "019fdedcbda0e2fa132b023e3ff6a5b55463d219328f164b47225fd280345d3c",
     (3, 20, 9, "1/5", 4):
         "20bec632eadac17ea9754dc78074ffb57914c75ab6969c97c63c3e16b24c01cd",
-    # the general-q count: a prime field's SWAR steps and F_9's digit loop
+    # the general-q count: a prime field's SWAR steps and F_9's steps on
+    # the F_3 planes
     (5, 20, 6, "1/4", 4):
         "b80745b3a5df08e0179b4b6da3e5bf8a8cf74cd52427aa16046845895ff8c68c",
     (9, 12, 4, "1/4", 4):
-        "02c5db007ce13a0836feace188d18fdf0ec5c7d8799275c85b40176201dd8620"}
+        "02c5db007ce13a0836feace188d18fdf0ec5c7d8799275c85b40176201dd8620",
+    # BENCH_28.json: F_9 in 80-bit slots, wider than a machine word
+    (9, 20, 5, "1/4", 2):
+        "1ed0e400fa1203145b81499d00f453bbecd43e87bc665ba9510d04264d8c9da5"}
 
 
 @pytest.mark.parametrize("q,n,ell,p,trials", list(SPAN_DIGESTS))
 def test_span_layer_rows_run(layers, q, n, ell, p, trials):
     """The span layer's two smallest rows (the q = 2 one has duplicate
-    members), its two q = 3 rows and a q = 5 and a q = 9 row print the
+    members), its two q = 3 rows, a q = 5 row and two q = 9 rows print the
     digests of their (distinct size, in-ball count) pairs recorded in
-    `BENCH_18.json`; the row asserts that the trial counts what its parts
+    `BENCH_18.json` (the wide-slot q = 9 row in `BENCH_28.json`); the row
+    asserts that the trial counts what its parts
     count, q^l / zeros = q^rank and no rank check fails.  Each counts
     (q^l - 1) / (q - 1) slots, one per projective class."""
     out = _run(layers, "span", (q, n, ell, p, trials))
@@ -69,11 +74,17 @@ def test_span_layer_rows_run(layers, q, n, ell, p, trials):
     (2, 18, 5, 3,
      "baf68052efe547e227a47c5f9eef00ad7948bbbbee16144642f78c0388d20e40"),
     (3, 16, 5, 2,
-     "59931f023efcd8c23dabbd0b5bad89716ff8fa711ab49b34e4251b1b747e73b4")])
+     "59931f023efcd8c23dabbd0b5bad89716ff8fa711ab49b34e4251b1b747e73b4"),
+    (9, 8, 2, 2,
+     "a80683d0b91413e816f2cf5e1c9ed5169cb74d4335b2cb05265d3c9fc0025f68"),
+    (5, 14, 4, 3,
+     "239578f74d7971c7dfb93e2d7fdf68fd977d48c38e3702521849fd96fd45e978")])
 def test_tally_layer_rows_keep_their_digests(layers, q, n, k, r, digest):
-    """The tally layer's two smallest rows print the SHA-256 of their
-    sorted tallies recorded in `BENCH_13.json`, which pins every coset
-    label and count of those codes byte for byte."""
+    """The tally layer's two smallest rows, and the q = 9 and q = 5 rows,
+    whose ball walks add whole blocks on the F_3 planes and in SWAR
+    lanes, print the SHA-256 of their sorted tallies recorded in
+    `BENCH_13.json`, which pins every coset label and count of those
+    codes byte for byte."""
     out = _run(layers, "tally", (q, n, k, r))
     assert out["q_n_k_r"] == [q, n, k, r]
     assert out["sha256"] == digest

@@ -289,12 +289,30 @@ LONG_TEXT = "z" * 5000
     [*SWEEP, "--p", "1/6", "--eps=" + ",".join(["-1"] * 3000)],
     [*SWEEP, "--p", "1/6", "--eps", "1/10," + LONG_TEXT],
     [*SWEEP, "--p", LONG_TEXT, "--eps", "1/10"],
+    ["entropy", "--x", "1/2", "--q", LONG_TEXT],
+    ["pair-sum", "--q", "2", "--p", "1/10", "--n-list", LONG_TEXT,
+     "--trials", "1"],
+    ["pair-sum", "--q", "2", "--p", "1/10", "--n-list", "8," + LONG_TEXT,
+     "--trials", "1"],
+    ["span-exp", "--q", "2", "--n", "8", "--p", "1/4", "--ell", "2",
+     "--trials", LONG_TEXT],
+    ["sample-ball", "--q", "2", "--n", "8", "--r", "1", "--count", "1",
+     "--workers", LONG_TEXT],
+    [*SWEEP, "--p", "1/6", "--eps", "1/10", "--c-constant", LONG_TEXT],
+    ["shatter", "verify", "--set", "S.vs", "--u", LONG_TEXT],
+    ["chain", "oracle", "--set", "S.vs", "--c", "1", "--translate", LONG_TEXT],
 ])
-def test_error_on_long_user_text_is_one_short_line(capsys, argv):
-    """An unparsable fraction, alone or in the eps list, and a long list
-    of eps values below 0 are named shortened, with their length, in one
-    line of at most 200 bytes: not echoed in full (5058 bytes for 5000
-    characters of --x, 12,034 for 3000 eps values of -1)."""
+def test_error_on_long_user_text_is_one_short_line(capsys, argv, tmp_path,
+                                                   monkeypatch):
+    """An unparsable fraction, alone or in the eps list, a long list of
+    eps values below 0, an unparsable integer of any option or in the
+    --n-list or --u list, an unparsable --c-constant and a --translate of
+    bad digits (on the vector set S.vs) are named shortened, with their
+    length, in one line of at most 200 bytes: not echoed in full (5058
+    bytes for 5000 characters of --x, 12,034 for 3000 eps values of -1,
+    5034 to 5067 for the others)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "S.vs").write_text(SMALL_SPACE)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     lines = err.splitlines()

@@ -28,14 +28,19 @@ fields = st.sampled_from([field_new(q) for q in PRIME_POWERS])
 
 
 def pack(q, digits):
-    """Payload of a digit tuple, packed by plain shifts."""
+    """Payload of a digit tuple, read from its b-bit binary text (linear
+    in the length, where a sum of shifted digits is quadratic)."""
     b = (q - 1).bit_length()
-    return sum(d << (i * b) for i, d in enumerate(digits))
+    texts = [format(d, f"0{b}b") for d in range(q)]
+    return int("".join([texts[d] for d in reversed(digits)]) or "0", 2)
 
 
 def unpack(q, n, payload):
+    """The low n digits of a payload, from its binary text."""
     b = (q - 1).bit_length()
-    return tuple((payload >> (i * b)) & ((1 << b) - 1) for i in range(n))
+    text = format(payload & ((1 << n * b) - 1), f"0{n * b}b")
+    return tuple(int(text[len(text) - (i + 1) * b:len(text) - i * b], 2)
+                 for i in range(n))
 
 
 def assert_add_matches_oracle(q, pairs):
@@ -377,31 +382,35 @@ def test_short_q3_add_after_long_uses_short_masks(monkeypatch):
     assert looked_up[-1].bit_length() <= 2 * 32 * f.bits_per_digit
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65,
-                               20000])
-def test_plane_add_matches_oracle_on_every_digit_pair(n):
-    """The q = 3 bit-plane add agrees with digit-tuple addition with every
-    digit pair at every position, at lengths on each side of the width
-    class edges: constant operands, and operands whose digits (i + s) % 3
-    and (2i + t) % 3 put each pair at each position next to other pairs.
-    Also random pairs, pairs of unequal length (the shorter one's top
-    digits 0), and zero operands."""
+@pytest.mark.parametrize("q,n", [
+    *(pytest.param(3, n, id=str(n))
+      for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 20000)),
+    *(pytest.param(9, n, id=f"q9-{n}")
+      for n in (1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 20000))])
+def test_plane_add_matches_oracle_on_every_digit_pair(q, n):
+    """The bit-plane add, of F_3 and of F_9 re-encoded as F_3 digits,
+    agrees with digit-tuple addition with every digit pair at every
+    position, at lengths on each side of the width class edges (at q = 9
+    an odd n leaves half a byte): constant operands, and operands whose
+    digits (i + s) % q and (2i + t) % q put each pair at each position
+    next to other pairs.  Also random pairs, pairs of unequal length (the
+    shorter one's top digits 0), and zero operands."""
     rng = random.Random(n)
 
     def rand(length):
-        return tuple(rng.randrange(3) for _ in range(length)) + (0,) * (n - length)
+        return tuple(rng.randrange(q) for _ in range(length)) + (0,) * (n - length)
 
     zero = (0,) * n
-    pairs = [((a,) * n, (b,) * n) for a in range(3) for b in range(3)]
-    pairs += [(tuple((i + s) % 3 for i in range(n)),
-               tuple((2 * i + t) % 3 for i in range(n)))
-              for s in range(3) for t in range(3)]
+    pairs = [((a,) * n, (b,) * n) for a in range(q) for b in range(q)]
+    pairs += [(tuple((i + s) % q for i in range(n)),
+               tuple((2 * i + t) % q for i in range(n)))
+              for s in range(q) for t in range(q)]
     pairs += [(rand(n), rand(n)) for _ in range(5)]
     for _ in range(5):
         short = rand(rng.randrange(n))
         pairs += [(rand(n), short), (short, rand(n))]
     pairs += [(zero, zero), (zero, rand(n)), (rand(n), zero)]
-    assert_add_matches_oracle(3, pairs)
+    assert_add_matches_oracle(q, pairs)
 
 
 def test_q3_add_reads_no_lane_mask(monkeypatch):
@@ -424,9 +433,9 @@ def test_q3_add_reads_no_lane_mask(monkeypatch):
         assert_add_matches_oracle(3, [(u, v)])
     width = gfq.slot_width(2, 12)
     block = gfq.pack_slots([pack(3, (1, 2, 0, 2, 1, 1))] * 729, width)
-    assert gfq.unpack_slots(gfq.slots_add(f, block, pack(3, (2,) * 6), width,
-                                          729), width, 729)[0] \
-        == pack(3, (0, 1, 2, 1, 0, 0))
+    step = pack(3, (2,) * 6) * gfq.slot_ones(width, 729)
+    assert list(gfq.unpack_slots(payload_add(f, block, step), width, 729)) \
+        == [pack(3, (0, 1, 2, 1, 0, 0))] * 729
     vecs = [VecQ.from_digits(f, (1, 2, 0)), VecQ.from_digits(f, (2, 1, 1))]
     assert (vecs[0] + vecs[1]).digits() == (0, 0, 1)
     assert rank_of(vecs + [vecs[0] + vecs[1]]) == 2
@@ -786,39 +795,42 @@ def test_pack_slots_inverts_unpack_slots(width):
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_slots_add_adds_the_step_to_every_slot(q):
-    """slots_add equals payload_add slot by slot, for machine-word slots
-    and wider ones, and an empty block stays empty."""
+    """One payload_add of a block and step * slot_ones, the block step of
+    every q, adds the step to every slot, as the digit-tuple add of each
+    slot does, for machine-word slots and wider ones; an empty block
+    stays empty."""
     f = field_new(q)
+    add, _ = field_tables(q)
     b = f.bits_per_digit
     rng = random.Random(q)
     for n in (1, 5, 16, 30):
         width = gfq.slot_width(b, n * b)
         for count in (0, 1, 3, 257):
-            values = [VecQ.from_digits(f, [rng.randrange(q) for _ in range(n)]).payload
+            values = [tuple(rng.randrange(q) for _ in range(n))
                       for _ in range(count + 1)]
             step = values.pop()
-            block = gfq.pack_slots(values, width)
-            got = gfq.slots_add(f, block, step, width, count)
-            assert list(gfq.unpack_slots(got, width, count)) == [
-                payload_add(f, v, step) for v in values]
+            block = gfq.pack_slots([pack(q, v) for v in values], width)
+            got = payload_add(f, block, pack(q, step) * gfq.slot_ones(width, count))
+            assert [unpack(q, n, x) for x in gfq.unpack_slots(got, width, count)] \
+                == [oracles.tuple_add(v, step, add) for v in values]
+            assert got >> count * width == 0
 
 
-def test_q9_slots_add_goes_slot_by_slot(monkeypatch):
-    """For q = 9 no payload_add sees a whole block: its digit loop over a
-    block would be quadratic in the block's length."""
+def test_q9_add_reads_no_add_table(monkeypatch):
+    """q = 9 adds two 20,000-digit payloads without reading one entry of
+    its addition table: the whole payload goes through the F_3 planes."""
     f = field_new(9)
-    seen = []
-    add = gfq.payload_add
+    add, _ = field_tables(9)
+    rng = random.Random(9)
+    u, v = (tuple(rng.randrange(9) for _ in range(20000)) for _ in range(2))
+    want = oracles.tuple_add(u, v, add)
 
-    def recording(field, x, y):
-        seen.append(max(x, y).bit_length())
-        return add(field, x, y)
+    class Untouchable(tuple):
+        def __getitem__(self, *args):
+            raise AssertionError("q = 9 read its addition table")
 
-    monkeypatch.setattr(gfq, "payload_add", recording)
-    width, count = 32, 100
-    block = gfq.pack_slots((j % 9 | j // 9 % 9 << 4 for j in range(count)), width)
-    gfq.slots_add(f, block, 0x12345678, width, count)
-    assert len(seen) == count and max(seen) <= width
+    monkeypatch.setattr(f, "add_table", Untouchable())
+    assert unpack(9, 20000, payload_add(f, pack(9, u), pack(9, v))) == want
 
 
 def test_mate_mismatch_errors_are_pinned():
